@@ -14,7 +14,11 @@
 // The 8x8 grid additionally runs as a torus (docs/topology.md): wrap links
 // plus the dateline VC planes ride the same gating contract, and the
 // torus rows feed the same identity + speedup floors in
-// ci/bench_floors.json. Results go to BENCH_mesh_gating.json.
+// ci/bench_floors.json. Every row also records the gated router path's
+// absolute cost — ns per flit hop and simulated cycles per second — so the
+// per-hop trajectory comes from this harness rather than from CI
+// artifacts. Those are host-dependent numbers and carry no floor. Results
+// go to BENCH_mesh_gating.json.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +35,6 @@ namespace {
 
 using mem::SlaveTiming;
 using test::MeshRig; // shared with tests/xpipes_gating_test.cpp
-using test::TestMaster;
 
 /// Everything that must be bit-identical across the two router-phase modes.
 struct Observation {
@@ -91,35 +94,6 @@ void load_single_flow(MeshRig& rig, u32 width, u32 height, u32 reps) {
     test::push_burst_flow(m, reps);
 }
 
-/// Masters on even nodes, slaves on odd nodes; each master streams bursts
-/// to a deterministic pseudo-random sequence of slaves.
-void load_all_to_all(MeshRig& rig, u32 width, u32 height, u32 reps) {
-    const u32 nodes = width * height;
-    std::vector<TestMaster*> ms;
-    u32 n_slaves = 0;
-    for (u32 n = 0; n < nodes; ++n) {
-        if (n % 2 == 0) {
-            ms.push_back(&rig.add_master(static_cast<int>(n)));
-        } else {
-            rig.add_mem(0x100000u * n_slaves, 0x1000, SlaveTiming{1, 1, 1},
-                        static_cast<int>(n));
-            ++n_slaves;
-        }
-    }
-    for (u32 i = 0; i < ms.size(); ++i) {
-        u32 lcg = 0x9E3779B9u * (i + 1);
-        for (u32 r = 0; r < reps; ++r) {
-            lcg = lcg * 1664525u + 1013904223u;
-            const u32 slave = (lcg >> 8) % n_slaves;
-            const u32 addr = 0x100000u * slave + (r % 32) * 0x20;
-            std::vector<u32> beats;
-            for (u32 b = 0; b < 8; ++b) beats.push_back(lcg + b);
-            ms[i]->push({ocp::Cmd::BurstWrite, addr, 8, beats, 0});
-            ms[i]->push({ocp::Cmd::BurstRead, addr, 8, {}, 0});
-        }
-    }
-}
-
 template <typename Loader>
 Observation run_one(u32 width, u32 height, bool gating,
                     ic::TopologyKind topology, Loader&& load) {
@@ -147,8 +121,8 @@ int main() {
     const u32 reps = 40 * bench::scale();
     bench::JsonReport report{"mesh_gating"};
     std::printf("×pipes router-phase gating: worklist vs full scan\n");
-    std::printf("%-22s %10s %10s %8s %14s %14s\n", "workload", "full s",
-                "gated s", "speedup", "visits", "scan bound");
+    std::printf("%-22s %10s %10s %8s %14s %14s %9s\n", "workload", "full s",
+                "gated s", "speedup", "visits", "scan bound", "ns/hop");
 
     bool all_identical = true;
     for (const u32 dim : {4u, 8u, 16u}) {
@@ -157,7 +131,7 @@ int main() {
             void (*load)(MeshRig&, u32, u32, u32);
         };
         const Shape shapes[] = {{"single_flow", load_single_flow},
-                                {"all_to_all", load_all_to_all}};
+                                {"all_to_all", test::load_all_to_all}};
         for (const Shape& sh : shapes)
         for (const ic::TopologyKind topo :
              {ic::TopologyKind::Mesh, ic::TopologyKind::Torus}) {
@@ -174,14 +148,18 @@ int main() {
             const double speedup = full.wall_seconds / gated.wall_seconds;
             const u64 bound =
                 static_cast<u64>(dim) * dim * full.router_phase_cycles;
+            const double ns_per_hop =
+                gated.wall_seconds * 1e9 / static_cast<double>(gated.flits);
+            const double gated_cycles_per_s =
+                static_cast<double>(gated.cycles) / gated.wall_seconds;
             char row[64];
             std::snprintf(row, sizeof row, "%ux%u_%s%s", dim, dim,
                           topo == ic::TopologyKind::Torus ? "torus_" : "",
                           sh.name);
-            std::printf("%-22s %10.4f %10.4f %7.2fx %14llu %14llu%s\n", row,
-                        full.wall_seconds, gated.wall_seconds, speedup,
+            std::printf("%-22s %10.4f %10.4f %7.2fx %14llu %14llu %9.1f%s\n",
+                        row, full.wall_seconds, gated.wall_seconds, speedup,
                         static_cast<unsigned long long>(gated.router_visits),
-                        static_cast<unsigned long long>(bound),
+                        static_cast<unsigned long long>(bound), ns_per_hop,
                         identical ? "" : "  MISMATCH");
             report.add_row(
                 row,
@@ -196,6 +174,8 @@ int main() {
                   static_cast<double>(full.router_visits)},
                  {"full_scan_bound", static_cast<double>(bound)},
                  {"flits_routed", static_cast<double>(full.flits)},
+                 {"ns_per_hop", ns_per_hop},
+                 {"gated_cycles_per_s", gated_cycles_per_s},
                  {"identical", identical ? 1.0 : 0.0}});
         }
     }

@@ -1,6 +1,8 @@
 #include "ic/xpipes/xpipes.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace tgsim::ic {
 
@@ -13,8 +15,10 @@ XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
     if (cfg_.topology != TopologyKind::Table &&
         (cfg_.width == 0 || cfg_.height == 0))
         throw std::invalid_argument{"XpipesNetwork: empty mesh"};
-    if (cfg_.fifo_depth < 2)
-        throw std::invalid_argument{"XpipesNetwork: fifo_depth must be >= 2"};
+    if (cfg_.fifo_depth < 2 || cfg_.fifo_depth > kMaxFifoDepth)
+        throw std::invalid_argument{
+            "XpipesNetwork: fifo_depth must be in [2, " +
+            std::to_string(kMaxFifoDepth) + "]"};
     topo_ = make_topology(cfg_.topology, cfg_.width, cfg_.height, cfg_.graph);
     const int nbr_ports = static_cast<int>(topo_->neighbor_ports());
     lm_port_ = nbr_ports;
@@ -25,14 +29,21 @@ XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
     bubble_ = topo_->needs_bubble();
     fault_on_ = cfg_.fault.enabled();
     routers_.resize(node_count());
-    const std::size_t slots =
+    slots_ =
         static_cast<std::size_t>(n_planes_) * static_cast<std::size_t>(n_ports_);
     for (Router& r : routers_) {
-        r.in.resize(slots);
-        r.bound_in.assign(slots, -1);
-        r.rr.assign(slots, 0);
-        r.fault.resize(slots);
+        r.bound_in.assign(slots_, -1);
+        r.rr.assign(slots_, 0);
+        r.fault.resize(slots_);
     }
+    fifos_.init(node_count() * slots_, cfg_.fifo_depth);
+    links_.reserve(static_cast<std::size_t>(node_count()) *
+                   static_cast<std::size_t>(nbr_ports));
+    for (u32 r = 0; r < node_count(); ++r)
+        for (int p = 0; p < nbr_ports; ++p)
+            links_.push_back(topo_->link(r, p).value_or(TopoLink{kNoLink, 0}));
+    slot_req_.assign(slots_, -1);
+    chan_requested_.assign(slots_, 0);
     master_at_node_.assign(node_count(), -1);
     slave_at_node_.assign(node_count(), -1);
     active_mark_.assign(node_count(), 0);
@@ -611,9 +622,9 @@ void XpipesNetwork::enqueue_router(std::size_t r) {
 
 void XpipesNetwork::inject(std::deque<Flit>& tx, u16 node, int port, int plane) {
     if (tx.empty()) return;
-    auto& fifo = routers_[node].in[pidx(plane, port)];
-    if (fifo.size() >= cfg_.fifo_depth) return;
-    fifo.push_back(tx.front());
+    const std::size_t f = fifo_index(node, pidx(plane, port));
+    if (fifos_.size(f) >= cfg_.fifo_depth) return;
+    fifos_.push(f, tx.front());
     tx.pop_front();
     ++routers_[node].occupancy;
     enqueue_router(node);
@@ -622,52 +633,47 @@ void XpipesNetwork::inject(std::deque<Flit>& tx, u16 node, int port, int plane) 
 
 void XpipesNetwork::collect_port_faults(std::size_t r) {
     Router& rt = routers_[r];
-    for (int p = 0; p < n_planes_; ++p) {
-        for (int i = 0; i < n_ports_; ++i) {
-            auto& q = rt.in[pidx(p, i)];
-            if (q.empty()) continue;
-            PortFault& pf = rt.fault[pidx(p, i)];
-            pf.blocked = false;
-            if (pf.swallowing) {
-                // A drop fault consumed this packet's head; swallow the
-                // remaining flits one per cycle (link rate) until the Tail.
-                Move mv;
-                mv.router = r;
-                mv.plane = p;
-                mv.in_port = i;
-                mv.drop = true;
-                moves_.push_back(mv);
-                pf.blocked = true;
-                continue;
-            }
-            const Flit& f = q.front();
-            if (pf.serial != f.serial) {
-                // Exactly one fault decision per (router, flit), drawn
-                // when the flit reaches the FIFO head.
-                pf.serial = f.serial;
-                const FaultModel::Draw d =
-                    fault_model_.draw(static_cast<u32>(r), f.serial);
-                pf.kind = d.kind;
-                pf.mask = d.mask;
-                pf.stall_left = d.stall;
-                if (d.kind == FaultKind::Stall)
-                    ++stats_.reliability.stall_events;
-            }
-            if (pf.stall_left > 0) {
-                --pf.stall_left;
-                ++stats_.reliability.stall_cycles;
-                pf.blocked = true;
-                continue;
-            }
-            if (pf.kind == FaultKind::Drop && f.kind == Flit::Kind::Head) {
-                Move mv;
-                mv.router = r;
-                mv.plane = p;
-                mv.in_port = i;
-                mv.drop = true;
-                moves_.push_back(mv);
-                pf.blocked = true;
-            }
+    for (std::size_t si = 0; si < slots_; ++si) {
+        const std::size_t fi = fifo_index(r, si);
+        if (fifos_.empty(fi)) continue;
+        PortFault& pf = rt.fault[si];
+        pf.blocked = false;
+        if (pf.swallowing) {
+            // A drop fault consumed this packet's head; swallow the
+            // remaining flits one per cycle (link rate) until the Tail.
+            Move mv;
+            mv.router = static_cast<u32>(r);
+            mv.slot = static_cast<u32>(si);
+            mv.drop = true;
+            moves_.push_back(mv);
+            pf.blocked = true;
+            continue;
+        }
+        const Flit& f = fifos_.front(fi);
+        if (pf.serial != f.serial) {
+            // Exactly one fault decision per (router, flit), drawn when the
+            // flit reaches the FIFO head.
+            pf.serial = f.serial;
+            const FaultModel::Draw d =
+                fault_model_.draw(static_cast<u32>(r), f.serial);
+            pf.kind = d.kind;
+            pf.mask = d.mask;
+            pf.stall_left = d.stall;
+            if (d.kind == FaultKind::Stall) ++stats_.reliability.stall_events;
+        }
+        if (pf.stall_left > 0) {
+            --pf.stall_left;
+            ++stats_.reliability.stall_cycles;
+            pf.blocked = true;
+            continue;
+        }
+        if (pf.kind == FaultKind::Drop && f.kind == Flit::Kind::Head) {
+            Move mv;
+            mv.router = static_cast<u32>(r);
+            mv.slot = static_cast<u32>(si);
+            mv.drop = true;
+            moves_.push_back(mv);
+            pf.blocked = true;
         }
     }
 }
@@ -676,6 +682,40 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
     ++stats_.router_visits;
     Router& rt = routers_[r];
     if (fault_on_) collect_port_faults(r);
+    const std::size_t base = fifo_index(r, 0);
+
+    // Request pass: each Head flit at a FIFO front is routed once per visit
+    // and requests the single output channel pidx(dst_plane, out) it can
+    // use — the topology's next hop on the VC its transition assigns (pure
+    // in the inputs, so the packet's body lands on the same plane), or the
+    // VC0 eject channel of its protocol plane. Nothing after this pass
+    // touches a FIFO or a fault flag until the apply phase, so these are
+    // exactly the Heads a per-channel rescan of the inputs would find.
+    std::fill(chan_requested_.begin(), chan_requested_.end(), u8{0});
+    for (int p = 0; p < n_planes_; ++p) {
+        const int ivc = p % vc_count_;
+        const int proto_plane = p - ivc; // VC0 plane of this protocol plane
+        for (int i = 0; i < n_ports_; ++i) {
+            const std::size_t si = pidx(p, i);
+            slot_req_[si] = -1;
+            if (fifos_.empty(base + si)) continue;
+            const Flit& head = fifos_.front(base + si);
+            if (head.kind != Flit::Kind::Head) continue;
+            if (fault_on_ && rt.fault[si].blocked)
+                continue; // stalled or being dropped
+            const int out = route(static_cast<u16>(r), head.hdr);
+            int dp = p;
+            if (out == lm_port_ || out == ls_port_)
+                dp = proto_plane;
+            else if (vc_count_ > 1)
+                dp = proto_plane +
+                     topo_->next_vc(static_cast<u32>(r), i, out, ivc);
+            const std::size_t oi = pidx(dp, out);
+            slot_req_[si] = static_cast<int>(oi);
+            chan_requested_[oi] = 1;
+        }
+    }
+
     const u32 ni_rx_cap = ocp::kMaxBurstLen + 4;
     // The switch is allocated per *output channel* — (destination buffer
     // plane, out port) — not per input plane. With one VC a flit's
@@ -706,52 +746,40 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
             // channel, held from Head to Tail.
             int src = rt.bound_in[oi];
             if (src < 0) {
-                // Allocate: round-robin over input ports (VC0 before VC1
-                // within a port) with a Head flit routed to this output
-                // channel.
+                if (!chan_requested_[oi]) continue;
+                // Allocate: round-robin over the requesting input ports,
+                // VC0 before VC1 within a port.
                 for (int k = 0; k < n_ports_ && src < 0; ++k) {
-                    const int i = (rt.rr[oi] + k) % n_ports_;
+                    int i = rt.rr[oi] + k;
+                    if (i >= n_ports_) i -= n_ports_;
                     for (int ivc = 0; ivc < vc_count_; ++ivc) {
                         const std::size_t si = pidx(proto * vc_count_ + ivc, i);
-                        const auto& q = rt.in[si];
-                        if (q.empty() || q.front().kind != Flit::Kind::Head)
-                            continue;
-                        if (fault_on_ && rt.fault[si].blocked)
-                            continue; // stalled or being dropped
-                        if (route(static_cast<u16>(r), q.front().hdr) != out)
-                            continue;
-                        // A Head claims exactly the VC its topology
-                        // transition assigns (pure in the inputs, so the
-                        // packet's body lands on the same plane).
-                        if (!eject && vc_count_ > 1 &&
-                            topo_->next_vc(static_cast<u32>(r), i, out,
-                                           ivc) != dvc)
-                            continue;
-                        src = static_cast<int>(si);
-                        rt.bound_in[oi] = src;
-                        ++rt.bound_count;
-                        rt.rr[oi] = (i + 1) % n_ports_;
-                        break;
+                        if (slot_req_[si] == static_cast<int>(oi)) {
+                            src = static_cast<int>(si);
+                            break;
+                        }
                     }
                 }
+                rt.bound_in[oi] = src;
+                ++rt.bound_count;
+                rt.rr[oi] = (src % n_ports_ + 1) % n_ports_;
             }
-            if (src < 0) continue;
-            const auto& q = rt.in[static_cast<std::size_t>(src)];
-            if (q.empty()) continue;
+            const std::size_t sf = base + static_cast<std::size_t>(src);
+            if (fifos_.empty(sf)) continue;
             if (fault_on_ && rt.fault[static_cast<std::size_t>(src)].blocked)
                 continue; // fault pre-pass withheld this flit this cycle
+            const Flit& front = fifos_.front(sf);
 
             // Destination capacities are read live: nothing pops or pushes
             // a FIFO until the apply phase, so these reads see exactly the
             // start-of-phase sizes (each input FIFO also has a single
             // writer per cycle, so committed moves cannot overfill one).
             Move mv;
-            mv.router = r;
-            mv.plane = src / n_ports_;
-            mv.in_port = src % n_ports_;
-            if (fault_on_ && q.front().kind == Flit::Kind::Payload) {
+            mv.router = static_cast<u32>(r);
+            mv.slot = static_cast<u32>(src);
+            if (fault_on_ && front.kind == Flit::Kind::Payload) {
                 const PortFault& pf = rt.fault[static_cast<std::size_t>(src)];
-                if (pf.kind == FaultKind::Corrupt && pf.serial == q.front().serial)
+                if (pf.kind == FaultKind::Corrupt && pf.serial == front.serial)
                     mv.corrupt_mask = pf.mask;
             }
             if (eject) {
@@ -767,13 +795,15 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
                         : slaves_[static_cast<std::size_t>(ni)].rx.size();
                 if (rx_size >= ni_rx_cap) continue;
             } else {
-                const auto nbr = topo_->link(static_cast<u16>(r), out);
-                if (!nbr) continue; // dead port: routing never selects one
-                mv.dst_router = nbr->node;
-                mv.dst_port = nbr->port;
-                mv.dst_plane = dp;
-                const std::size_t dst_size =
-                    routers_[nbr->node].in[pidx(dp, mv.dst_port)].size();
+                const TopoLink nbr =
+                    links_[r * static_cast<std::size_t>(lm_port_) +
+                           static_cast<std::size_t>(out)];
+                if (nbr.node == kNoLink)
+                    continue; // dead port: routing never selects one
+                mv.dst_router = nbr.node;
+                mv.dst_slot = static_cast<u32>(pidx(dp, nbr.port));
+                const u32 dst_size =
+                    fifos_.size(fifo_index(nbr.node, mv.dst_slot));
                 if (dst_size >= cfg_.fifo_depth) continue;
                 // Bubble rule (irregular topologies only): a Head may only
                 // claim a link whose downstream FIFO keeps a free slot
@@ -781,14 +811,14 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
                 // completely (docs/topology.md — a heuristic, not a
                 // proof). Mesh and torus allocation are untouched —
                 // bubble_ is false there.
-                if (bubble_ && q.front().kind == Flit::Kind::Head &&
+                if (bubble_ && front.kind == Flit::Kind::Head &&
                     dst_size + 2 > cfg_.fifo_depth)
                     continue;
             }
             moves_.push_back(mv);
             // Advance / release the wormhole binding bookkeeping now:
             // the move is committed.
-            if (q.front().kind == Flit::Kind::Tail) {
+            if (front.kind == Flit::Kind::Tail) {
                 rt.bound_in[oi] = -1;
                 --rt.bound_count;
             }
@@ -896,9 +926,7 @@ void XpipesNetwork::eval_routers() {
     // Apply all moves.
     for (const Move& mv : moves_) {
         Router& src_rt = routers_[mv.router];
-        auto& q = src_rt.in[pidx(mv.plane, mv.in_port)];
-        Flit flit = q.front();
-        q.pop_front();
+        Flit flit = fifos_.pop(fifo_index(mv.router, mv.slot));
         --src_rt.occupancy;
         any_activity_ = true;
         if (mv.drop) {
@@ -906,7 +934,7 @@ void XpipesNetwork::eval_routers() {
             // port (the rest of the packet follows it into the void),
             // Tail closes it.
             --flits_active_;
-            PortFault& pf = src_rt.fault[pidx(mv.plane, mv.in_port)];
+            PortFault& pf = src_rt.fault[mv.slot];
             pf.swallowing = (flit.kind != Flit::Kind::Tail);
             if (flit.kind == Flit::Kind::Head)
                 ++stats_.reliability.packets_dropped;
@@ -957,9 +985,7 @@ void XpipesNetwork::eval_routers() {
                 }
             }
         } else {
-            routers_[mv.dst_router]
-                .in[pidx(mv.dst_plane, mv.dst_port)]
-                .push_back(flit);
+            fifos_.push(fifo_index(mv.dst_router, mv.dst_slot), flit);
             ++routers_[mv.dst_router].occupancy;
         }
     }
@@ -980,7 +1006,7 @@ void XpipesNetwork::eval_routers() {
     };
     for (const u32 r : active_) keep(r);
     for (const Move& mv : moves_)
-        if (!mv.to_ni && !mv.drop) keep(static_cast<u32>(mv.dst_router));
+        if (!mv.to_ni && !mv.drop) keep(mv.dst_router);
     active_.swap(scratch_);
 }
 

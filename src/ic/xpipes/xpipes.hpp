@@ -50,10 +50,16 @@
 
 namespace tgsim::ic {
 
+/// Largest accepted XpipesConfig::fifo_depth. Every router input FIFO is a
+/// fixed ring of fifo_depth flits allocated up front, so the bound keeps a
+/// mistyped depth from turning into a multi-gigabyte arena.
+inline constexpr u32 kMaxFifoDepth = 256;
+
 struct XpipesConfig {
     u32 width = 3;
     u32 height = 3;
-    u32 fifo_depth = 4; ///< flits per router input FIFO
+    /// Flits per router input FIFO, in [2, kMaxFifoDepth].
+    u32 fifo_depth = 4;
     /// Activity-driven router phase (the default): eval only routers on the
     /// active worklist. false = full scan over every router × plane × port,
     /// kept as the bit-identical reference for tests and benches.
@@ -257,11 +263,52 @@ private:
         bool blocked = false;            ///< port excluded from moves this cycle
     };
 
-    /// Per-router state, sized n_planes_ * n_ports_ at construction (the
-    /// port budget is a topology property now, not a compile-time array
-    /// bound); index with pidx(plane, port).
+    /// Every router input FIFO of the network in one allocation: FIFO `f`
+    /// (fifo_index(router, pidx(plane, port))) is a ring of `depth` flits at
+    /// buf_[f * depth], with its head position and length in head_[f] and
+    /// len_[f]. Nothing grows or frees while the network runs.
+    class FifoArena {
+    public:
+        void init(std::size_t fifos, u32 depth) {
+            depth_ = depth;
+            buf_.resize(fifos * depth);
+            head_.assign(fifos, 0);
+            len_.assign(fifos, 0);
+        }
+        [[nodiscard]] u32 size(std::size_t f) const noexcept { return len_[f]; }
+        [[nodiscard]] bool empty(std::size_t f) const noexcept {
+            return len_[f] == 0;
+        }
+        [[nodiscard]] const Flit& front(std::size_t f) const noexcept {
+            return buf_[f * depth_ + head_[f]];
+        }
+        /// Caller guarantees size(f) < depth.
+        void push(std::size_t f, const Flit& flit) noexcept {
+            u32 pos = u32{head_[f]} + len_[f];
+            if (pos >= depth_) pos -= depth_;
+            buf_[f * depth_ + pos] = flit;
+            ++len_[f];
+        }
+        /// Caller guarantees !empty(f).
+        Flit pop(std::size_t f) noexcept {
+            const Flit flit = front(f);
+            if (++head_[f] == depth_) head_[f] = 0;
+            --len_[f];
+            return flit;
+        }
+
+    private:
+        u32 depth_ = 0;
+        std::vector<Flit> buf_;
+        std::vector<u16> head_; ///< ring index of each FIFO's front flit
+        std::vector<u16> len_;  ///< flits held (<= depth <= kMaxFifoDepth)
+    };
+
+    /// Per-router control state, sized n_planes_ * n_ports_ at construction
+    /// (the port budget is a topology property, not a compile-time array
+    /// bound); index with pidx(plane, port). The flits themselves live in
+    /// the network's FifoArena.
     struct Router {
-        std::vector<std::deque<Flit>> in;
         /// Wormhole binding per *output channel* pidx(dst_plane, out): the
         /// input slot pidx(plane, port) whose packet owns the channel from
         /// Head to Tail, -1 when free. Keyed by the destination plane —
@@ -362,17 +409,16 @@ private:
     /// applied after all active routers were examined (two-phase, so the
     /// visit order of the worklist cannot influence behaviour).
     struct Move {
-        std::size_t router = 0;
-        int plane = 0;
-        int in_port = 0;
+        u32 router = 0; ///< source router
+        u32 slot = 0;   ///< source input slot pidx(plane, in_port)
         // Destination: either a neighbour router FIFO or a local NI.
         bool to_ni = false;
-        std::size_t dst_router = 0;
-        int dst_port = 0;
-        /// Destination buffer plane. Equal to `plane` except on topology
-        /// VC transitions (torus dateline crossings), where the flit moves
-        /// from a VC0 FIFO into the far side's VC1 FIFO.
-        int dst_plane = 0;
+        u32 dst_router = 0;
+        /// Destination input slot pidx(dst_plane, arrival port). The plane
+        /// equals the source plane except on topology VC transitions
+        /// (torus dateline crossings), where the flit moves from a VC0 FIFO
+        /// into the far side's VC1 FIFO.
+        u32 dst_slot = 0;
         int ni_index = 0;
         bool ni_is_master = false;
         /// Fault mode: discard the source flit instead of forwarding it
@@ -398,6 +444,11 @@ private:
         return static_cast<std::size_t>(plane) *
                    static_cast<std::size_t>(n_ports_) +
                static_cast<std::size_t>(port);
+    }
+    /// FifoArena index of input slot `slot` of router `r`.
+    [[nodiscard]] std::size_t fifo_index(std::size_t r,
+                                         std::size_t slot) const noexcept {
+        return r * slots_ + slot;
     }
 
     /// Output port for `hdr` at `node`: the topology's next hop, or the
@@ -452,6 +503,12 @@ private:
     int ls_port_ = 5;  ///< local slave-NI port (requests eject here)
     int vc_count_ = 1; ///< topology VCs per protocol plane (Topology::vcs)
     int n_planes_ = kNumPlanes; ///< buffer planes: kNumPlanes * vc_count_
+    std::size_t slots_ = 12; ///< input slots per router: n_planes_ * n_ports_
+    /// Topology::link for every (router, neighbour port), resolved once at
+    /// construction: links_[r * lm_port_ + port] (lm_port_ is the neighbour
+    /// port count); node == kNoLink marks an unconnected port.
+    static constexpr u32 kNoLink = ~u32{0};
+    std::vector<TopoLink> links_;
     /// Bubble allocation rule for irregular (table) topologies: a Head
     /// flit only claims an inter-router link whose downstream FIFO keeps
     /// >= 1 slot free after the move (docs/topology.md) — a documented
@@ -479,6 +536,7 @@ private:
     u32 open_backlog_ = 0;
     AddressMap map_;
     std::vector<Router> routers_;
+    FifoArena fifos_; ///< every router input FIFO (nodes × slots_ rings)
     std::vector<MasterNi> masters_;
     std::vector<SlaveNi> slaves_;
     std::vector<int> master_at_node_; ///< node -> master index or -1
@@ -502,6 +560,11 @@ private:
     std::vector<u64> active_mark_;  ///< per-router epoch stamp (dedup)
     u64 active_epoch_ = 1;
     std::vector<Move> moves_; ///< reused per cycle (allocation-free steady state)
+    // --- per-visit request scratch (collect_router_moves), slots_ long ---
+    /// Output channel pidx(dst_plane, out) requested by the Head at the
+    /// front of each input slot this visit, or -1.
+    std::vector<int> slot_req_;
+    std::vector<u8> chan_requested_; ///< output channel has >= 1 request
 };
 
 } // namespace tgsim::ic

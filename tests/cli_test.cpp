@@ -220,6 +220,26 @@ TEST(CliSourceDeath, OpenOnlyKnobsRequireOpenMode) {
                 "--pending-limit: must be nonzero");
 }
 
+TEST(CliFifo, AcceptsTheDocumentedRange) {
+    EXPECT_EQ(cli::parse_fifo_depth("2"), 2u);
+    EXPECT_EQ(cli::parse_fifo_depth("8"), 8u);
+    EXPECT_EQ(cli::parse_fifo_depth("256"), ic::kMaxFifoDepth);
+}
+
+TEST(CliFifoDeath, OutOfRangeDepthsAreParseTimeErrors) {
+    // Router FIFOs are allocated up front: --fifo=4000000000 must never
+    // reach the arena, and --fifo=1 must not fail once per candidate.
+    EXPECT_EXIT((void)cli::parse_fifo_depth("1"), testing::ExitedWithCode(1),
+                "--fifo: depth '1' outside \\[2, 256\\]");
+    EXPECT_EXIT((void)cli::parse_fifo_depth("257"), testing::ExitedWithCode(1),
+                "--fifo: depth '257' outside \\[2, 256\\]");
+    EXPECT_EXIT((void)cli::parse_fifo_depth("4000000000"),
+                testing::ExitedWithCode(1),
+                "--fifo: depth '4000000000' outside \\[2, 256\\]");
+    EXPECT_EXIT((void)cli::parse_fifo_depth("four"),
+                testing::ExitedWithCode(1), "--fifo: invalid number 'four'");
+}
+
 TEST(CliCapacityDeath, TooSmallFabricIsAParseTimeError) {
     // 16 cores need 18 nodes (cores + shared memory + semaphores): a 4x4
     // --mesh paired with a 4x4 --grid used to be accepted here and fail

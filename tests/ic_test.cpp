@@ -294,6 +294,10 @@ TEST(Crossbar, DecodeErrorDoesNotWedge) {
 TEST(Xpipes, RejectsBadConfigurations) {
     EXPECT_THROW(ic::XpipesNetwork({0, 3, 4}), std::invalid_argument);
     EXPECT_THROW(ic::XpipesNetwork({3, 3, 1}), std::invalid_argument);
+    // FIFOs are allocated eagerly, so the depth has a documented ceiling.
+    EXPECT_THROW(ic::XpipesNetwork({3, 3, ic::kMaxFifoDepth + 1}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(ic::XpipesNetwork({2, 2, ic::kMaxFifoDepth}));
     ic::XpipesNetwork net{{2, 2, 4}};
     ocp::Channel a, b;
     net.connect_master(a, 0);

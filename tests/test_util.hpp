@@ -217,6 +217,38 @@ struct MeshRig {
     }
 };
 
+/// Saturating all-to-all load on a width x height fabric: a master on
+/// every even node, a 4 KiB memory on every odd node, and each master
+/// streaming `reps` 8-beat write+read burst pairs to a deterministic
+/// pseudo-random sequence of slaves. Shared by the mesh_gating bench and
+/// the loaded-fabric goldens (tests/xpipes_golden_test.cpp).
+inline void load_all_to_all(MeshRig& rig, u32 width, u32 height, u32 reps) {
+    const u32 nodes = width * height;
+    std::vector<TestMaster*> ms;
+    u32 n_slaves = 0;
+    for (u32 n = 0; n < nodes; ++n) {
+        if (n % 2 == 0) {
+            ms.push_back(&rig.add_master(static_cast<int>(n)));
+        } else {
+            rig.add_mem(0x100000u * n_slaves, 0x1000, mem::SlaveTiming{1, 1, 1},
+                        static_cast<int>(n));
+            ++n_slaves;
+        }
+    }
+    for (u32 i = 0; i < ms.size(); ++i) {
+        u32 lcg = 0x9E3779B9u * (i + 1);
+        for (u32 r = 0; r < reps; ++r) {
+            lcg = lcg * 1664525u + 1013904223u;
+            const u32 slave = (lcg >> 8) % n_slaves;
+            const u32 addr = 0x100000u * slave + (r % 32) * 0x20;
+            std::vector<u32> beats;
+            for (u32 b = 0; b < 8; ++b) beats.push_back(lcg + b);
+            ms[i]->push({ocp::Cmd::BurstWrite, addr, 8, beats, 0});
+            ms[i]->push({ocp::Cmd::BurstRead, addr, 8, {}, 0});
+        }
+    }
+}
+
 /// Pushes `reps` 8-beat write+read burst pairs onto `m` (addresses cycle
 /// within a 0x1000 window).
 inline void push_burst_flow(TestMaster& m, u32 reps) {

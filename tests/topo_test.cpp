@@ -415,6 +415,60 @@ TEST(TableSim, AllPatternsCompleteWithAccountability) {
     run_all_patterns(ring6_fabric(4), 2, 2); // 4 cores + 2 slaves on ring6
 }
 
+/// parse_graph has no degree cap, so neither may the router: a 91-node
+/// graph whose hub (node 90) has 72 neighbours. The 16 cores (nodes 0-15)
+/// and the two shared slaves (16-17) each hang off a relay (72-89), and
+/// every relay plus 54 filler leaves (18-71) attaches to the hub. The
+/// relays are the hub's highest-numbered neighbours, so all traffic turns
+/// through hub ports 54-71 — past any 64-slot request mask.
+GraphSpec hub72() {
+    GraphSpec spec;
+    spec.nodes = 91;
+    spec.source = "hub72";
+    for (u32 n = 0; n < 18; ++n) spec.edges.push_back({n, 72 + n});
+    for (u32 n = 18; n < 90; ++n) spec.edges.push_back({n, 90});
+    return spec;
+}
+
+TEST(TableSim, SeventyTwoPortHubRoutesAndCompletes) {
+    const GraphSpec spec = hub72();
+    const ic::TableGraph g{spec};
+    ASSERT_EQ(g.neighbor_ports(), 72u);
+    for (u32 s = 0; s < 18; ++s)
+        for (u32 d = 0; d < 18; ++d)
+            EXPECT_EQ(walk_hops(g, s, d), s == d ? 0u : 4u) << s << "->" << d;
+
+    ic::XpipesConfig fabric;
+    fabric.width = 0;
+    fabric.height = 0;
+    fabric.fifo_depth = 4;
+    fabric.topology = TopologyKind::Table;
+    fabric.graph = std::make_shared<const GraphSpec>(spec);
+    run_all_patterns(fabric, 4, 4);
+
+    // Saturating uniform random traffic: every hub output has many
+    // competing input ports. The worklist and the full scan must agree.
+    const tg::PatternConfig pc =
+        grid_pattern(tg::Pattern::UniformRandom, 4, 4, 0.5, 40);
+    const apps::Workload ctx = empty_context("topo_test hub72");
+    const sweep::SweepDriver driver{pc, ctx};
+    // Traffic is reseeded by grid index, so each mode runs as index 0.
+    ic::XpipesConfig full = fabric;
+    full.router_gating = false;
+    std::vector<sweep::SweepResult> rows;
+    for (const ic::XpipesConfig& f : {fabric, full}) {
+        const auto one = driver.run({fabric_candidate(f, 0.5)}, {});
+        ASSERT_EQ(one.size(), 1u);
+        const sweep::SweepResult& r = one[0];
+        EXPECT_TRUE(r.ok()) << r.error;
+        EXPECT_TRUE(r.completed);
+        EXPECT_EQ(r.packets, u64{16} * 40);
+        rows.push_back(r);
+    }
+    EXPECT_EQ(rows[0].cycles, rows[1].cycles);
+    EXPECT_EQ(rows[0].lat_mean, rows[1].lat_mean);
+}
+
 TEST(TorusSim, ResultsAreBitIdenticalAtAnyJobsAndGating) {
     // The any-jobs/any-gating contract (docs/sweep.md) extends to the new
     // topologies: worker count and the active-router worklist are

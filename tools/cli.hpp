@@ -333,6 +333,19 @@ inline std::optional<ic::XpipesConfig> parse_mesh(const std::string& spec,
     return mesh;
 }
 
+/// Parses one --fifo depth: a number in [2, ic::kMaxFifoDepth]. Router
+/// FIFOs are allocated up front, so an out-of-range depth is a fatal usage
+/// error naming the flag here, before any candidate is built.
+inline u32 parse_fifo_depth(const std::string& s) {
+    const u64 depth = parse_u64_or_die(s, "--fifo");
+    if (depth < 2 || depth > ic::kMaxFifoDepth) {
+        std::fprintf(stderr, "--fifo: depth '%s' outside [2, %u]\n", s.c_str(),
+                     ic::kMaxFifoDepth);
+        std::exit(1);
+    }
+    return static_cast<u32>(depth);
+}
+
 /// Strict double parse for rate lists; the whole string must be consumed,
 /// the value finite and non-negative.
 inline std::optional<double> parse_rate(const std::string& s) {

@@ -72,7 +72,7 @@ cli::OptionSet options() {
         .add({"hotspot", K::Number, "CORE", "0", "hotspot destination core"})
         .add({"hotspot-frac", K::Text, "F", "0.5",
               "share of traffic aimed at the hotspot"})
-        .add({"fifo", K::Number, "N", "4", "router FIFO depth"})
+        .add({"fifo", K::Number, "N", "4", "router FIFO depth in [2, 256]"})
         .add({"topology", K::Text, "KIND", "mesh",
               "fabric topology: mesh|torus|file:PATH"})
         .add({"fault-rate", K::Text, "R", "0",
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string mesh_spec = args.get("mesh", "4x4");
-    const u32 fifo = args.get_u32("fifo", 4);
+    const u32 fifo = cli::parse_fifo_depth(args.get("fifo", "4"));
     const auto mesh = cli::parse_mesh(mesh_spec, fifo);
     if (!mesh || mesh->width == 0) { // patterns need explicit dimensions
         std::fprintf(stderr, "bad --mesh spec '%s' (WxH, e.g. 4x4)\n",

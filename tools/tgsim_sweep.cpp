@@ -100,7 +100,8 @@ cli::OptionSet options() {
               "pattern mode: transactions per core"})
         .add({"mesh", K::Text, "SPEC,...", "",
               "candidate mesh shapes (auto|WxH)"})
-        .add({"fifo", K::Text, "N,...", "4", "candidate FIFO depths"})
+        .add({"fifo", K::Text, "N,...", "4",
+              "candidate FIFO depths, each in [2, 256]"})
         .add({"topology", K::Text, "KIND,...", "mesh",
               "candidate topologies: mesh|torus|file:PATH"})
         .add({"fault-rate", K::Text, "R,...", "0",
@@ -280,14 +281,9 @@ int run_pattern_mode(const cli::Args& args) {
     const std::vector<std::string> meshes =
         cli::split_list(args.get("mesh", "auto"));
     for (const std::string& f : cli::split_list(args.get("fifo", "4"))) {
-        const u64 depth64 = cli::parse_u64(f).value_or(0);
-        if (depth64 == 0 || depth64 > 0xFFFFFFFFull) {
-            std::fprintf(stderr, "bad --fifo depth '%s'\n", f.c_str());
-            return 1;
-        }
+        const u32 depth = cli::parse_fifo_depth(f);
         for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
-            const auto mesh =
-                cli::parse_mesh(meshes[mi], static_cast<u32>(depth64));
+            const auto mesh = cli::parse_mesh(meshes[mi], depth);
             if (!mesh) {
                 std::fprintf(stderr, "bad --mesh spec '%s' (auto|WxH)\n",
                              meshes[mi].c_str());
@@ -492,12 +488,7 @@ int main(int argc, char** argv) {
         cli::split_list(args.get("mesh", "auto,8x1,3x3"));
     std::vector<std::string> fifos = cli::split_list(args.get("fifo", "4"));
     for (const std::string& f : fifos) {
-        const u64 depth64 = cli::parse_u64(f).value_or(0);
-        if (depth64 == 0 || depth64 > 0xFFFFFFFFull) {
-            std::fprintf(stderr, "bad --fifo depth '%s'\n", f.c_str());
-            return 1;
-        }
-        const u32 depth = static_cast<u32>(depth64);
+        const u32 depth = cli::parse_fifo_depth(f);
         for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
             const auto mesh = cli::parse_mesh(meshes[mi], depth);
             if (!mesh) {
