@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -252,13 +253,15 @@ private:
 };
 
 // ---- typed field extraction ------------------------------------------
+//
+// read_* convert one located value (null = key absent); want_* locate the
+// key in an object first.
 
 std::string field_error(const char* key, const char* what) {
     return std::string{"field '"} + key + "' " + what;
 }
 
-bool want_u64(const Json& j, const char* key, u64* out, std::string* error) {
-    const Json* v = j.find(key);
+bool read_u64(const Json* v, const char* key, u64* out, std::string* error) {
     if (v == nullptr || v->kind != Json::Kind::Number)
         return set_error(error, field_error(key, "missing or not a number"));
     if (v->text.empty() || v->text[0] == '-')
@@ -272,18 +275,17 @@ bool want_u64(const Json& j, const char* key, u64* out, std::string* error) {
     return true;
 }
 
-bool want_u32(const Json& j, const char* key, u32* out, std::string* error) {
+bool read_u32(const Json* v, const char* key, u32* out, std::string* error) {
     u64 x = 0;
-    if (!want_u64(j, key, &x, error)) return false;
+    if (!read_u64(v, key, &x, error)) return false;
     if (x > 0xFFFFFFFFull)
         return set_error(error, field_error(key, "overflows u32"));
     *out = static_cast<u32>(x);
     return true;
 }
 
-bool want_double(const Json& j, const char* key, double* out,
+bool read_double(const Json* v, const char* key, double* out,
                  std::string* error) {
-    const Json* v = j.find(key);
     if (v == nullptr || v->kind != Json::Kind::Number)
         return set_error(error, field_error(key, "missing or not a number"));
     errno = 0;
@@ -295,21 +297,54 @@ bool want_double(const Json& j, const char* key, double* out,
     return true;
 }
 
-bool want_bool(const Json& j, const char* key, bool* out, std::string* error) {
-    const Json* v = j.find(key);
+bool read_bool(const Json* v, const char* key, bool* out, std::string* error) {
     if (v == nullptr || v->kind != Json::Kind::Bool)
         return set_error(error, field_error(key, "missing or not a bool"));
     *out = v->b;
     return true;
 }
 
-bool want_string(const Json& j, const char* key, std::string* out,
+bool read_string(const Json* v, const char* key, std::string* out,
                  std::string* error) {
-    const Json* v = j.find(key);
     if (v == nullptr || v->kind != Json::Kind::String)
         return set_error(error, field_error(key, "missing or not a string"));
     *out = v->text;
     return true;
+}
+
+bool read_failure(const Json* v, const char* key, FailureKind* out,
+                  std::string* error) {
+    std::string token;
+    if (!read_string(v, key, &token, error)) return false;
+    const std::optional<FailureKind> k = parse_failure(token);
+    if (!k) return set_error(error, "unknown failure kind '" + token + "'");
+    *out = *k;
+    return true;
+}
+
+/// One report-row value in format F.
+template <RowFmt F, typename T>
+bool read_field(const Json* v, const char* key, T* out, std::string* error) {
+    if constexpr (F == RowFmt::Str) return read_string(v, key, out, error);
+    else if constexpr (F == RowFmt::U32) return read_u32(v, key, out, error);
+    else if constexpr (F == RowFmt::U64) return read_u64(v, key, out, error);
+    else if constexpr (F == RowFmt::Bool) return read_bool(v, key, out, error);
+    else if constexpr (F == RowFmt::Failure)
+        return read_failure(v, key, out, error);
+    else return read_double(v, key, out, error);
+}
+
+bool want_u64(const Json& j, const char* key, u64* out, std::string* error) {
+    return read_u64(j.find(key), key, out, error);
+}
+
+bool want_u32(const Json& j, const char* key, u32* out, std::string* error) {
+    return read_u32(j.find(key), key, out, error);
+}
+
+bool want_string(const Json& j, const char* key, std::string* out,
+                 std::string* error) {
+    return read_string(j.find(key), key, out, error);
 }
 
 // ---- report-schema conversion ----------------------------------------
@@ -348,90 +383,56 @@ bool meta_from_json(const Json& j, SweepMeta* m, std::string* error) {
     return true;
 }
 
+/// Key and block of each TGSIM_SWEEP_ROW line, in table order.
+struct RowKey {
+    std::string_view key;
+    RowBlock block;
+};
+
+constexpr RowKey kRowKeys[] = {
+#define TGSIM_ROW_KEY(block, fmt, member) {#member, RowBlock::block},
+    TGSIM_SWEEP_ROW(TGSIM_ROW_KEY, TGSIM_ROW_KEY)
+#undef TGSIM_ROW_KEY
+};
+constexpr std::size_t kRowFields = std::size(kRowKeys);
+
+/// Parses one row by walking its keys with a cursor over the table — in
+/// the emitted order each key matches the cursor at once; keys out of
+/// order are found by a scan, and keys outside the schema are ignored. A
+/// block is on when any of its keys is present, and then every key of it
+/// is required: the error names the first missing or ill-typed one.
 bool row_from_json(const Json& j, SweepResult* r, std::string* error) {
     if (j.kind != Json::Kind::Object)
         return set_error(error, "candidate row is not an object");
     *r = SweepResult{}; // optional blocks must not inherit a reused row's state
-    std::string failure;
-    if (!want_string(j, "name", &r->name, error) ||
-        !want_string(j, "fabric", &r->fabric, error) ||
-        !want_u32(j, "index", &r->index, error) ||
-        !want_string(j, "error", &r->error, error) ||
-        !want_string(j, "failure", &failure, error) ||
-        !want_bool(j, "completed", &r->completed, error) ||
-        !want_bool(j, "checks_ok", &r->checks_ok, error) ||
-        !want_u64(j, "cycles", &r->cycles, error) ||
-        !want_u64(j, "busy_cycles", &r->busy_cycles, error) ||
-        !want_u64(j, "contention_cycles", &r->contention_cycles, error) ||
-        !want_double(j, "busy_pct", &r->busy_pct, error) ||
-        !want_u64(j, "total_instructions", &r->total_instructions, error) ||
-        !want_double(j, "wall_seconds", &r->wall_seconds, error))
-        return false;
-    const std::optional<FailureKind> k = parse_failure(failure);
-    if (!k) return set_error(error, "unknown failure kind '" + failure + "'");
-    r->failure = *k;
-    if (j.find("cpu_completed") != nullptr) {
-        r->has_cpu_truth = true;
-        if (!want_bool(j, "cpu_completed", &r->cpu_completed, error) ||
-            !want_u64(j, "cpu_cycles", &r->cpu_cycles, error) ||
-            !want_double(j, "cpu_wall_seconds", &r->cpu_wall_seconds, error) ||
-            !want_double(j, "err_pct", &r->err_pct, error))
-            return false;
+    const Json* at[kRowFields] = {};
+    std::size_t cursor = 0;
+    for (const auto& [key, value] : j.obj) {
+        std::size_t f = cursor;
+        if (f == kRowFields || kRowKeys[f].key != key) {
+            f = 0;
+            while (f < kRowFields && kRowKeys[f].key != key) ++f;
+            if (f == kRowFields) continue; // not a row key
+        }
+        at[f] = &value;
+        cursor = f + 1;
     }
-    if (j.find("offered_rate") != nullptr) {
-        r->has_latency = true;
-        if (!want_double(j, "offered_rate", &r->offered_rate, error) ||
-            !want_double(j, "accepted_rate", &r->accepted_rate, error) ||
-            !want_u64(j, "packets", &r->packets, error) ||
-            !want_u64(j, "error_packets", &r->error_packets, error) ||
-            !want_u64(j, "lat_count", &r->lat_count, error) ||
-            !want_double(j, "lat_mean", &r->lat_mean, error) ||
-            !want_u64(j, "lat_p50", &r->lat_p50, error) ||
-            !want_u64(j, "lat_p99", &r->lat_p99, error) ||
-            !want_u64(j, "lat_max", &r->lat_max, error))
-            return false;
-    }
-    if (j.find("pending_limit") != nullptr) {
-        r->has_open = true;
-        if (!want_u64(j, "pending_limit", &r->pending_limit, error) ||
-            !want_u64(j, "pending_peak", &r->pending_peak, error) ||
-            !want_u64(j, "net_lat_count", &r->net_lat_count, error) ||
-            !want_double(j, "net_lat_mean", &r->net_lat_mean, error) ||
-            !want_u64(j, "net_lat_p50", &r->net_lat_p50, error) ||
-            !want_u64(j, "net_lat_p99", &r->net_lat_p99, error) ||
-            !want_u64(j, "net_lat_max", &r->net_lat_max, error) ||
-            !want_u64(j, "sq_lat_count", &r->sq_lat_count, error) ||
-            !want_double(j, "sq_lat_mean", &r->sq_lat_mean, error) ||
-            !want_u64(j, "sq_lat_p50", &r->sq_lat_p50, error) ||
-            !want_u64(j, "sq_lat_p99", &r->sq_lat_p99, error) ||
-            !want_u64(j, "sq_lat_max", &r->sq_lat_max, error))
-            return false;
-    }
-    if (j.find("analytic") != nullptr) {
-        if (!want_bool(j, "analytic", &r->analytic, error) ||
-            !want_double(j, "predicted_saturation", &r->predicted_saturation,
-                         error))
-            return false;
-    }
-    if (j.find("fault_injected") != nullptr) {
-        r->has_faults = true;
-        if (!want_u64(j, "fault_injected", &r->fault_injected, error) ||
-            !want_u64(j, "fault_delivered", &r->fault_delivered, error) ||
-            !want_u64(j, "fault_err_delivered", &r->fault_err_delivered,
-                      error) ||
-            !want_u64(j, "fault_recovered", &r->fault_recovered, error) ||
-            !want_u64(j, "fault_lost", &r->fault_lost, error) ||
-            !want_u64(j, "fault_retries", &r->fault_retries, error) ||
-            !want_u64(j, "fault_corrupted", &r->fault_corrupted, error) ||
-            !want_u64(j, "fault_dropped", &r->fault_dropped, error) ||
-            !want_u64(j, "fault_stalls", &r->fault_stalls, error) ||
-            !want_u64(j, "fault_csum_fails", &r->fault_csum_fails, error) ||
-            !want_double(j, "delivered_ratio", &r->delivered_ratio, error) ||
-            !want_u64(j, "retry_lat_count", &r->retry_lat_count, error) ||
-            !want_double(j, "retry_lat_mean", &r->retry_lat_mean, error) ||
-            !want_u64(j, "retry_lat_p99", &r->retry_lat_p99, error))
-            return false;
-    }
+    bool on[kRowBlocks] = {true};
+    for (std::size_t f = 0; f < kRowFields; ++f)
+        if (at[f] != nullptr)
+            on[static_cast<std::size_t>(kRowKeys[f].block)] = true;
+    for (std::size_t b = 1; b < kRowBlocks; ++b)
+        if (on[b]) r->*kRowBlockSwitch[b] = true;
+    std::size_t f = 0;
+#define TGSIM_ROW_READ(block, fmt, member)                                  \
+    if (on[static_cast<std::size_t>(RowBlock::block)] &&                   \
+        !read_field<RowFmt::fmt>(at[f], #member, &r->member, error))       \
+        return false;                                                       \
+    ++f;
+#define TGSIM_ROW_READ_DERIVED(block, fmt, member) ++f;
+    TGSIM_SWEEP_ROW(TGSIM_ROW_READ, TGSIM_ROW_READ_DERIVED)
+#undef TGSIM_ROW_READ
+#undef TGSIM_ROW_READ_DERIVED
     return true;
 }
 
@@ -490,11 +491,22 @@ std::string meta_diff(const SweepMeta& a, const SweepMeta& b) {
     return "";
 }
 
+namespace {
+
+template <RowFmt F, typename T>
+void zero_wall_clock(T& v) {
+    if constexpr (F == RowFmt::Wall6) v = 0.0;
+}
+
+} // namespace
+
 void canonicalize(SweepMeta& meta, std::vector<SweepResult>& rows) {
     meta.jobs = 0;
     for (SweepResult& r : rows) {
-        r.wall_seconds = 0.0;
-        r.cpu_wall_seconds = 0.0;
+#define TGSIM_ROW_CANON(block, fmt, member) \
+    zero_wall_clock<RowFmt::fmt>(r.member);
+        TGSIM_SWEEP_ROW(TGSIM_ROW_CANON, TGSIM_ROW_SKIP)
+#undef TGSIM_ROW_CANON
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdarg>
@@ -61,49 +62,14 @@ u32 resolve_jobs(u32 jobs, std::size_t n_candidates) {
 }
 
 bool bit_identical(const SweepResult& a, const SweepResult& b) {
-    return a.name == b.name && a.fabric == b.fabric && a.index == b.index &&
-           a.error == b.error && a.failure == b.failure &&
-           a.completed == b.completed &&
-           a.checks_ok == b.checks_ok && a.cycles == b.cycles &&
-           a.per_core == b.per_core &&
-           a.total_instructions == b.total_instructions &&
-           a.busy_cycles == b.busy_cycles &&
-           a.contention_cycles == b.contention_cycles &&
-           a.busy_pct == b.busy_pct && a.has_cpu_truth == b.has_cpu_truth &&
-           a.cpu_completed == b.cpu_completed && a.cpu_cycles == b.cpu_cycles &&
-           a.err_pct == b.err_pct && a.has_latency == b.has_latency &&
-           a.offered_rate == b.offered_rate &&
-           a.accepted_rate == b.accepted_rate && a.packets == b.packets &&
-           a.error_packets == b.error_packets &&
-           a.lat_count == b.lat_count && a.lat_mean == b.lat_mean &&
-           a.lat_p50 == b.lat_p50 && a.lat_p99 == b.lat_p99 &&
-           a.lat_max == b.lat_max && a.has_open == b.has_open &&
-           a.pending_limit == b.pending_limit &&
-           a.pending_peak == b.pending_peak &&
-           a.net_lat_count == b.net_lat_count &&
-           a.net_lat_mean == b.net_lat_mean &&
-           a.net_lat_p50 == b.net_lat_p50 &&
-           a.net_lat_p99 == b.net_lat_p99 &&
-           a.net_lat_max == b.net_lat_max &&
-           a.sq_lat_count == b.sq_lat_count &&
-           a.sq_lat_mean == b.sq_lat_mean && a.sq_lat_p50 == b.sq_lat_p50 &&
-           a.sq_lat_p99 == b.sq_lat_p99 && a.sq_lat_max == b.sq_lat_max &&
-           a.analytic == b.analytic &&
-           a.predicted_saturation == b.predicted_saturation &&
-           a.has_faults == b.has_faults &&
-           a.fault_injected == b.fault_injected &&
-           a.fault_delivered == b.fault_delivered &&
-           a.fault_err_delivered == b.fault_err_delivered &&
-           a.fault_recovered == b.fault_recovered &&
-           a.fault_lost == b.fault_lost && a.fault_retries == b.fault_retries &&
-           a.fault_corrupted == b.fault_corrupted &&
-           a.fault_dropped == b.fault_dropped &&
-           a.fault_stalls == b.fault_stalls &&
-           a.fault_csum_fails == b.fault_csum_fails &&
-           a.delivered_ratio == b.delivered_ratio &&
-           a.retry_lat_count == b.retry_lat_count &&
-           a.retry_lat_mean == b.retry_lat_mean &&
-           a.retry_lat_p99 == b.retry_lat_p99;
+    bool same = a.per_core == b.per_core;
+    for (bool SweepResult::*on : kRowBlockSwitch)
+        same = same && (on == nullptr || a.*on == b.*on);
+#define TGSIM_ROW_SAME(block, fmt, member) \
+    same = same && (RowFmt::fmt == RowFmt::Wall6 || a.member == b.member);
+    TGSIM_SWEEP_ROW(TGSIM_ROW_SAME, TGSIM_ROW_SKIP)
+#undef TGSIM_ROW_SAME
+    return same;
 }
 
 u64 derive_seed(u64 base, u32 candidate_index, u32 core) {
@@ -343,6 +309,35 @@ void append(std::string& out, const char* fmt, ...) {
     out += buf;
 }
 
+/// Appends `sep_key` (", \"key\": ", minus its first `skip` bytes) and
+/// `v` in format F. std::to_chars with an explicit precision is specified
+/// to print exactly what printf("%.Nf") prints.
+template <RowFmt F, typename T>
+void append_field(std::string& out, std::string_view sep_key,
+                  std::size_t& skip, const T& v) {
+    out.append(sep_key.substr(skip));
+    skip = 0;
+    if constexpr (F == RowFmt::Str) {
+        append_string(out, v);
+    } else if constexpr (F == RowFmt::Bool) {
+        out += v ? "true" : "false";
+    } else if constexpr (F == RowFmt::Failure) {
+        out.push_back('"');
+        out += to_string(v);
+        out.push_back('"');
+    } else {
+        char buf[400]; // %.6f of the largest double fits
+        std::to_chars_result res;
+        if constexpr (F == RowFmt::U32 || F == RowFmt::U64)
+            res = std::to_chars(buf, buf + sizeof buf, v);
+        else
+            res = std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::fixed,
+                                F == RowFmt::Fix4 ? 4 : 6);
+        out.append(buf, res.ptr);
+    }
+}
+
 /// Emits the report piecewise through `flush(buffer)` — once for the
 /// header, once per row, once for the footer — so FILE-backed sinks never
 /// hold more than one row in memory. Stops (returning false) on the first
@@ -386,103 +381,22 @@ void append_sweep_meta(std::string& out, const SweepMeta& meta) {
 }
 
 void append_result_row(std::string& out, const SweepResult& r) {
-    out += "{\"name\": ";
-    append_string(out, r.name);
-    out += ", \"fabric\": ";
-    append_string(out, r.fabric);
-    append(out, ", \"index\": %u", r.index);
-    append(out, ", \"ok\": %s, \"error\": ", r.ok() ? "true" : "false");
-    append_string(out, r.error);
-    append(out, ", \"failure\": \"%s\"",
-           std::string{to_string(r.failure)}.c_str());
-    append(out, ", \"completed\": %s, \"checks_ok\": %s",
-           r.completed ? "true" : "false", r.checks_ok ? "true" : "false");
-    append(out, ", \"cycles\": %llu, \"busy_cycles\": %llu",
-           static_cast<unsigned long long>(r.cycles),
-           static_cast<unsigned long long>(r.busy_cycles));
-    append(out, ", \"contention_cycles\": %llu, \"busy_pct\": %.4f",
-           static_cast<unsigned long long>(r.contention_cycles),
-           r.busy_pct);
-    append(out, ", \"total_instructions\": %llu, \"wall_seconds\": %.6f",
-           static_cast<unsigned long long>(r.total_instructions),
-           r.wall_seconds);
-    if (r.has_cpu_truth)
-        append(out,
-               ", \"cpu_completed\": %s, \"cpu_cycles\": %llu"
-               ", \"cpu_wall_seconds\": %.6f, \"err_pct\": %.4f",
-               r.cpu_completed ? "true" : "false",
-               static_cast<unsigned long long>(r.cpu_cycles),
-               r.cpu_wall_seconds, r.err_pct);
-    if (r.has_latency) {
-        append(out,
-               ", \"offered_rate\": %.6f, \"accepted_rate\": %.6f"
-               ", \"packets\": %llu, \"error_packets\": %llu",
-               r.offered_rate, r.accepted_rate,
-               static_cast<unsigned long long>(r.packets),
-               static_cast<unsigned long long>(r.error_packets));
-        append(out,
-               ", \"lat_count\": %llu, \"lat_mean\": %.4f"
-               ", \"lat_p50\": %llu, \"lat_p99\": %llu, \"lat_max\": %llu",
-               static_cast<unsigned long long>(r.lat_count), r.lat_mean,
-               static_cast<unsigned long long>(r.lat_p50),
-               static_cast<unsigned long long>(r.lat_p99),
-               static_cast<unsigned long long>(r.lat_max));
-    }
-    if (r.has_open) {
-        append(out, ", \"pending_limit\": %llu, \"pending_peak\": %llu",
-               static_cast<unsigned long long>(r.pending_limit),
-               static_cast<unsigned long long>(r.pending_peak));
-        append(out,
-               ", \"net_lat_count\": %llu, \"net_lat_mean\": %.4f"
-               ", \"net_lat_p50\": %llu, \"net_lat_p99\": %llu"
-               ", \"net_lat_max\": %llu",
-               static_cast<unsigned long long>(r.net_lat_count),
-               r.net_lat_mean,
-               static_cast<unsigned long long>(r.net_lat_p50),
-               static_cast<unsigned long long>(r.net_lat_p99),
-               static_cast<unsigned long long>(r.net_lat_max));
-        append(out,
-               ", \"sq_lat_count\": %llu, \"sq_lat_mean\": %.4f"
-               ", \"sq_lat_p50\": %llu, \"sq_lat_p99\": %llu"
-               ", \"sq_lat_max\": %llu",
-               static_cast<unsigned long long>(r.sq_lat_count), r.sq_lat_mean,
-               static_cast<unsigned long long>(r.sq_lat_p50),
-               static_cast<unsigned long long>(r.sq_lat_p99),
-               static_cast<unsigned long long>(r.sq_lat_max));
-    }
-    if (r.analytic)
-        append(out, ", \"analytic\": true, \"predicted_saturation\": %.6f",
-               r.predicted_saturation);
-    if (r.has_faults) {
-        append(out,
-               ", \"fault_injected\": %llu, \"fault_delivered\": %llu"
-               ", \"fault_err_delivered\": %llu",
-               static_cast<unsigned long long>(r.fault_injected),
-               static_cast<unsigned long long>(r.fault_delivered),
-               static_cast<unsigned long long>(r.fault_err_delivered));
-        append(out,
-               ", \"fault_recovered\": %llu, \"fault_lost\": %llu"
-               ", \"fault_retries\": %llu",
-               static_cast<unsigned long long>(r.fault_recovered),
-               static_cast<unsigned long long>(r.fault_lost),
-               static_cast<unsigned long long>(r.fault_retries));
-        append(out,
-               ", \"fault_corrupted\": %llu, \"fault_dropped\": %llu"
-               ", \"fault_stalls\": %llu, \"fault_csum_fails\": %llu"
-               ", \"delivered_ratio\": %.6f",
-               static_cast<unsigned long long>(r.fault_corrupted),
-               static_cast<unsigned long long>(r.fault_dropped),
-               static_cast<unsigned long long>(r.fault_stalls),
-               static_cast<unsigned long long>(r.fault_csum_fails),
-               r.delivered_ratio);
-        append(out,
-               ", \"retry_lat_count\": %llu, \"retry_lat_mean\": %.4f"
-               ", \"retry_lat_p99\": %llu",
-               static_cast<unsigned long long>(r.retry_lat_count),
-               r.retry_lat_mean,
-               static_cast<unsigned long long>(r.retry_lat_p99));
-    }
-    out += "}";
+    bool on[kRowBlocks];
+    for (std::size_t b = 0; b < kRowBlocks; ++b)
+        on[b] = kRowBlockSwitch[b] == nullptr || r.*kRowBlockSwitch[b];
+    out += '{';
+    std::size_t skip = 2; // the first key carries no ", "
+#define TGSIM_ROW_EMIT(block, fmt, member)                                  \
+    if (on[static_cast<std::size_t>(RowBlock::block)])                     \
+        append_field<RowFmt::fmt>(out, ", \"" #member "\": ", skip, r.member);
+#define TGSIM_ROW_EMIT_DERIVED(block, fmt, member)                          \
+    if (on[static_cast<std::size_t>(RowBlock::block)])                     \
+        append_field<RowFmt::fmt>(out, ", \"" #member "\": ", skip,          \
+                                  r.member());
+    TGSIM_SWEEP_ROW(TGSIM_ROW_EMIT, TGSIM_ROW_EMIT_DERIVED)
+#undef TGSIM_ROW_EMIT
+#undef TGSIM_ROW_EMIT_DERIVED
+    out += '}';
 }
 
 std::string json_report(const std::vector<SweepResult>& results,

@@ -17,6 +17,7 @@
 // any worker count — see bit_identical().
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -143,109 +144,135 @@ enum class FailureKind : u8 {
 [[nodiscard]] std::string_view to_string(FailureKind k) noexcept;
 [[nodiscard]] std::optional<FailureKind> parse_failure(const std::string& s);
 
-/// Everything measured on one candidate. All fields except the wall times
-/// are pure functions of (payload, candidate config, options) — never of
-/// worker count or scheduling — which is what bit_identical() checks.
+/// Blocks of a report row. Base is always emitted; every other block is
+/// emitted only when its switch (kRowBlockSwitch) is set, and a parsed row
+/// that carries any key of a block must carry all of them.
+enum class RowBlock : u8 { Base, Cpu, Latency, Open, Analytic, Faults };
+inline constexpr std::size_t kRowBlocks = 6;
+
+/// How one row field is printed and parsed.
+enum class RowFmt : u8 {
+    Str,     ///< JSON string
+    U32,     ///< unsigned decimal; parse rejects values above 2^32 - 1
+    U64,     ///< unsigned decimal
+    Bool,    ///< true | false
+    Fix4,    ///< double, printf "%.4f"
+    Fix6,    ///< double, printf "%.6f"
+    Wall6,   ///< wall-clock double, "%.6f": the only row values that vary
+             ///< run to run — zeroed by canonicalize, skipped by
+             ///< bit_identical
+    Failure, ///< FailureKind, as its to_string() token
+};
+
+/// The C++ type that stores each RowFmt.
+template <RowFmt F> struct RowValue { using type = double; };
+template <> struct RowValue<RowFmt::Str> { using type = std::string; };
+template <> struct RowValue<RowFmt::U32> { using type = u32; };
+template <> struct RowValue<RowFmt::U64> { using type = u64; };
+template <> struct RowValue<RowFmt::Bool> { using type = bool; };
+template <> struct RowValue<RowFmt::Failure> { using type = FailureKind; };
+
+/// The report-row schema, one line per JSON key in emitted order:
+/// FIELD(block, format, member), where the key is the member name. The
+/// DERIVED line is emitted from a member function and never stored or
+/// parsed. SweepResult declares its data members from this table, and the
+/// emitter (append_result_row), the row parser, bit_identical and
+/// canonicalize all expand it — so a new report metric is one line here
+/// plus the line in SweepDriver::evaluate that fills it (docs/sweep.md).
+///
+/// Blocks: cpu = CPU ground truth (SweepOptions::with_cpu_truth); latency
+/// = load–latency instrumentation of a ×pipes candidate with
+/// collect_latency (rates are transactions per core per cycle); open =
+/// the open-loop split of each packet's life into source queueing
+/// (creation -> pending-queue exit) and in-network time (-> delivery);
+/// analytic = the row is a closed-form prediction of the analytic tier
+/// (cycles/latency are predictions, per_core is empty); faults = fault
+/// injection and recovery accounting (docs/faults.md). Everything but the
+/// Wall6 fields is a pure function of (payload, candidate config, options).
+#define TGSIM_SWEEP_ROW(FIELD, DERIVED)                                       \
+    FIELD(Base, Str, name)                                                   \
+    FIELD(Base, Str, fabric) /* describe_fabric() of the evaluated config */ \
+    FIELD(Base, U32, index)  /* candidate index (submission order) */        \
+    DERIVED(Base, Bool, ok)  /* error.empty() */                             \
+    FIELD(Base, Str, error)  /* why the candidate failed; "" = it did not */ \
+    FIELD(Base, Failure, failure)                                            \
+    FIELD(Base, Bool, completed)                                             \
+    FIELD(Base, Bool, checks_ok)                                             \
+    FIELD(Base, U64, cycles) /* completion time (paper's metric) */          \
+    FIELD(Base, U64, busy_cycles)                                            \
+    FIELD(Base, U64, contention_cycles) /* incl. master NI rejects */        \
+    FIELD(Base, Fix4, busy_pct)                                              \
+    FIELD(Base, U64, total_instructions)                                     \
+    FIELD(Base, Wall6, wall_seconds)                                         \
+    FIELD(Cpu, Bool, cpu_completed)                                          \
+    FIELD(Cpu, U64, cpu_cycles)                                              \
+    FIELD(Cpu, Wall6, cpu_wall_seconds)                                      \
+    FIELD(Cpu, Fix4, err_pct) /* TG vs CPU completion time, percent */       \
+    FIELD(Latency, Fix6, offered_rate)  /* configured injection rate */      \
+    FIELD(Latency, Fix6, accepted_rate) /* good request packets / cycle */   \
+    FIELD(Latency, U64, packets) /* request packets delivered */             \
+    FIELD(Latency, U64, error_packets) /* Resp::Err: not in lat_*, rates */  \
+    FIELD(Latency, U64, lat_count)                                           \
+    FIELD(Latency, Fix4, lat_mean) /* cycles, head creation -> tail */       \
+    FIELD(Latency, U64, lat_p50)                                             \
+    FIELD(Latency, U64, lat_p99)                                             \
+    FIELD(Latency, U64, lat_max)                                             \
+    FIELD(Open, U64, pending_limit) /* configured per-NI queue bound */      \
+    FIELD(Open, U64, pending_peak)  /* queue high-water mark across NIs */   \
+    FIELD(Open, U64, net_lat_count)                                          \
+    FIELD(Open, Fix4, net_lat_mean)                                          \
+    FIELD(Open, U64, net_lat_p50)                                            \
+    FIELD(Open, U64, net_lat_p99)                                            \
+    FIELD(Open, U64, net_lat_max)                                            \
+    FIELD(Open, U64, sq_lat_count)                                           \
+    FIELD(Open, Fix4, sq_lat_mean)                                           \
+    FIELD(Open, U64, sq_lat_p50)                                             \
+    FIELD(Open, U64, sq_lat_p99)                                             \
+    FIELD(Open, U64, sq_lat_max)                                             \
+    FIELD(Analytic, Bool, analytic) /* the block's own switch */             \
+    FIELD(Analytic, Fix6, predicted_saturation) /* txn/core/cycle bound */   \
+    FIELD(Faults, U64, fault_injected) /* transactions entering faults */    \
+    FIELD(Faults, U64, fault_delivered) /* completed correctly */            \
+    FIELD(Faults, U64, fault_err_delivered) /* completed with Resp::Err */   \
+    FIELD(Faults, U64, fault_recovered) /* delivered after >= 1 retry */     \
+    FIELD(Faults, U64, fault_lost) /* abandoned after retry exhaustion */    \
+    FIELD(Faults, U64, fault_retries)                                        \
+    FIELD(Faults, U64, fault_corrupted) /* payload flits XOR-faulted */      \
+    FIELD(Faults, U64, fault_dropped) /* packets dropped at routers */       \
+    FIELD(Faults, U64, fault_stalls)                                         \
+    FIELD(Faults, U64, fault_csum_fails) /* rejected by tail checksum */     \
+    FIELD(Faults, Fix6, delivered_ratio) /* (delivered + err) / injected */  \
+    FIELD(Faults, U64, retry_lat_count)                                      \
+    FIELD(Faults, Fix4, retry_lat_mean) /* first injection -> delivery */    \
+    FIELD(Faults, U64, retry_lat_p99)
+
+/// Expansion for the table lines an expansion skips.
+#define TGSIM_ROW_SKIP(block, fmt, member)
+
+/// Everything measured on one candidate (see TGSIM_SWEEP_ROW). A failed
+/// candidate never aborts the sweep; it is reported like any other.
 struct SweepResult {
-    std::string name;
-    std::string fabric; ///< describe_fabric() of the evaluated config
-    u32 index = 0;      ///< candidate index (results keep submission order)
-    /// Non-empty when the candidate failed (failure != None): construction
-    /// threw, the run timed out / livelocked, or the post-run checks
-    /// mismatched. A failed candidate never aborts the sweep; it is
-    /// reported like any other.
-    std::string error;
-    FailureKind failure = FailureKind::None;
-    bool completed = false;
-    bool checks_ok = false;
-    Cycle cycles = 0; ///< completion time (paper's metric), from halt cycles
+#define TGSIM_ROW_MEMBER(block, fmt, member) \
+    RowValue<RowFmt::fmt>::type member{};
+    TGSIM_SWEEP_ROW(TGSIM_ROW_MEMBER, TGSIM_ROW_SKIP)
+#undef TGSIM_ROW_MEMBER
+
+    // Stored, never emitted: per-core halt cycles (cycle rows only) and
+    // the block switches (kRowBlockSwitch).
     std::vector<Cycle> per_core;
-    u64 total_instructions = 0;
-    u64 busy_cycles = 0;
-    u64 contention_cycles = 0;
-    double busy_pct = 0.0;
-    double wall_seconds = 0.0;
-
-    /// CPU ground truth (valid when SweepOptions::with_cpu_truth).
     bool has_cpu_truth = false;
-    bool cpu_completed = false;
-    Cycle cpu_cycles = 0;
-    double cpu_wall_seconds = 0.0;
-    double err_pct = 0.0; ///< TG vs CPU completion-time error, percent
-
-    /// Load–latency instrumentation (valid when has_latency: a ×pipes
-    /// candidate with XpipesConfig::collect_latency). All deterministic —
-    /// included in bit_identical(). Rates are transactions per core per
-    /// cycle; offered is the configured injection rate, accepted is what
-    /// the mesh actually took (request packets delivered / cycles / cores).
     bool has_latency = false;
-    double offered_rate = 0.0;
-    double accepted_rate = 0.0;
-    u64 packets = 0;        ///< request packets delivered to slave NIs
-    /// Responses that carried a slave Resp::Err: counted here, excluded
-    /// from the latency fields and from accepted_rate (an error turnaround
-    /// is not service), so error/fault runs do not skew p50/p99.
-    u64 error_packets = 0;
-    u64 lat_count = 0;      ///< latency samples (both planes)
-    double lat_mean = 0.0;  ///< cycles, head creation -> tail delivery
-    u64 lat_p50 = 0;
-    u64 lat_p99 = 0;
-    u64 lat_max = 0;
-    // NI reject accounting (command asserted, master NI busy) is the
-    // existing contention_cycles field — the mesh reports exactly its
-    // master_wait_cycles sum there.
-
-    /// Open-loop source decomposition (valid when has_open: the candidate
-    /// ran with tg::SourceMode::Open — docs/traffic.md). The end-to-end
-    /// lat_* fields above still cover creation -> delivery; these split
-    /// each packet's life into the in-network part (pending-queue exit ->
-    /// delivery) and the source-queueing part (creation -> pending-queue
-    /// exit). All deterministic — included in bit_identical().
     bool has_open = false;
-    u64 pending_limit = 0; ///< configured per-NI pending-queue bound
-    u64 pending_peak = 0;  ///< pending-queue high-water mark across NIs
-    u64 net_lat_count = 0;
-    double net_lat_mean = 0.0;
-    u64 net_lat_p50 = 0;
-    u64 net_lat_p99 = 0;
-    u64 net_lat_max = 0;
-    u64 sq_lat_count = 0;
-    double sq_lat_mean = 0.0;
-    u64 sq_lat_p50 = 0;
-    u64 sq_lat_p99 = 0;
-    u64 sq_lat_max = 0;
-
-    /// True when this row came from the analytic screening tier rather
-    /// than the cycle simulator: cycles/latency fields are *predictions*
-    /// (closed-form, deterministic — included in bit_identical()), per_core
-    /// is empty, and predicted_saturation carries the max-loaded-link
-    /// saturation bound in transactions per core per cycle.
-    bool analytic = false;
-    double predicted_saturation = 0.0;
-
-    /// Fault-injection / recovery accounting (valid when has_faults: a
-    /// ×pipes candidate with an enabled FaultConfig — docs/faults.md).
-    /// Pure functions of (payload, config, seed): included in
-    /// bit_identical(), so fault sweeps carry the same any-jobs/any-shard
-    /// determinism contract as everything else.
     bool has_faults = false;
-    u64 fault_injected = 0;      ///< transactions entering the fault domain
-    u64 fault_delivered = 0;     ///< completed correctly (incl. retried)
-    u64 fault_err_delivered = 0; ///< completed carrying a slave Resp::Err
-    u64 fault_recovered = 0;     ///< delivered needing >= 1 retry
-    u64 fault_lost = 0;          ///< abandoned after retry exhaustion
-    u64 fault_retries = 0;       ///< replays issued
-    u64 fault_corrupted = 0;     ///< payload flits XOR-faulted
-    u64 fault_dropped = 0;       ///< packets dropped at router inputs
-    u64 fault_stalls = 0;        ///< stall faults drawn
-    u64 fault_csum_fails = 0;    ///< packets rejected by the tail checksum
-    double delivered_ratio = 1.0; ///< (delivered + err_delivered) / injected
-    u64 retry_lat_count = 0;     ///< recovered-transaction latency samples
-    double retry_lat_mean = 0.0; ///< cycles, first injection -> delivery
-    u64 retry_lat_p99 = 0;
 
     [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
+
+/// The member that switches each RowBlock on, indexed by RowBlock; Base
+/// (null) is always on.
+inline constexpr bool SweepResult::*kRowBlockSwitch[kRowBlocks] = {
+    nullptr, &SweepResult::has_cpu_truth, &SweepResult::has_latency,
+    &SweepResult::has_open, &SweepResult::analytic, &SweepResult::has_faults};
 
 /// The worker count run() will actually use: `jobs` (0 = hardware
 /// concurrency, minimum 1) clamped to the candidate count.

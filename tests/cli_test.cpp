@@ -1,9 +1,11 @@
-// Unit tests for the shared CLI helpers (tools/cli.hpp): flag parsing and
-// the strict numeric validation — "--jobs=abc" must be a fatal usage error,
-// not a silent 0 ("one worker per hardware thread").
+// Unit tests for the shared CLI helpers (tools/cli.hpp): the declared-
+// options parser and its strict shapes — "--jobs=abc", "--print=no",
+// a bare "--json" or a repeated "--jobs" must be fatal usage errors, not
+// silent defaults — and the shared getters built on it.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli.hpp"
@@ -11,11 +13,33 @@
 namespace tgsim {
 namespace {
 
-cli::Args make_args(std::vector<std::string> argv) {
-    argv.insert(argv.begin(), "prog");
+/// Every option the shared getters read, declared the way the tools do.
+cli::OptionSet shared_set() {
+    using K = cli::OptionSpec::Kind;
+    cli::OptionSet set{"tool", "does things", "FILE..."};
+    set.add({"jobs", K::Number, "N", "0", "workers"})
+        .add({"cores", K::Number, "N", "7", "cores"})
+        .add({"json", K::Text, "PATH", "", "report"})
+        .add({"flag", K::Flag, "", "", "a flag"})
+        .add({"tier", K::Choice, "NAME", "cycle", "tier",
+              {"cycle", "analytic", "funnel"}})
+        .add({"funnel-top", K::Number, "K", "16", "survivors"})
+        .add({"shard", K::Text, "k/N", "", "shard"})
+        .add({"topology", K::Text, "KIND,...", "mesh", "topologies"})
+        .add({"poll", K::Text, "SPEC", "", "pollable resource", {}, true});
+    cli::add_source_options(set);
+    return set;
+}
+
+cli::Options parse(const cli::OptionSet& set, std::vector<std::string> argv) {
+    argv.insert(argv.begin(), "tool");
     std::vector<char*> raw;
     for (std::string& a : argv) raw.push_back(a.data());
-    return cli::Args{static_cast<int>(raw.size()), raw.data()};
+    return set.parse(static_cast<int>(raw.size()), raw.data());
+}
+
+cli::Options make_args(std::vector<std::string> argv) {
+    return parse(shared_set(), std::move(argv));
 }
 
 TEST(CliParseU64, AcceptsDecimalHexOctal) {
@@ -42,10 +66,11 @@ TEST(CliArgs, FlagsAndPositionals) {
     const auto args = make_args({"--jobs=4", "--json=out.json", "--flag",
                                  "prog.tgp", "other.tgp"});
     EXPECT_TRUE(args.has("flag"));
-    EXPECT_FALSE(args.has("missing"));
+    EXPECT_FALSE(args.has("tier"));
     EXPECT_EQ(args.get("json"), "out.json");
-    EXPECT_EQ(args.get_u64("jobs", 0), 4u);
-    EXPECT_EQ(args.get_u64("absent", 7), 7u);
+    EXPECT_EQ(args.get_u64("jobs"), 4u);
+    EXPECT_EQ(args.get_u64("cores"), 7u); // the declared default
+    EXPECT_EQ(args.get("tier"), "cycle");
     ASSERT_EQ(args.positional().size(), 2u);
     EXPECT_EQ(args.positional()[0], "prog.tgp");
 }
@@ -53,24 +78,22 @@ TEST(CliArgs, FlagsAndPositionals) {
 using CliArgsDeath = testing::Test;
 
 TEST(CliArgsDeath, GarbageNumericFlagExits) {
-    const auto args = make_args({"--jobs=abc"});
-    EXPECT_EXIT((void)args.get_u64("jobs", 0), testing::ExitedWithCode(1),
+    EXPECT_EXIT((void)make_args({"--jobs=abc"}), testing::ExitedWithCode(1),
                 "--jobs: invalid number 'abc'");
 }
 
 TEST(CliArgsDeath, OutOfU32RangeFlagExits) {
     // 2^32 + 4 is a valid u64, but a u32 consumer must not truncate it to 4.
     const auto args = make_args({"--cores=4294967300"});
-    EXPECT_EQ(args.get_u64("cores", 0), 4294967300ull);
-    EXPECT_EXIT((void)args.get_u32("cores", 0), testing::ExitedWithCode(1),
+    EXPECT_EQ(args.get_u64("cores"), 4294967300ull);
+    EXPECT_EXIT((void)args.get_u32("cores"), testing::ExitedWithCode(1),
                 "--cores: value '4294967300' out of 32-bit range");
 }
 
 TEST(CliArgsDeath, ValuelessNumericFlagExits) {
-    // "--jobs" with no value used to strtoull("") -> 0 silently.
-    const auto args = make_args({"--jobs"});
-    EXPECT_EXIT((void)args.get_u64("jobs", 0), testing::ExitedWithCode(1),
-                "--jobs: invalid number ''");
+    // A bare "--jobs" must not read as 0 ("one worker per hardware thread").
+    EXPECT_EXIT((void)make_args({"--jobs"}), testing::ExitedWithCode(1),
+                "--jobs: needs a value \\(--jobs=N\\)");
 }
 
 TEST(CliPolls, ParsesValidSpec) {
@@ -81,6 +104,17 @@ TEST(CliPolls, ParsesValidSpec) {
     EXPECT_EQ(polls[0].retry_cmp, tg::TgCmp::Eq);
     EXPECT_EQ(polls[0].retry_value, 0u);
     EXPECT_EQ(polls[0].inter_poll_idle, 1u);
+}
+
+TEST(CliPolls, RepeatedPollFlagsAllCount) {
+    // Every --poll is a pollable resource, not just the last one.
+    const auto args = make_args(
+        {"--poll=0x30000000:256:eq:0:1", "--poll=0x40000000:64:ne:1:2"});
+    const auto polls = cli::parse_polls(args.get_all("poll"));
+    ASSERT_EQ(polls.size(), 2u);
+    EXPECT_EQ(polls[0].base, 0x30000000u);
+    EXPECT_EQ(polls[1].base, 0x40000000u);
+    EXPECT_EQ(polls[1].retry_cmp, tg::TgCmp::Ne);
 }
 
 TEST(CliPollsDeath, GarbageNumericFieldExits) {
@@ -163,35 +197,73 @@ cli::OptionSet tiny_set() {
     set.add({"jobs", K::Number, "N", "1", "workers"})
         .add({"source", K::Choice, "MODE", "closed", "loop mode",
               {"closed", "open"}})
-        .add({"json", K::Text, "PATH", "", "report"});
+        .add({"json", K::Text, "PATH", "", "report"})
+        .add({"print", K::Flag, "", "", "print"});
     return set;
 }
 
+cli::Options parse_tiny(std::vector<std::string> argv) {
+    return parse(tiny_set(), std::move(argv));
+}
+
 TEST(CliOptionSet, AcceptsDeclaredFlagsAndFindsSpecs) {
-    tiny_set().check_or_help(
-        make_args({"--jobs=4", "--source=open", "--json=out.json"}));
-    EXPECT_NE(tiny_set().find("source"), nullptr);
-    EXPECT_EQ(tiny_set().find("sauce"), nullptr);
+    const auto args =
+        parse_tiny({"--jobs=4", "--source=open", "--json=", "--print"});
+    EXPECT_EQ(args.get_u32("jobs"), 4u);
+    EXPECT_EQ(args.get("source"), "open");
+    EXPECT_TRUE(args.has("json")); // given, with an empty value
+    EXPECT_EQ(args.get("json"), "");
+    EXPECT_TRUE(args.has("print"));
+    EXPECT_EQ(parse_tiny({}).get("source"), "closed");
 }
 
 TEST(CliOptionSetDeath, UnknownFlagIsFatal) {
     // A typo like --jobz must not silently run a default sweep for minutes.
-    EXPECT_EXIT(tiny_set().check_or_help(make_args({"--jobz=4"})),
-                testing::ExitedWithCode(1),
+    EXPECT_EXIT((void)parse_tiny({"--jobz=4"}), testing::ExitedWithCode(1),
                 "tool: unknown option --jobz \\(try --help\\)");
+    EXPECT_EXIT((void)parse_tiny({"--ouput=x.bin"}),
+                testing::ExitedWithCode(1),
+                "tool: unknown option --ouput \\(try --help\\)");
 }
 
 TEST(CliOptionSetDeath, InvalidValuesAreCheckedBeforeAnyWork) {
-    EXPECT_EXIT(tiny_set().check_or_help(make_args({"--jobs=four"})),
-                testing::ExitedWithCode(1), "--jobs: invalid number 'four'");
-    EXPECT_EXIT(tiny_set().check_or_help(make_args({"--source=ajar"})),
+    EXPECT_EXIT((void)parse_tiny({"--jobs=four"}), testing::ExitedWithCode(1),
+                "--jobs: invalid number 'four'");
+    EXPECT_EXIT((void)parse_tiny({"--source=ajar"}),
                 testing::ExitedWithCode(1),
                 "--source: unknown value 'ajar' \\(valid: closed, open\\)");
 }
 
 TEST(CliOptionSetDeath, HelpPrintsAndExitsZero) {
-    EXPECT_EXIT(tiny_set().check_or_help(make_args({"--help"})),
+    EXPECT_EXIT((void)parse_tiny({"--help"}), testing::ExitedWithCode(0), "");
+    // --help wins over anything else on the line.
+    EXPECT_EXIT((void)parse_tiny({"--jobz", "--help"}),
                 testing::ExitedWithCode(0), "");
+}
+
+TEST(CliOptionSetDeath, FlagGivenAValueIsFatal) {
+    // --print=no must not print.
+    EXPECT_EXIT((void)parse_tiny({"--print=no"}), testing::ExitedWithCode(1),
+                "--print: is a flag and takes no value");
+}
+
+TEST(CliOptionSetDeath, ValuedOptionWithoutValueIsFatal) {
+    // A bare --trace-dir must not mean the directory "".
+    EXPECT_EXIT((void)parse_tiny({"--json"}), testing::ExitedWithCode(1),
+                "--json: needs a value \\(--json=PATH\\)");
+}
+
+TEST(CliOptionSetDeath, RepeatedOptionIsFatalUnlessRepeatable) {
+    // --jobs=2 --jobs=4 must not keep one of the two silently.
+    EXPECT_EXIT((void)parse_tiny({"--jobs=2", "--jobs=4"}),
+                testing::ExitedWithCode(1), "--jobs: given more than once");
+    EXPECT_EXIT((void)parse_tiny({"--print", "--print"}),
+                testing::ExitedWithCode(1), "--print: given more than once");
+}
+
+TEST(CliOptionSetDeath, PositionalArgumentNeedsDeclaredOperands) {
+    EXPECT_EXIT((void)parse_tiny({"jobs=4"}), testing::ExitedWithCode(1),
+                "tool: unexpected argument 'jobs=4' \\(try --help\\)");
 }
 
 TEST(CliSource, DefaultsToClosedAndParsesOpenKnobs) {

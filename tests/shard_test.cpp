@@ -489,61 +489,126 @@ TEST(Resume, FunnelResumeMatchesUninterruptedRun) {
 
 // --- row parsing -------------------------------------------------------------
 
-TEST(RowParse, RoundTripsEveryFieldShape) {
-    SweepResult r;
-    r.name = "q \"x\" \\ y";
-    r.fabric = "xpipes 5x4 fifo2";
-    r.index = 7;
-    r.completed = true;
-    r.checks_ok = true;
-    r.failure = FailureKind::None;
-    r.cycles = 123456789;
-    r.busy_cycles = 345;
-    r.contention_cycles = 12;
-    r.busy_pct = 27.5;
-    r.total_instructions = 999;
-    r.wall_seconds = 1.25;
-    r.has_cpu_truth = true;
-    r.cpu_completed = true;
-    r.cpu_cycles = 123456790;
-    r.cpu_wall_seconds = 9.5;
-    r.err_pct = 0.01;
-    r.has_latency = true;
-    r.offered_rate = 0.04;
-    r.accepted_rate = 0.0399;
-    r.packets = 640;
-    r.lat_count = 640;
-    r.lat_mean = 31.25;
-    r.lat_p50 = 29;
-    r.lat_p99 = 88;
-    r.lat_max = 120;
-    r.analytic = true;
-    r.predicted_saturation = 0.21;
+/// A value for field number `n` of format F that is distinct from every
+/// other field's and exactly representable at F's printed precision.
+template <RowFmt F, typename T>
+void distinct_value(T& v, u32 n) {
+    if constexpr (F == RowFmt::Str)
+        v = "s" + std::to_string(n) + " \"q\" \\ \n";
+    else if constexpr (F == RowFmt::U32) v = 4'000'000'000u + n;
+    else if constexpr (F == RowFmt::U64) v = (u64{1} << 40) + n;
+    else if constexpr (F == RowFmt::Bool) v = n % 2 == 0;
+    else if constexpr (F == RowFmt::Failure) v = FailureKind::ChecksFailed;
+    else if constexpr (F == RowFmt::Fix4) v = n + 0.0625;
+    else v = n + 0.015625; // Fix6, Wall6
+}
 
+/// Every TGSIM_SWEEP_ROW field set to a distinct value, every block on.
+SweepResult every_field_row() {
+    SweepResult r;
+    u32 n = 0;
+#define TGSIM_ROW_FILL(block, fmt, member) \
+    distinct_value<RowFmt::fmt>(r.member, n++);
+    TGSIM_SWEEP_ROW(TGSIM_ROW_FILL, TGSIM_ROW_SKIP)
+#undef TGSIM_ROW_FILL
+    for (bool SweepResult::*on : kRowBlockSwitch)
+        if (on != nullptr) r.*on = true;
+    return r;
+}
+
+TEST(RowParse, RoundTripsEveryFieldShape) {
+    // Walks the schema table, so a new field is covered with no test edit.
+    const SweepResult r = every_field_row();
     std::string line;
     append_result_row(line, r);
+#define TGSIM_ROW_KEY_PRESENT(block, fmt, member) \
+    EXPECT_NE(line.find("\"" #member "\": "), std::string::npos) << #member;
+    TGSIM_SWEEP_ROW(TGSIM_ROW_KEY_PRESENT, TGSIM_ROW_KEY_PRESENT)
+#undef TGSIM_ROW_KEY_PRESENT
+
     SweepResult parsed;
     std::string err;
     ASSERT_TRUE(parse_result_row(line, &parsed, &err)) << err;
+    EXPECT_TRUE(bit_identical(parsed, r)) << line;
+    EXPECT_EQ(parsed.wall_seconds, r.wall_seconds);
     std::string again;
     append_result_row(again, parsed);
     EXPECT_EQ(again, line);
 
-    // A failed row round-trips its failure kind and error text.
-    SweepResult bad;
-    bad.name = "broken";
-    bad.fabric = "xpipes 1x1 fifo4";
-    bad.index = 3;
-    bad.error = "mesh too small";
-    bad.failure = FailureKind::SetupError;
+    // With every block off, only the base keys are written and read back.
+    SweepResult base = r;
+    for (bool SweepResult::*on : kRowBlockSwitch)
+        if (on != nullptr) base.*on = false;
     line.clear();
-    append_result_row(line, bad);
+    append_result_row(line, base);
+    EXPECT_EQ(line.find("\"cpu_completed\""), std::string::npos);
+    EXPECT_EQ(line.find("\"fault_injected\""), std::string::npos);
     ASSERT_TRUE(parse_result_row(line, &parsed, &err)) << err;
-    EXPECT_EQ(parsed.failure, FailureKind::SetupError);
-    EXPECT_EQ(parsed.error, "mesh too small");
     again.clear();
     append_result_row(again, parsed);
     EXPECT_EQ(again, line);
+}
+
+/// `line` without the "key": value pair of `key`.
+std::string drop_key(std::string line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\": ");
+    std::size_t end = line.find(", \"", at);
+    if (end == std::string::npos) end = line.size() - 1; // last key: to '}'
+    if (line[at - 1] == '{') // first key: take the separator after it
+        line.erase(at, end + 2 - at);
+    else
+        line.erase(at - 2, end - (at - 2));
+    return line;
+}
+
+TEST(RowParse, RejectsAPartialRowNamingTheMissingKey) {
+    std::string line;
+    append_result_row(line, every_field_row());
+    SweepResult out;
+    std::string err;
+    // Every stored key is required once its block is present: e.g. a
+    // latency block with offered_rate but no lat_p99 is rejected, naming
+    // lat_p99.
+    for (const std::string key : {
+#define TGSIM_ROW_NAME(block, fmt, member) #member,
+             TGSIM_SWEEP_ROW(TGSIM_ROW_NAME, TGSIM_ROW_SKIP)
+#undef TGSIM_ROW_NAME
+         }) {
+        err.clear();
+        EXPECT_FALSE(parse_result_row(drop_key(line, key), &out, &err)) << key;
+        EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
+    }
+    // "ok" is derived from "error": a row without it still parses.
+    EXPECT_TRUE(parse_result_row(drop_key(line, "ok"), &out, &err)) << err;
+}
+
+TEST(RowParse, RejectsIllTypedValues) {
+    const SweepResult r = every_field_row();
+    std::string line;
+    append_result_row(line, r);
+    SweepResult out;
+    std::string err;
+    const auto replace = [&line](const std::string& from,
+                                 const std::string& to) {
+        std::string bad = line;
+        bad.replace(bad.find(from), from.size(), to);
+        return bad;
+    };
+    const std::string index = "\"index\": " + std::to_string(r.index);
+    EXPECT_FALSE(
+        parse_result_row(replace(index, "\"index\": 4294967296"), &out, &err));
+    EXPECT_NE(err.find("field 'index' overflows u32"), std::string::npos)
+        << err;
+    EXPECT_FALSE(parse_result_row(
+        replace("\"checks_failed\"", "\"exploded\""), &out, &err));
+    EXPECT_NE(err.find("unknown failure kind 'exploded'"), std::string::npos)
+        << err;
+    const std::string cycles = "\"cycles\": " + std::to_string(r.cycles);
+    EXPECT_FALSE(
+        parse_result_row(replace(cycles, "\"cycles\": \"many\""), &out, &err));
+    EXPECT_NE(err.find("field 'cycles' missing or not a number"),
+              std::string::npos)
+        << err;
 }
 
 TEST(RowParse, RejectsNonRowInput) {

@@ -1,5 +1,17 @@
-// Shared helpers for the tgsim command-line tools: a tiny flag parser, the
-// benchmark/workload factory, and binary image file I/O.
+// Shared helpers for the tgsim command-line tools: the declared-options
+// parser, the benchmark/workload factory, and binary image file I/O.
+//
+// Flag rules, the same in all eight tools:
+//   - every option is declared once, in the tool's OptionSet (name, value
+//     kind, help metavar, default, help line), and read only through the
+//     Options that OptionSet::parse returns — getters return the declared
+//     default, so a default cannot differ between help and code;
+//   - shapes are strict: a flag (--print) takes no value, a valued option
+//     needs --name=value, an option given twice is an error unless it is
+//     declared repeatable, an undeclared --name is an error, and Number
+//     and Choice values are validated before any work starts — each a
+//     usage error (exit 1) whose message names the flag;
+//   - --help prints help generated from the declarations and exits 0.
 #pragma once
 
 #include <cctype>
@@ -8,11 +20,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,108 +74,98 @@ inline u32 parse_u32_or_die(const std::string& s, const std::string& what) {
     return static_cast<u32>(v);
 }
 
-/// Parses "--key=value" / "--flag" style arguments; positional arguments are
-/// collected in order.
-class Args {
-public:
-    Args(int argc, char** argv) {
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            if (a.rfind("--", 0) == 0) {
-                const auto eq = a.find('=');
-                if (eq == std::string::npos)
-                    flags_[a.substr(2)] = "";
-                else
-                    flags_[a.substr(2, eq - 2)] = a.substr(eq + 1);
-            } else {
-                positional_.push_back(a);
-            }
-        }
-    }
-
-    [[nodiscard]] bool has(const std::string& key) const {
-        return flags_.count(key) != 0;
-    }
-    [[nodiscard]] std::string get(const std::string& key,
-                                  const std::string& fallback = "") const {
-        const auto it = flags_.find(key);
-        return it == flags_.end() ? fallback : it->second;
-    }
-    /// Numeric flag value; an unparsable value is a fatal usage error.
-    [[nodiscard]] u64 get_u64(const std::string& key, u64 fallback) const {
-        const auto it = flags_.find(key);
-        if (it == flags_.end()) return fallback;
-        return parse_u64_or_die(it->second, "--" + key);
-    }
-    /// 32-bit variant; values beyond u32 are a fatal usage error too.
-    [[nodiscard]] u32 get_u32(const std::string& key, u32 fallback) const {
-        const auto it = flags_.find(key);
-        if (it == flags_.end()) return fallback;
-        return parse_u32_or_die(it->second, "--" + key);
-    }
-    [[nodiscard]] const std::vector<std::string>& positional() const {
-        return positional_;
-    }
-    /// Every parsed "--key[=value]" pair, for the option registry's
-    /// unknown-flag rejection (OptionSet::check_or_help).
-    [[nodiscard]] const std::map<std::string, std::string>& flags() const {
-        return flags_;
-    }
-
-private:
-    std::map<std::string, std::string> flags_;
-    std::vector<std::string> positional_;
-};
-
-// ---- declarative option registry -------------------------------------
-//
-// Each tool declares its options ONCE — name, value kind, help metavar,
-// default and help line — in an OptionSet, then calls check_or_help(args)
-// before doing any work. The registry supplies the three behaviours no
-// hand-rolled parser kept consistent across tools:
-//   - `--help` rendered from the declarations themselves, so the help
-//     text cannot drift from what the tool actually accepts;
-//   - unknown --flags rejected fatally (a typo like --jobz must not
-//     silently run a default sweep for minutes);
-//   - eager validation of numeric and closed-choice values, before any
-//     simulation starts (same fail-fast contract as the typed getters,
-//     and the same diagnostics — parse_u64_or_die / enum_from formats).
-// Option *semantics* (defaults, cross-flag rules) stay in the typed
-// getters below; the registry is the declaration surface, not a second
-// parser.
+// ---- declared options ------------------------------------------------
 
 struct OptionSpec {
-    /// How check_or_help validates a supplied value. Text covers
-    /// open-ended forms (paths, comma lists, "WxH" specs) that the tool's
-    /// own getter validates with a context-specific diagnostic.
+    /// How parse validates a supplied value. Text covers open-ended forms
+    /// (paths, comma lists, "WxH" specs) that the tool's own getter
+    /// validates with a context-specific diagnostic.
     enum class Kind : u8 { Flag, Number, Text, Choice };
     const char* name = "";    ///< flag name without the leading "--"
     Kind kind = Kind::Text;
     const char* arg = "";     ///< help metavar, e.g. "N", "WxH", "PATH"
-    const char* fallback = ""; ///< default rendered in help; "" = none
+    const char* fallback = ""; ///< the default, also rendered in help
     const char* help = "";    ///< one-line description
     std::vector<const char*> choices = {}; ///< Choice: the closed token set
+    bool repeatable = false;  ///< may be given more than once
+};
+
+/// Prints `--name: what` to stderr and exits 1.
+[[noreturn]] inline void usage_error(std::string_view name,
+                                     const std::string& what) {
+    std::fprintf(stderr, "--%.*s: %s\n", static_cast<int>(name.size()),
+                 name.data(), what.c_str());
+    std::exit(1);
+}
+
+/// The validated command line of one tool, as OptionSet::parse returns it.
+class Options {
+public:
+    /// True when --name was given.
+    [[nodiscard]] bool has(std::string_view name) const {
+        return !values_[slot(name)].empty();
+    }
+    /// The value of --name (the last one, for a repeatable option), or its
+    /// declared default when it was not given.
+    [[nodiscard]] std::string get(std::string_view name) const {
+        const std::size_t i = slot(name);
+        return values_[i].empty() ? specs_[i].fallback : values_[i].back();
+    }
+    /// Every value of a repeatable option, in command-line order.
+    [[nodiscard]] const std::vector<std::string>& get_all(
+        std::string_view name) const {
+        return values_[slot(name)];
+    }
+    /// Numeric value or declared default; unparsable is a usage error.
+    [[nodiscard]] u64 get_u64(std::string_view name) const {
+        return parse_u64_or_die(get(name), "--" + std::string{name});
+    }
+    /// 32-bit variant; values beyond u32 are a usage error too.
+    [[nodiscard]] u32 get_u32(std::string_view name) const {
+        return parse_u32_or_die(get(name), "--" + std::string{name});
+    }
+    [[nodiscard]] const std::vector<std::string>& positional() const {
+        return positional_;
+    }
+
+private:
+    friend class OptionSet;
+    explicit Options(std::vector<OptionSpec> specs)
+        : specs_(std::move(specs)), values_(specs_.size()) {}
+
+    /// Index of a declared option. Reading an undeclared one is a bug in
+    /// the tool, not a usage error.
+    [[nodiscard]] std::size_t slot(std::string_view name) const {
+        for (std::size_t i = 0; i < specs_.size(); ++i)
+            if (name == specs_[i].name) return i;
+        std::fprintf(stderr, "internal error: --%.*s is not declared\n",
+                     static_cast<int>(name.size()), name.data());
+        std::abort();
+    }
+
+    std::vector<OptionSpec> specs_;
+    std::vector<std::vector<std::string>> values_; ///< per spec, as given
+    std::vector<std::string> positional_;
 };
 
 class OptionSet {
 public:
-    OptionSet(std::string tool, std::string summary)
-        : tool_(std::move(tool)), summary_(std::move(summary)) {}
+    /// `operands` is the usage metavar of the positional arguments, e.g.
+    /// "FILE.trc..."; a tool that declares none rejects positionals.
+    OptionSet(std::string tool, std::string summary, std::string operands = "")
+        : tool_(std::move(tool)),
+          summary_(std::move(summary)),
+          operands_(std::move(operands)) {}
 
     OptionSet& add(OptionSpec spec) {
         specs_.push_back(std::move(spec));
         return *this;
     }
 
-    [[nodiscard]] const OptionSpec* find(const std::string& name) const {
-        for (const OptionSpec& s : specs_)
-            if (name == s.name) return &s;
-        return nullptr;
-    }
-
     void print_help(std::FILE* out) const {
-        std::fprintf(out, "usage: %s [options]\n%s\n\noptions:\n",
-                     tool_.c_str(), summary_.c_str());
+        std::fprintf(out, "usage: %s [options]%s%s\n%s\n\noptions:\n",
+                     tool_.c_str(), operands_.empty() ? "" : " ",
+                     operands_.c_str(), summary_.c_str());
         for (const OptionSpec& s : specs_) {
             std::string head = "  --" + std::string{s.name};
             if (s.kind != OptionSpec::Kind::Flag) {
@@ -181,6 +183,7 @@ public:
                 }
                 tail += ")";
             }
+            if (s.repeatable) tail += " [repeatable]";
             if (s.fallback[0] != '\0')
                 tail += std::string{" [default "} + s.fallback + "]";
             std::fprintf(out, "%-28s %s\n", head.c_str(), tail.c_str());
@@ -188,51 +191,77 @@ public:
         std::fprintf(out, "%-28s %s\n", "  --help", "show this help");
     }
 
-    /// `--help` prints the generated help and exits 0; an undeclared flag
-    /// or an invalid Number/Choice value is a fatal usage error. Call
-    /// before any expensive work.
-    void check_or_help(const Args& args) const {
-        if (args.has("help")) {
-            print_help(stdout);
-            std::exit(0);
-        }
-        for (const auto& [name, value] : args.flags()) {
-            const OptionSpec* spec = find(name);
-            if (spec == nullptr) {
-                std::fprintf(stderr, "%s: unknown option --%s (try --help)\n",
-                             tool_.c_str(), name.c_str());
+    /// Validates argv against the declarations and returns the values.
+    /// `--help` prints the generated help and exits 0; anything undeclared
+    /// or ill-shaped is a usage error (exit 1). Call before any work.
+    [[nodiscard]] Options parse(int argc, char** argv) const {
+        for (int i = 1; i < argc; ++i)
+            if (std::string_view{argv[i]} == "--help") {
+                print_help(stdout);
+                std::exit(0);
+            }
+        Options out{specs_};
+        for (int i = 1; i < argc; ++i) {
+            const std::string_view a = argv[i];
+            if (a.substr(0, 2) != "--") {
+                if (operands_.empty()) {
+                    std::fprintf(stderr,
+                                 "%s: unexpected argument '%s' (try --help)\n",
+                                 tool_.c_str(), argv[i]);
+                    std::exit(1);
+                }
+                out.positional_.emplace_back(a);
+                continue;
+            }
+            const std::size_t eq = a.find('=');
+            const std::string_view name =
+                a.substr(2, eq == std::string_view::npos ? eq : eq - 2);
+            std::size_t k = 0;
+            while (k < specs_.size() && name != specs_[k].name) ++k;
+            if (k == specs_.size()) {
+                std::fprintf(stderr, "%s: unknown option --%.*s (try --help)\n",
+                             tool_.c_str(), static_cast<int>(name.size()),
+                             name.data());
                 std::exit(1);
             }
-            switch (spec->kind) {
-                case OptionSpec::Kind::Number:
-                    (void)parse_u64_or_die(value, "--" + name);
-                    break;
-                case OptionSpec::Kind::Choice: {
-                    bool ok = false;
-                    std::string valid;
-                    for (const char* c : spec->choices) {
-                        ok |= value == c;
-                        if (!valid.empty()) valid += ", ";
-                        valid += c;
-                    }
-                    if (!ok) {
-                        std::fprintf(stderr,
-                                     "--%s: unknown value '%s' (valid: %s)\n",
-                                     name.c_str(), value.c_str(),
-                                     valid.c_str());
-                        std::exit(1);
-                    }
-                    break;
-                }
-                case OptionSpec::Kind::Flag:
-                case OptionSpec::Kind::Text: break;
+            const OptionSpec& spec = specs_[k];
+            if (spec.kind == OptionSpec::Kind::Flag) {
+                if (eq != std::string_view::npos)
+                    usage_error(name, "is a flag and takes no value");
+            } else if (eq == std::string_view::npos) {
+                usage_error(name, std::string{"needs a value (--"} +
+                                      spec.name + "=" + spec.arg + ")");
             }
+            if (!out.values_[k].empty() && !spec.repeatable)
+                usage_error(name, "given more than once");
+            const std::string value{
+                eq == std::string_view::npos ? "" : a.substr(eq + 1)};
+            check_value(spec, value);
+            out.values_[k].push_back(value);
         }
+        return out;
     }
 
 private:
+    /// Eager Number/Choice validation, with the same diagnostics as the
+    /// typed getters (parse_u64_or_die / enum_from formats).
+    static void check_value(const OptionSpec& spec, const std::string& value) {
+        if (spec.kind == OptionSpec::Kind::Number)
+            (void)parse_u64_or_die(value, std::string{"--"} + spec.name);
+        if (spec.kind != OptionSpec::Kind::Choice) return;
+        std::string valid;
+        for (const char* c : spec.choices) {
+            if (value == c) return;
+            if (!valid.empty()) valid += ", ";
+            valid += c;
+        }
+        usage_error(spec.name,
+                    "unknown value '" + value + "' (valid: " + valid + ")");
+    }
+
     std::string tool_;
     std::string summary_;
+    std::string operands_;
     std::vector<OptionSpec> specs_;
 };
 
@@ -252,14 +281,6 @@ inline u32 default_size(const std::string& app) {
     if (app == "des") return 16;
     return 24;
 }
-
-/// Shared sweep-style flags, parsed in one place so tgsim_sweep and the
-/// other tools cannot grow drifting copies:
-///   --jobs=N    worker threads; 0 or absent = one per hardware thread
-///   --json=PATH machine-readable report destination; empty = stdout only
-inline u32 get_jobs(const Args& args) { return args.get_u32("jobs", 0); }
-
-inline std::string json_path(const Args& args) { return args.get("json", ""); }
 
 /// Splits a comma-separated flag value ("2,4,8" -> {"2","4","8"}); empty
 /// input yields no elements.
@@ -301,13 +322,13 @@ template <typename E>
     std::exit(1);
 }
 
-/// enum_from over a flag with a default, e.g.
-/// get_enum(args, "tier", "cycle", {{"cycle", Tier::Cycle}, ...}).
+/// enum_from over a declared option (its value or declared default), e.g.
+/// get_enum(args, "tier", {{"cycle", Tier::Cycle}, ...}).
 template <typename E>
 [[nodiscard]] inline E get_enum(
-    const Args& args, const std::string& flag, const std::string& fallback,
+    const Options& args, const std::string& flag,
     std::initializer_list<std::pair<const char*, E>> choices) {
-    return enum_from("--" + flag, args.get(flag, fallback), choices);
+    return enum_from("--" + flag, args.get(flag), choices);
 }
 
 /// Parses one mesh spec: "auto" (dimensions chosen by the platform) or
@@ -358,20 +379,37 @@ inline std::optional<double> parse_rate(const std::string& s) {
     return v;
 }
 
+/// The --rates ladder of tgsim_sweep and tgsim_patterns: offered rates in
+/// (0, 1], strictly ascending so rows group into load–latency curves
+/// (find_saturation reads them in order).
+[[nodiscard]] inline std::vector<double> get_rates(const Options& args) {
+    std::vector<double> rates;
+    for (const std::string& tok : split_list(args.get("rates"))) {
+        const auto r = parse_rate(tok);
+        if (!r || *r <= 0.0 || *r > 1.0)
+            usage_error("rates", "bad entry '" + tok + "' (need (0,1])");
+        if (!rates.empty() && *r <= rates.back())
+            usage_error("rates", "must be strictly ascending");
+        rates.push_back(*r);
+    }
+    if (rates.empty()) usage_error("rates", "is empty");
+    return rates;
+}
+
 /// Shared funnel flags (docs/analytic.md), parsed in one place so
 /// tgsim_sweep and future screening tools cannot grow drifting copies:
 ///   --tier=cycle|analytic|funnel   evaluator tier (default cycle)
 ///   --funnel-top=K                 cycle-tier survivor budget (default 16)
 /// Bad values are fatal usage errors, never silent defaults.
-inline sweep::Tier get_tier(const Args& args) {
-    return get_enum<sweep::Tier>(args, "tier", "cycle",
+inline sweep::Tier get_tier(const Options& args) {
+    return get_enum<sweep::Tier>(args, "tier",
                                  {{"cycle", sweep::Tier::Cycle},
                                   {"analytic", sweep::Tier::Analytic},
                                   {"funnel", sweep::Tier::Funnel}});
 }
 
-inline u32 get_funnel_top(const Args& args) {
-    const u32 top = args.get_u32("funnel-top", 16);
+inline u32 get_funnel_top(const Options& args) {
+    const u32 top = args.get_u32("funnel-top");
     if (top == 0) {
         std::fprintf(stderr, "--funnel-top: must be nonzero\n");
         std::exit(1);
@@ -385,9 +423,9 @@ inline u32 get_funnel_top(const Args& args) {
 ///                 indices are kept, so shard reports merge byte-identically
 ///                 via tgsim_merge). Absent = the whole grid.
 /// A malformed spec is a fatal usage error, never a silent full run.
-inline sweep::ShardSpec get_shard(const Args& args) {
-    const std::string spec = args.get("shard", "");
-    if (spec.empty() && !args.has("shard")) return {};
+inline sweep::ShardSpec get_shard(const Options& args) {
+    if (!args.has("shard")) return {};
+    const std::string spec = args.get("shard");
     const auto shard = sweep::parse_shard(spec);
     if (!shard) {
         std::fprintf(
@@ -423,13 +461,13 @@ inline void add_source_options(OptionSet& set) {
 /// closed generator is inherently one-outstanding; accepting the flag
 /// would misreport what ran). The offered rate is NOT set here — the
 /// sweep's --rates axis owns it (sweep::make_rate_sweep).
-[[nodiscard]] inline tg::SourceConfig get_source(const Args& args) {
+[[nodiscard]] inline tg::SourceConfig get_source(const Options& args) {
     tg::SourceConfig s;
     s.mode = get_enum<tg::SourceMode>(
-        args, "source", "closed",
+        args, "source",
         {{"closed", tg::SourceMode::Closed}, {"open", tg::SourceMode::Open}});
-    s.max_outstanding = args.get_u32("max-outstanding", 0);
-    s.pending_limit = args.get_u32("pending-limit", 64);
+    s.max_outstanding = args.get_u32("max-outstanding");
+    s.pending_limit = args.get_u32("pending-limit");
     if (!s.open() &&
         (args.has("max-outstanding") || args.has("pending-limit"))) {
         std::fprintf(stderr,
@@ -454,10 +492,9 @@ inline void add_source_options(OptionSet& set) {
 ///   --fault-seed=N           base seed of the deterministic fault stream
 ///                            (default 0); a fixed seed reproduces the same
 ///                            fault sites at any --jobs and in any --shard.
-[[nodiscard]] inline std::vector<double> get_fault_rates(const Args& args) {
+[[nodiscard]] inline std::vector<double> get_fault_rates(const Options& args) {
     std::vector<double> out;
-    for (const std::string& tok :
-         split_list(args.get("fault-rate", "0"))) {
+    for (const std::string& tok : split_list(args.get("fault-rate"))) {
         const auto r = parse_rate(tok);
         if (!r || *r > 1.0) {
             std::fprintf(stderr,
@@ -474,8 +511,8 @@ inline void add_source_options(OptionSet& set) {
     return out;
 }
 
-[[nodiscard]] inline u64 get_fault_seed(const Args& args) {
-    return args.get_u64("fault-seed", 0);
+[[nodiscard]] inline u64 get_fault_seed(const Options& args) {
+    return args.get_u64("fault-seed");
 }
 
 /// FaultConfig for one axis point: the total rate is split evenly across
@@ -488,18 +525,12 @@ inline void add_source_options(OptionSet& set) {
     return f;
 }
 
-inline std::optional<platform::IcKind> parse_ic(const std::string& name) {
-    if (name == "amba") return platform::IcKind::Amba;
-    if (name == "crossbar") return platform::IcKind::Crossbar;
-    if (name == "xpipes") return platform::IcKind::Xpipes;
-    return std::nullopt;
-}
-
-inline std::optional<tg::TgMode> parse_mode(const std::string& name) {
-    if (name == "clone") return tg::TgMode::Clone;
-    if (name == "timeshift") return tg::TgMode::Timeshift;
-    if (name == "reactive") return tg::TgMode::Reactive;
-    return std::nullopt;
+/// The --ic option of tgsim_run and tgsim_replay.
+inline platform::IcKind get_ic(const Options& args) {
+    return get_enum<platform::IcKind>(args, "ic",
+                                      {{"amba", platform::IcKind::Amba},
+                                       {"crossbar", platform::IcKind::Crossbar},
+                                       {"xpipes", platform::IcKind::Xpipes}});
 }
 
 /// Binary image files: raw little-endian 32-bit words.
@@ -600,9 +631,9 @@ struct TopologyChoice {
 /// The --topology axis: a comma list for tgsim_sweep's candidate grid, a
 /// single value for tgsim_patterns. Default is the plain mesh.
 [[nodiscard]] inline std::vector<TopologyChoice> get_topologies(
-    const Args& args) {
+    const Options& args) {
     std::vector<TopologyChoice> out;
-    for (const std::string& tok : split_list(args.get("topology", "mesh")))
+    for (const std::string& tok : split_list(args.get("topology")))
         out.push_back(parse_topology_or_die(tok, "--topology"));
     if (out.empty()) {
         std::fprintf(stderr, "--topology is empty\n");

@@ -28,12 +28,24 @@
 
 using namespace tgsim;
 
+namespace {
+
+cli::OptionSet options() {
+    cli::OptionSet set{"tgsim-merge",
+                       "merge the N shard reports of one campaign into the "
+                       "canonical single-run report",
+                       "SHARD.json..."};
+    set.add({"json", cli::OptionSpec::Kind::Text, "OUT", "",
+             "write the merged report here instead of stdout"});
+    return set;
+}
+
+} // namespace
+
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
+    const cli::Options args = options().parse(argc, argv);
     if (args.positional().empty()) {
-        std::fprintf(stderr,
-                     "usage: tgsim_merge [--json=OUT] shard0.json ... "
-                     "shardN-1.json\n");
+        options().print_help(stderr);
         return 1;
     }
 
@@ -55,7 +67,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const std::string json = cli::json_path(args);
+    const std::string json = args.get("json");
     if (json.empty()) {
         if (!sweep::json_report_to(stdout, merged->rows, merged->meta)) {
             std::fprintf(stderr, "tgsim_merge: short write to stdout\n");

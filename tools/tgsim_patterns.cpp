@@ -91,21 +91,11 @@ cli::OptionSet options() {
 } // namespace
 
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    options().check_or_help(args);
+    const cli::Options args = options().parse(argc, argv);
 
-    const std::string pattern_name = args.get("pattern", "uniform_random");
-    const auto pattern = tg::parse_pattern(pattern_name);
-    if (!pattern) {
-        std::fprintf(stderr,
-                     "unknown --pattern '%s' (uniform_random|bit_complement|"
-                     "transpose|shuffle|tornado|neighbor|hotspot)\n",
-                     pattern_name.c_str());
-        return 1;
-    }
-
-    const std::string mesh_spec = args.get("mesh", "4x4");
-    const u32 fifo = cli::parse_fifo_depth(args.get("fifo", "4"));
+    const std::string pattern_name = args.get("pattern");
+    const std::string mesh_spec = args.get("mesh");
+    const u32 fifo = cli::parse_fifo_depth(args.get("fifo"));
     const auto mesh = cli::parse_mesh(mesh_spec, fifo);
     if (!mesh || mesh->width == 0) { // patterns need explicit dimensions
         std::fprintf(stderr, "bad --mesh spec '%s' (WxH, e.g. 4x4)\n",
@@ -114,24 +104,22 @@ int main(int argc, char** argv) {
     }
 
     tg::PatternConfig pc;
-    pc.pattern = *pattern;
+    pc.pattern = *tg::parse_pattern(pattern_name); // a validated Choice
     pc.width = mesh->width;
     pc.height = mesh->height;
-    const std::string process = args.get("process", "poisson");
+    const std::string process = args.get("process");
     pc.process = cli::get_enum<tg::ArrivalProcess>(
-        args, "process", "poisson",
+        args, "process",
         {{"poisson", tg::ArrivalProcess::Poisson},
          {"uniform", tg::ArrivalProcess::Uniform},
          {"bursty", tg::ArrivalProcess::Bursty}});
-    pc.packets_per_core = args.get_u64("packets", 2000);
-    pc.burst_len = static_cast<u16>(args.get_u32("burst-len", 4));
-    pc.hotspot_core = args.get_u32("hotspot", 0);
-    if (const std::string v = args.get("reads", ""); !v.empty())
-        pc.read_fraction = cli::parse_rate(v).value_or(-1.0);
-    if (const std::string v = args.get("burst-frac", ""); !v.empty())
-        pc.burst_fraction = cli::parse_rate(v).value_or(-1.0);
-    if (const std::string v = args.get("hotspot-frac", ""); !v.empty())
-        pc.hotspot_fraction = cli::parse_rate(v).value_or(-1.0);
+    pc.packets_per_core = args.get_u64("packets");
+    pc.burst_len = static_cast<u16>(args.get_u32("burst-len"));
+    pc.hotspot_core = args.get_u32("hotspot");
+    pc.read_fraction = cli::parse_rate(args.get("reads")).value_or(-1.0);
+    pc.burst_fraction = cli::parse_rate(args.get("burst-frac")).value_or(-1.0);
+    pc.hotspot_fraction =
+        cli::parse_rate(args.get("hotspot-frac")).value_or(-1.0);
     if (pc.read_fraction < 0.0 || pc.read_fraction > 1.0 ||
         pc.burst_fraction < 0.0 || pc.burst_fraction > 1.0 ||
         pc.hotspot_fraction < 0.0 || pc.hotspot_fraction > 1.0) {
@@ -139,26 +127,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // Offered-rate ladder, ascending (find_saturation reads it in order).
-    std::vector<double> rates;
-    for (const std::string& tok : cli::split_list(args.get(
-             "rates", "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64,1.0"))) {
-        const auto r = cli::parse_rate(tok);
-        if (!r || *r <= 0.0 || *r > 1.0) {
-            std::fprintf(stderr, "bad --rates entry '%s' (need (0,1])\n",
-                         tok.c_str());
-            return 1;
-        }
-        if (!rates.empty() && *r <= rates.back()) {
-            std::fprintf(stderr, "--rates must be strictly ascending\n");
-            return 1;
-        }
-        rates.push_back(*r);
-    }
-    if (rates.empty()) {
-        std::fprintf(stderr, "--rates is empty\n");
-        return 1;
-    }
+    const std::vector<double> rates = cli::get_rates(args);
     pc.injection_rate = rates.front();
 
     const auto fault_rates = cli::get_fault_rates(args);
@@ -183,7 +152,7 @@ int main(int argc, char** argv) {
     }
 
     const u32 n_cores = pc.width * pc.height;
-    const std::string topology_spec = args.get("topology", "mesh");
+    const std::string topology_spec = args.get("topology");
     const cli::TopologyChoice topo =
         cli::parse_topology_or_die(topology_spec, "--topology");
     platform::PlatformConfig base;
@@ -203,8 +172,8 @@ int main(int argc, char** argv) {
     context.name = "pattern_" + std::string{tg::to_string(pc.pattern)};
 
     sweep::SweepOptions opts;
-    opts.jobs = cli::get_jobs(args);
-    opts.max_cycles = args.get_u64("max-cycles", 100'000'000);
+    opts.jobs = args.get_u32("jobs");
+    opts.max_cycles = args.get_u64("max-cycles");
 
     std::vector<sweep::SweepResult> results;
     try {
@@ -291,7 +260,7 @@ int main(int argc, char** argv) {
                         "%.4f txn/core/cycle at offered %.4f\n",
                         sat.throughput, sat.offered);
 
-        const std::string json = cli::json_path(args);
+        const std::string json = args.get("json");
         if (!json.empty()) {
             sweep::SweepMeta meta;
             meta.app = context.name + " " + mesh_spec;

@@ -24,9 +24,9 @@ namespace {
 cli::OptionSet options() {
     using K = cli::OptionSpec::Kind;
     cli::OptionSet set{"tgsim-replay",
-                       "replay .tgp programs on a TG platform (a "
-                       "one-candidate sweep); positional args are the "
-                       "per-core program files"};
+                       "replay one .tgp program per core on a TG platform "
+                       "(a one-candidate sweep)",
+                       "FILE.tgp..."};
     // No --source axis here: a translated trace replays a closed-loop
     // execution by construction (its gaps encode the recorded
     // dependencies), so open-loop injection is a pattern-mode concept.
@@ -35,8 +35,11 @@ cli::OptionSet options() {
         .add({"app", K::Choice, "NAME", "",
               "benchmark environment + result checks",
               {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
-        .add({"cores", K::Number, "N", "", "benchmark core count"})
-        .add({"size", K::Number, "N", "", "benchmark problem size"})
+        .add({"cores", K::Number, "N", "",
+              "benchmark core count (default: one per program)"})
+        .add({"size", K::Number, "N", "",
+              "benchmark problem size (default per app: cacheloop 100000, "
+              "des 16, else 24)"})
         .add({"no-skip", K::Flag, "", "",
               "fully clocked kernel (paper-faithful costs)"})
         .add({"jobs", K::Number, "N", "1", "accepted for symmetry; replay"
@@ -49,17 +52,12 @@ cli::OptionSet options() {
 } // namespace
 
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    options().check_or_help(args);
+    const cli::Options args = options().parse(argc, argv);
     if (args.positional().empty()) {
-        std::fprintf(stderr, "usage: tgsim-replay <tgp files> --ic=...\n");
+        options().print_help(stderr);
         return 1;
     }
-    const auto ic = cli::parse_ic(args.get("ic", "amba"));
-    if (!ic) {
-        std::fprintf(stderr, "unknown --ic (amba|crossbar|xpipes)\n");
-        return 1;
-    }
+    const platform::IcKind ic = cli::get_ic(args);
 
     std::vector<tg::TgProgram> programs;
     for (const std::string& path : args.positional())
@@ -68,21 +66,19 @@ int main(int argc, char** argv) {
     apps::Workload env;
     bool have_checks = false;
     if (args.has("app")) {
-        const auto w = cli::make_workload(
-            args.get("app"), args.get_u32("cores", static_cast<u32>(programs.size())),
-            args.get_u32("size", cli::default_size(args.get("app"))));
-        if (!w) {
-            std::fprintf(stderr, "unknown --app\n");
-            return 1;
-        }
-        env = *w;
+        const std::string app = args.get("app");
+        env = *cli::make_workload(
+            app,
+            args.has("cores") ? args.get_u32("cores")
+                              : static_cast<u32>(programs.size()),
+            args.has("size") ? args.get_u32("size") : cli::default_size(app));
         have_checks = !env.checks.empty();
     } else {
         env.cores.resize(programs.size());
     }
 
     sweep::Candidate cand;
-    cand.cfg.ic = *ic;
+    cand.cfg.ic = ic;
     if (args.has("no-skip")) { // fully clocked kernel (paper-faithful costs)
         cand.cfg.kernel_gating = false;
         cand.cfg.max_idle_skip = 0;
@@ -92,15 +88,15 @@ int main(int argc, char** argv) {
     sweep::SweepDriver driver{programs, env};
     sweep::SweepOptions opts;
     opts.jobs = 1;
-    opts.max_cycles = args.get_u64("max-cycles", 600'000'000);
+    opts.max_cycles = args.get_u64("max-cycles");
     const sweep::SweepResult r = driver.run({cand}, opts).at(0);
 
     // The report records failures too (ok:false rows, same as tgsim_sweep),
     // so scripted consumers always find the file after a run.
-    const std::string json = cli::json_path(args);
+    const std::string json = args.get("json");
     if (!json.empty()) {
         sweep::SweepMeta meta;
-        meta.app = args.get("app", "");
+        meta.app = args.get("app");
         meta.n_cores = driver.n_cores();
         meta.jobs = 1;
         meta.max_cycles = opts.max_cycles;
@@ -121,7 +117,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::printf("ic=%s cores=%u\n",
-                std::string(platform::to_string(*ic)).c_str(),
+                std::string(platform::to_string(ic)).c_str(),
                 driver.n_cores());
     std::printf("execution: %llu cycles; simulated in %.3f s wall\n",
                 static_cast<unsigned long long>(r.cycles), r.wall_seconds);

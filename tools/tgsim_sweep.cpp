@@ -87,7 +87,9 @@ cli::OptionSet options() {
     set.add({"app", K::Choice, "NAME", "mp_matrix", "traced benchmark",
              {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
         .add({"cores", K::Number, "N", "6", "benchmark core count"})
-        .add({"size", K::Number, "N", "", "benchmark problem size"})
+        .add({"size", K::Number, "N", "",
+              "benchmark problem size (default per app: cacheloop 100000, "
+              "des 16, else 24)"})
         .add({"pattern", K::Choice, "NAME", "",
               "synthetic pattern payload (enables pattern mode)",
               {"uniform_random", "bit_complement", "transpose", "shuffle",
@@ -99,7 +101,8 @@ cli::OptionSet options() {
         .add({"packets", K::Number, "N", "2000",
               "pattern mode: transactions per core"})
         .add({"mesh", K::Text, "SPEC,...", "",
-              "candidate mesh shapes (auto|WxH)"})
+              "candidate mesh shapes (auto|WxH) [default auto,8x1,3x3; "
+              "auto with --pattern]"})
         .add({"fifo", K::Text, "N,...", "4",
               "candidate FIFO depths, each in [2, 256]"})
         .add({"topology", K::Text, "KIND,...", "mesh",
@@ -121,7 +124,7 @@ cli::OptionSet options() {
               "emit the canonical report form (byte-comparable)"})
         .add({"progress", K::Flag, "", "", "periodic progress line on stderr"})
         .add({"no-fixed-prio", K::Flag, "", "",
-              "also sweep round-robin AMBA arbitration"})
+              "drop the fixed-priority AMBA candidate (round-robin stays)"})
         .add({"cpu-truth", K::Flag, "", "",
               "add the cycle-true ground-truth column (slow)"})
         .add({"jobs", K::Number, "N", "0",
@@ -144,9 +147,9 @@ struct Campaign {
 /// Wires --checkpoint/--resume against `meta` (the campaign identity that
 /// the journal header records). Returns false after a stderr diagnostic on
 /// any usage or journal error — always before the expensive part of a run.
-bool setup_campaign(const cli::Args& args, const sweep::SweepMeta& meta,
+bool setup_campaign(const cli::Options& args, const sweep::SweepMeta& meta,
                     Campaign* camp) {
-    const std::string path = args.get("checkpoint", "");
+    const std::string path = args.get("checkpoint");
     const bool resume = args.has("resume");
     if (path.empty()) {
         if (resume) {
@@ -199,19 +202,48 @@ bool setup_campaign(const cli::Args& args, const sweep::SweepMeta& meta,
     return true;
 }
 
+/// The ×pipes fabric axes shared by both modes: every --fifo × --mesh ×
+/// --topology point, in that nesting order. `default_mesh` is the --mesh
+/// default, which depends on the mode. An unparsable shape or a fabric too
+/// small for `n_cores` is a usage error.
+std::vector<ic::XpipesConfig> fabric_axis(
+    const cli::Options& args, const char* default_mesh,
+    const std::vector<cli::TopologyChoice>& topologies, u32 n_cores) {
+    std::vector<ic::XpipesConfig> out;
+    const std::vector<std::string> meshes =
+        cli::split_list(args.has("mesh") ? args.get("mesh") : default_mesh);
+    for (const std::string& f : cli::split_list(args.get("fifo"))) {
+        const u32 depth = cli::parse_fifo_depth(f);
+        for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
+            const auto mesh = cli::parse_mesh(meshes[mi], depth);
+            if (!mesh)
+                cli::usage_error("mesh",
+                                 "bad spec '" + meshes[mi] + "' (auto|WxH)");
+            for (const cli::TopologyChoice& topo : topologies) {
+                // A table graph fixes the fabric shape itself: crossing it
+                // with every --mesh entry would only duplicate identical
+                // candidates, so the mesh axis collapses to one point.
+                if (topo.kind == ic::TopologyKind::Table && mi != 0)
+                    continue;
+                ic::XpipesConfig fabric = *mesh;
+                fabric.topology = topo.kind;
+                fabric.graph = topo.graph;
+                if (topo.kind == ic::TopologyKind::Table)
+                    fabric.width = fabric.height = 0;
+                cli::check_fabric_capacity(fabric, n_cores,
+                                           "--mesh/--topology");
+                out.push_back(std::move(fabric));
+            }
+        }
+    }
+    return out;
+}
+
 /// Pattern-payload mode: candidates over mesh × fifo × rate, evaluated by
 /// the tier selected on the command line.
-int run_pattern_mode(const cli::Args& args) {
-    const std::string pattern_name = args.get("pattern", "uniform_random");
-    const auto pattern = tg::parse_pattern(pattern_name);
-    if (!pattern) {
-        std::fprintf(stderr,
-                     "unknown --pattern '%s' (uniform_random|bit_complement|"
-                     "transpose|shuffle|tornado|neighbor|hotspot)\n",
-                     pattern_name.c_str());
-        return 1;
-    }
-    const std::string grid_spec = args.get("grid", "4x4");
+int run_pattern_mode(const cli::Options& args) {
+    const std::string pattern_name = args.get("pattern");
+    const std::string grid_spec = args.get("grid");
     const auto grid = cli::parse_mesh(grid_spec, 4);
     if (!grid || grid->width == 0) { // the core grid needs explicit dims
         std::fprintf(stderr, "bad --grid spec '%s' (WxH, e.g. 4x4)\n",
@@ -220,33 +252,13 @@ int run_pattern_mode(const cli::Args& args) {
     }
 
     tg::PatternConfig pc;
-    pc.pattern = *pattern;
+    pc.pattern = *tg::parse_pattern(pattern_name); // a validated Choice
     pc.width = grid->width;
     pc.height = grid->height;
-    pc.packets_per_core = args.get_u64("packets", 2000);
+    pc.packets_per_core = args.get_u64("packets");
     const u32 n_cores = pc.width * pc.height;
 
-    // Offered-rate axis of the candidate grid, strictly ascending so rows
-    // group into per-fabric load–latency curves.
-    std::vector<double> rates;
-    for (const std::string& tok :
-         cli::split_list(args.get("rates", "0.01,0.02,0.04,0.08"))) {
-        const auto r = cli::parse_rate(tok);
-        if (!r || *r <= 0.0 || *r > 1.0) {
-            std::fprintf(stderr, "bad --rates entry '%s' (need (0,1])\n",
-                         tok.c_str());
-            return 1;
-        }
-        if (!rates.empty() && *r <= rates.back()) {
-            std::fprintf(stderr, "--rates must be strictly ascending\n");
-            return 1;
-        }
-        rates.push_back(*r);
-    }
-    if (rates.empty()) {
-        std::fprintf(stderr, "--rates is empty\n");
-        return 1;
-    }
+    const std::vector<double> rates = cli::get_rates(args);
     pc.injection_rate = rates.front();
 
     // Fault axis (docs/faults.md): each entry is a total per-flit fault
@@ -278,59 +290,32 @@ int run_pattern_mode(const cli::Args& args) {
     // Fabric axes: every mesh shape × topology × FIFO depth,
     // latency-instrumented.
     std::vector<sweep::Candidate> candidates;
-    const std::vector<std::string> meshes =
-        cli::split_list(args.get("mesh", "auto"));
-    for (const std::string& f : cli::split_list(args.get("fifo", "4"))) {
-        const u32 depth = cli::parse_fifo_depth(f);
-        for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
-            const auto mesh = cli::parse_mesh(meshes[mi], depth);
-            if (!mesh) {
-                std::fprintf(stderr, "bad --mesh spec '%s' (auto|WxH)\n",
-                             meshes[mi].c_str());
-                return 1;
-            }
-            for (const cli::TopologyChoice& topo : topologies) {
-                // A table graph fixes the fabric shape itself: crossing it
-                // with every --mesh entry would only duplicate identical
-                // candidates, so the mesh axis collapses to one point.
-                if (topo.kind == ic::TopologyKind::Table && mi != 0)
-                    continue;
-                ic::XpipesConfig fabric = *mesh;
-                fabric.topology = topo.kind;
-                fabric.graph = topo.graph;
-                if (topo.kind == ic::TopologyKind::Table)
-                    fabric.width = fabric.height = 0;
-                cli::check_fabric_capacity(fabric, n_cores,
-                                           "--mesh/--topology");
-                for (const double rate : rates) {
-                    for (const double frate : fault_rates) {
-                        sweep::Candidate c;
-                        c.cfg.ic = platform::IcKind::Xpipes;
-                        c.cfg.xpipes = fabric;
-                        c.cfg.xpipes.collect_latency = true;
-                        c.cfg.xpipes.fault =
-                            cli::make_fault(frate, fault_seed);
-                        c.injection_rate = rate;
-                        c.source = source;
-                        c.source.rate = rate;
-                        // describe_fabric appends the fault axis itself
-                        // when it is enabled, so zero-fault names are
-                        // unchanged.
-                        char buf[128];
-                        std::snprintf(buf, sizeof buf, "%s r=%.4f",
-                                      sweep::describe_fabric(c.cfg).c_str(),
-                                      rate);
-                        c.name = buf;
-                        candidates.push_back(std::move(c));
-                    }
-                }
+    for (const ic::XpipesConfig& fabric :
+         fabric_axis(args, "auto", topologies, n_cores)) {
+        for (const double rate : rates) {
+            for (const double frate : fault_rates) {
+                sweep::Candidate c;
+                c.cfg.ic = platform::IcKind::Xpipes;
+                c.cfg.xpipes = fabric;
+                c.cfg.xpipes.collect_latency = true;
+                c.cfg.xpipes.fault = cli::make_fault(frate, fault_seed);
+                c.injection_rate = rate;
+                c.source = source;
+                c.source.rate = rate;
+                // describe_fabric appends the fault axis itself when it
+                // is enabled, so zero-fault names are unchanged.
+                char buf[128];
+                std::snprintf(buf, sizeof buf, "%s r=%.4f",
+                              sweep::describe_fabric(c.cfg).c_str(), rate);
+                c.name = buf;
+                candidates.push_back(std::move(c));
             }
         }
     }
 
     sweep::SweepOptions opts;
-    opts.jobs = cli::get_jobs(args);
-    opts.max_cycles = args.get_u64("max-cycles", 100'000'000);
+    opts.jobs = args.get_u32("jobs");
+    opts.max_cycles = args.get_u64("max-cycles");
     opts.tier = cli::get_tier(args);
     opts.funnel_top = cli::get_funnel_top(args);
     opts.shard = cli::get_shard(args);
@@ -353,14 +338,14 @@ int run_pattern_mode(const cli::Args& args) {
         if (any_fault) {
             // The fault axis is campaign identity: shard merges and journal
             // resumes must never mix reports with different fault levels.
-            meta.app += " fault=" + args.get("fault-rate", "0") + "@" +
+            meta.app += " fault=" + args.get("fault-rate") + "@" +
                         std::to_string(fault_seed);
         }
         if (any_topo) {
             // The topology axis is campaign identity too: a torus or
             // table-graph campaign must never merge or resume into a mesh
             // one (pure-mesh runs keep the pre-topology app string).
-            meta.app += " topo=" + args.get("topology", "mesh");
+            meta.app += " topo=" + args.get("topology");
         }
         meta.n_cores = n_cores;
         meta.jobs = jobs;
@@ -420,7 +405,7 @@ int run_pattern_mode(const cli::Args& args) {
             std::printf("best: %s (%llu cycles)\n", best->name.c_str(),
                         static_cast<unsigned long long>(best->cycles));
 
-        const std::string json = cli::json_path(args);
+        const std::string json = args.get("json");
         if (!json.empty()) {
             if (args.has("deterministic")) sweep::canonicalize(meta, results);
             if (!sweep::write_json_report(results, meta, json)) {
@@ -440,8 +425,7 @@ int run_pattern_mode(const cli::Args& args) {
 } // namespace
 
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    options().check_or_help(args);
+    const cli::Options args = options().parse(argc, argv);
     // Tier flags validate eagerly in both modes (fail-fast contract).
     const sweep::Tier tier = cli::get_tier(args);
     (void)cli::get_funnel_top(args);
@@ -461,18 +445,12 @@ int main(int argc, char** argv) {
                      std::string{sweep::to_string(tier)}.c_str());
         return 1;
     }
-    const std::string app = args.get("app", "mp_matrix");
-    const u32 cores = args.get_u32("cores", 6);
+    const std::string app = args.get("app");
+    const u32 cores = args.get_u32("cores");
     const u32 size =
-        args.get_u32("size", cli::default_size(app));
-    const Cycle max_cycles = args.get_u64("max-cycles", 100'000'000);
-
+        args.has("size") ? args.get_u32("size") : cli::default_size(app);
+    const Cycle max_cycles = args.get_u64("max-cycles");
     const auto workload = cli::make_workload(app, cores, size);
-    if (!workload) {
-        std::fprintf(stderr,
-                     "unknown --app (cacheloop|sp_matrix|mp_matrix|des)\n");
-        return 1;
-    }
 
     // --- candidate grid (parsed before the expensive reference run, so a
     // flag typo fails in milliseconds, not after minutes of simulation) ---
@@ -484,37 +462,10 @@ int main(int argc, char** argv) {
     bool any_topo = false;
     for (const cli::TopologyChoice& t : topologies)
         any_topo |= t.kind != ic::TopologyKind::Mesh;
-    std::vector<std::string> meshes =
-        cli::split_list(args.get("mesh", "auto,8x1,3x3"));
-    std::vector<std::string> fifos = cli::split_list(args.get("fifo", "4"));
-    for (const std::string& f : fifos) {
-        const u32 depth = cli::parse_fifo_depth(f);
-        for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
-            const auto mesh = cli::parse_mesh(meshes[mi], depth);
-            if (!mesh) {
-                std::fprintf(stderr, "bad --mesh spec '%s' (auto|WxH)\n",
-                             meshes[mi].c_str());
-                return 1;
-            }
-            for (const cli::TopologyChoice& topo : topologies) {
-                // Same collapse rule as pattern mode: a table graph fixes
-                // the fabric shape, so the mesh axis contributes one point.
-                if (topo.kind == ic::TopologyKind::Table && mi != 0)
-                    continue;
-                ic::XpipesConfig fabric = *mesh;
-                fabric.topology = topo.kind;
-                fabric.graph = topo.graph;
-                if (topo.kind == ic::TopologyKind::Table)
-                    fabric.width = fabric.height = 0;
-                cli::check_fabric_capacity(fabric, n_cores,
-                                           "--mesh/--topology");
-                grid.meshes.push_back(fabric);
-            }
-        }
-    }
+    grid.meshes = fabric_axis(args, "auto,8x1,3x3", topologies, n_cores);
     const std::vector<sweep::Candidate> candidates = sweep::make_grid(grid);
     // Numeric flags validate eagerly too — same fail-fast contract.
-    const u32 jobs_flag = cli::get_jobs(args);
+    const u32 jobs_flag = args.get_u32("jobs");
     const bool cpu_truth = args.has("cpu-truth");
     sweep::SweepOptions opts;
     opts.jobs = jobs_flag;
@@ -531,7 +482,7 @@ int main(int argc, char** argv) {
     if (any_topo) {
         // Topology is campaign identity (same contract as pattern mode):
         // pure-mesh runs keep the pre-topology app string byte-identical.
-        meta.app += " topo=" + args.get("topology", "mesh");
+        meta.app += " topo=" + args.get("topology");
     }
     meta.n_cores = static_cast<u32>(workload->cores.size());
     meta.jobs = jobs;
@@ -612,7 +563,7 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    const std::string json = cli::json_path(args);
+    const std::string json = args.get("json");
     if (!json.empty()) {
         if (args.has("deterministic")) sweep::canonicalize(meta, results);
         if (!sweep::write_json_report(results, meta, json)) {

@@ -10,10 +10,25 @@
 
 using namespace tgsim;
 
+namespace {
+
+cli::OptionSet options() {
+    using K = cli::OptionSpec::Kind;
+    cli::OptionSet set{"tgsim-tgasm",
+                       "assemble one .tgp program into a .bin image",
+                       "FILE.tgp"};
+    set.add({"out", K::Text, "FILE.bin", "",
+             "output image (default: the input with .tgp replaced by .bin)"})
+        .add({"print", K::Flag, "", "", "also print the image words"});
+    return set;
+}
+
+} // namespace
+
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
+    const cli::Options args = options().parse(argc, argv);
     if (args.positional().size() != 1) {
-        std::fprintf(stderr, "usage: tgsim-tgasm <file.tgp> [--out=file.bin]\n");
+        options().print_help(stderr);
         return 1;
     }
     const std::string in_path = args.positional()[0];

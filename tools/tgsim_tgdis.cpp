@@ -8,10 +8,23 @@
 
 using namespace tgsim;
 
+namespace {
+
+cli::OptionSet options() {
+    cli::OptionSet set{"tgsim-tgdis",
+                       "disassemble one TG .bin image into .tgp text",
+                       "FILE.bin"};
+    set.add({"out", cli::OptionSpec::Kind::Text, "FILE.tgp", "",
+             "write the text here instead of stdout"});
+    return set;
+}
+
+} // namespace
+
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
+    const cli::Options args = options().parse(argc, argv);
     if (args.positional().size() != 1) {
-        std::fprintf(stderr, "usage: tgsim-tgdis <file.bin> [--out=file.tgp]\n");
+        options().print_help(stderr);
         return 1;
     }
     const auto image = cli::load_image(args.positional()[0]);

@@ -13,36 +13,53 @@
 
 using namespace tgsim;
 
+namespace {
+
+cli::OptionSet options() {
+    using K = cli::OptionSpec::Kind;
+    cli::OptionSet set{"tgsim-translate",
+                       "translate .trc traces into .tgp TG programs",
+                       "FILE.trc..."};
+    set.add({"mode", K::Choice, "MODE", "reactive", "translation mode",
+             {"clone", "timeshift", "reactive"}})
+        .add({"out-dir", K::Text, "DIR", ".", "where coreN.tgp files go"})
+        .add({"app", K::Choice, "NAME", "",
+              "benchmark whose pollable resources to use",
+              {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
+        .add({"cores", K::Number, "N", "4", "benchmark core count"})
+        .add({"size", K::Number, "N", "24", "benchmark problem size"})
+        .add({"poll", K::Text, "SPEC", "",
+              "pollable resource BASE:SIZE:CMP:VALUE:IDLE, CMP eq|ne|ltu|geu",
+              {}, /*repeatable=*/true})
+        .add({"loop-forever", K::Flag, "", "",
+              "end with Jump(start) instead of Halt (rewinding TG)"});
+    return set;
+}
+
+} // namespace
+
 int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
+    const cli::Options args = options().parse(argc, argv);
     if (args.positional().empty()) {
-        std::fprintf(stderr, "usage: tgsim-translate <trc files> [--mode=...]\n");
-        return 1;
-    }
-    const auto mode = cli::parse_mode(args.get("mode", "reactive"));
-    if (!mode) {
-        std::fprintf(stderr, "unknown --mode (clone|timeshift|reactive)\n");
+        options().print_help(stderr);
         return 1;
     }
 
     tg::TranslateOptions opt;
-    opt.mode = *mode;
+    opt.mode = cli::get_enum<tg::TgMode>(
+        args, "mode",
+        {{"clone", tg::TgMode::Clone},
+         {"timeshift", tg::TgMode::Timeshift},
+         {"reactive", tg::TgMode::Reactive}});
     opt.loop_forever = args.has("loop-forever");
-    if (args.has("app")) {
-        const auto w = cli::make_workload(
-            args.get("app"), args.get_u32("cores", 4),
-            args.get_u32("size", 24));
-        if (!w) {
-            std::fprintf(stderr, "unknown --app\n");
-            return 1;
-        }
-        opt.polls = w->polls;
-    }
-    std::vector<std::string> raw_polls;
-    if (args.has("poll")) raw_polls.push_back(args.get("poll"));
-    for (const auto& p : cli::parse_polls(raw_polls)) opt.polls.push_back(p);
+    if (args.has("app"))
+        opt.polls = cli::make_workload(args.get("app"), args.get_u32("cores"),
+                                        args.get_u32("size"))
+                         ->polls;
+    for (const auto& p : cli::parse_polls(args.get_all("poll")))
+        opt.polls.push_back(p);
 
-    const std::string out_dir = args.get("out-dir", ".");
+    const std::string out_dir = args.get("out-dir");
     for (const std::string& path : args.positional()) {
         const tg::Trace trace = tg::load(path);
         const auto res = tg::translate(trace, opt);
