@@ -270,8 +270,9 @@ std::optional<GraphSpec> parse_graph(const std::string& text,
             std::string tok;
             if (have_nodes || !(ls >> tok)) return fail("bad nodes line" + at);
             const auto n = parse_graph_u32(tok);
-            if (!n || *n == 0 || *n > 0xFFFF)
-                return fail("node count must be in [1, 65535]" + at);
+            if (!n || *n == 0 || *n > kMaxNodes)
+                return fail("node count must be in [1, " +
+                            std::to_string(kMaxNodes) + "]" + at);
             spec.nodes = *n;
             have_nodes = true;
         } else if (kw == "edge") {

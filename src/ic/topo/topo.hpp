@@ -36,6 +36,10 @@ namespace tgsim::ic {
 
 enum class TopologyKind : u8 { Mesh, Torus, Table };
 
+/// Largest node count of any fabric: node ids travel as u16 in flit
+/// headers and NI state, so a bigger mesh, torus or graph would alias ids.
+inline constexpr u32 kMaxNodes = 0xFFFF;
+
 [[nodiscard]] const char* to_string(TopologyKind kind) noexcept;
 
 /// Parsed table-graph description (docs/topology.md documents the file

@@ -1,6 +1,7 @@
 #include "ic/xpipes/xpipes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -8,6 +9,16 @@ namespace tgsim::ic {
 
 namespace {
 constexpr u32 kPoison = 0xDEADBEEFu;
+
+/// Calls f(i) for every set bit i of the `n`-word bitset `w`, ascending.
+/// Each word is read once before its bits are visited, so f may change
+/// bits it has already been called for.
+template <class F>
+void for_each_bit(const u64* w, std::size_t n, F&& f) {
+    for (std::size_t k = 0; k < n; ++k)
+        for (u64 bits = w[k]; bits != 0; bits &= bits - 1)
+            f(k * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+}
 } // namespace
 
 XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
@@ -15,6 +26,12 @@ XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
     if (cfg_.topology != TopologyKind::Table &&
         (cfg_.width == 0 || cfg_.height == 0))
         throw std::invalid_argument{"XpipesNetwork: empty mesh"};
+    if (cfg_.topology != TopologyKind::Table &&
+        u64{cfg_.width} * u64{cfg_.height} > kMaxNodes)
+        throw std::invalid_argument{
+            "XpipesNetwork: " + std::to_string(cfg_.width) + "x" +
+            std::to_string(cfg_.height) + " exceeds " +
+            std::to_string(kMaxNodes) + " nodes (node ids are 16-bit)"};
     if (cfg_.fifo_depth < 2 || cfg_.fifo_depth > kMaxFifoDepth)
         throw std::invalid_argument{
             "XpipesNetwork: fifo_depth must be in [2, " +
@@ -28,22 +45,24 @@ XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
     n_planes_ = kNumPlanes * vc_count_;
     bubble_ = topo_->needs_bubble();
     fault_on_ = cfg_.fault.enabled();
-    routers_.resize(node_count());
     slots_ =
         static_cast<std::size_t>(n_planes_) * static_cast<std::size_t>(n_ports_);
-    for (Router& r : routers_) {
-        r.bound_in.assign(slots_, -1);
-        r.rr.assign(slots_, 0);
-        r.fault.resize(slots_);
-    }
+    bound_in_.assign(node_count() * slots_, -1);
+    rr_.assign(node_count() * slots_, 0);
+    port_fault_.resize(node_count() * slots_);
     fifos_.init(node_count() * slots_, cfg_.fifo_depth);
     links_.reserve(static_cast<std::size_t>(node_count()) *
                    static_cast<std::size_t>(nbr_ports));
     for (u32 r = 0; r < node_count(); ++r)
         for (int p = 0; p < nbr_ports; ++p)
             links_.push_back(topo_->link(r, p).value_or(TopoLink{kNoLink, 0}));
+    words_ = (slots_ + 63) / 64;
+    occ_bits_.assign(node_count() * words_, 0);
+    bound_bits_.assign(node_count() * words_, 0);
     slot_req_.assign(slots_, -1);
     chan_requested_.assign(slots_, 0);
+    req_slots_.assign(words_, 0);
+    req_chans_.assign(words_, 0);
     master_at_node_.assign(node_count(), -1);
     slave_at_node_.assign(node_count(), -1);
     active_mark_.assign(node_count(), 0);
@@ -103,6 +122,44 @@ int XpipesNetwork::route(u16 node, const FlitHeader& hdr) const noexcept {
     const int port = topo_->route(node, hdr.dest_node);
     if (port >= 0) return port;
     return hdr.is_resp ? lm_port_ : ls_port_;
+}
+
+std::size_t XpipesNetwork::request_channel(std::size_t r, int plane, int port,
+                                           const FlitHeader& hdr) const {
+    const int ivc = plane % vc_count_;
+    const int proto_plane = plane - ivc; // VC0 plane of this protocol plane
+    const int out = route(static_cast<u16>(r), hdr);
+    int dp = plane;
+    if (out == lm_port_ || out == ls_port_)
+        dp = proto_plane;
+    else if (vc_count_ > 1)
+        dp = proto_plane + topo_->next_vc(static_cast<u32>(r), port, out, ivc);
+    return pidx(dp, out);
+}
+
+bool XpipesNetwork::router_live(std::size_t r) const noexcept {
+    for (std::size_t k = r * words_; k < (r + 1) * words_; ++k)
+        if ((occ_bits_[k] | bound_bits_[k]) != 0) return true;
+    return false;
+}
+
+inline void XpipesNetwork::fifo_write(std::size_t r, std::size_t si,
+                                      const Flit& flit) {
+    Flit& stored = fifos_.push(fifo_index(r, si), flit);
+    if (flit.kind == Flit::Kind::Head) {
+        const int plane = static_cast<int>(si) / n_ports_;
+        stored.chan = static_cast<u16>(request_channel(
+            r, plane, static_cast<int>(si) - plane * n_ports_, flit.hdr));
+    }
+    set_bit(occ_words(r), si);
+}
+
+inline XpipesNetwork::Flit XpipesNetwork::fifo_take(std::size_t r,
+                                                    std::size_t si) {
+    const std::size_t f = fifo_index(r, si);
+    const Flit flit = fifos_.pop(f);
+    if (fifos_.empty(f)) clear_bit(occ_words(r), si);
+    return flit;
 }
 
 void XpipesNetwork::eval_master_ni(MasterNi& ni) {
@@ -622,101 +679,87 @@ void XpipesNetwork::enqueue_router(std::size_t r) {
 
 void XpipesNetwork::inject(std::deque<Flit>& tx, u16 node, int port, int plane) {
     if (tx.empty()) return;
-    const std::size_t f = fifo_index(node, pidx(plane, port));
-    if (fifos_.size(f) >= cfg_.fifo_depth) return;
-    fifos_.push(f, tx.front());
+    const std::size_t si = pidx(plane, port);
+    if (fifos_.size(fifo_index(node, si)) >= cfg_.fifo_depth) return;
+    fifo_write(node, si, tx.front());
     tx.pop_front();
-    ++routers_[node].occupancy;
     enqueue_router(node);
     any_activity_ = true;
 }
 
-void XpipesNetwork::collect_port_faults(std::size_t r) {
-    Router& rt = routers_[r];
-    for (std::size_t si = 0; si < slots_; ++si) {
-        const std::size_t fi = fifo_index(r, si);
-        if (fifos_.empty(fi)) continue;
-        PortFault& pf = rt.fault[si];
-        pf.blocked = false;
-        if (pf.swallowing) {
-            // A drop fault consumed this packet's head; swallow the
-            // remaining flits one per cycle (link rate) until the Tail.
-            Move mv;
-            mv.router = static_cast<u32>(r);
-            mv.slot = static_cast<u32>(si);
-            mv.drop = true;
-            moves_.push_back(mv);
-            pf.blocked = true;
-            continue;
-        }
-        const Flit& f = fifos_.front(fi);
-        if (pf.serial != f.serial) {
-            // Exactly one fault decision per (router, flit), drawn when the
-            // flit reaches the FIFO head.
-            pf.serial = f.serial;
-            const FaultModel::Draw d =
-                fault_model_.draw(static_cast<u32>(r), f.serial);
-            pf.kind = d.kind;
-            pf.mask = d.mask;
-            pf.stall_left = d.stall;
-            if (d.kind == FaultKind::Stall) ++stats_.reliability.stall_events;
-        }
-        if (pf.stall_left > 0) {
-            --pf.stall_left;
-            ++stats_.reliability.stall_cycles;
-            pf.blocked = true;
-            continue;
-        }
-        if (pf.kind == FaultKind::Drop && f.kind == Flit::Kind::Head) {
-            Move mv;
-            mv.router = static_cast<u32>(r);
-            mv.slot = static_cast<u32>(si);
-            mv.drop = true;
-            moves_.push_back(mv);
-            pf.blocked = true;
-        }
+void XpipesNetwork::collect_port_fault(std::size_t r, std::size_t si) {
+    PortFault& pf = port_fault_[fifo_index(r, si)];
+    pf.blocked = false;
+    if (pf.swallowing) {
+        // A drop fault consumed this packet's head; swallow the remaining
+        // flits one per cycle (link rate) until the Tail.
+        Move mv;
+        mv.router = static_cast<u32>(r);
+        mv.slot = static_cast<u32>(si);
+        mv.drop = true;
+        moves_.push_back(mv);
+        pf.blocked = true;
+        return;
+    }
+    const Flit& f = fifos_.front(fifo_index(r, si));
+    if (pf.serial != f.serial) {
+        // Exactly one fault decision per (router, flit), drawn when the
+        // flit reaches the FIFO head.
+        pf.serial = f.serial;
+        const FaultModel::Draw d =
+            fault_model_.draw(static_cast<u32>(r), f.serial);
+        pf.kind = d.kind;
+        pf.mask = d.mask;
+        pf.stall_left = d.stall;
+        if (d.kind == FaultKind::Stall) ++stats_.reliability.stall_events;
+    }
+    if (pf.stall_left > 0) {
+        --pf.stall_left;
+        ++stats_.reliability.stall_cycles;
+        pf.blocked = true;
+        return;
+    }
+    if (pf.kind == FaultKind::Drop && f.kind == Flit::Kind::Head) {
+        Move mv;
+        mv.router = static_cast<u32>(r);
+        mv.slot = static_cast<u32>(si);
+        mv.drop = true;
+        moves_.push_back(mv);
+        pf.blocked = true;
     }
 }
 
 void XpipesNetwork::collect_router_moves(std::size_t r) {
     ++stats_.router_visits;
-    Router& rt = routers_[r];
-    if (fault_on_) collect_port_faults(r);
+    int* const bound_in = &bound_in_[r * slots_];
+    int* const rr = &rr_[r * slots_];
+    const PortFault* const fault = &port_fault_[r * slots_];
     const std::size_t base = fifo_index(r, 0);
+    if (fault_on_)
+        for (std::size_t si = 0; si < slots_; ++si)
+            if (!fifos_.empty(base + si)) collect_port_fault(r, si);
 
     // Request pass: each Head flit at a FIFO front is routed once per visit
-    // and requests the single output channel pidx(dst_plane, out) it can
-    // use — the topology's next hop on the VC its transition assigns (pure
-    // in the inputs, so the packet's body lands on the same plane), or the
-    // VC0 eject channel of its protocol plane. Nothing after this pass
-    // touches a FIFO or a fault flag until the apply phase, so these are
-    // exactly the Heads a per-channel rescan of the inputs would find.
+    // and requests the single output channel it can use. Nothing after
+    // this pass touches a FIFO or a fault flag until the apply phase, so
+    // these are exactly the Heads a per-channel rescan of the inputs would
+    // find.
     std::fill(chan_requested_.begin(), chan_requested_.end(), u8{0});
     for (int p = 0; p < n_planes_; ++p) {
-        const int ivc = p % vc_count_;
-        const int proto_plane = p - ivc; // VC0 plane of this protocol plane
         for (int i = 0; i < n_ports_; ++i) {
             const std::size_t si = pidx(p, i);
             slot_req_[si] = -1;
             if (fifos_.empty(base + si)) continue;
             const Flit& head = fifos_.front(base + si);
             if (head.kind != Flit::Kind::Head) continue;
-            if (fault_on_ && rt.fault[si].blocked)
+            if (fault_on_ && fault[si].blocked)
                 continue; // stalled or being dropped
-            const int out = route(static_cast<u16>(r), head.hdr);
-            int dp = p;
-            if (out == lm_port_ || out == ls_port_)
-                dp = proto_plane;
-            else if (vc_count_ > 1)
-                dp = proto_plane +
-                     topo_->next_vc(static_cast<u32>(r), i, out, ivc);
-            const std::size_t oi = pidx(dp, out);
+            const std::size_t oi = request_channel(r, p, i, head.hdr);
             slot_req_[si] = static_cast<int>(oi);
             chan_requested_[oi] = 1;
         }
     }
 
-    const u32 ni_rx_cap = ocp::kMaxBurstLen + 4;
     // The switch is allocated per *output channel* — (destination buffer
     // plane, out port) — not per input plane. With one VC a flit's
     // destination plane equals its source plane and this is exactly the
@@ -726,7 +769,7 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
     // coupling re-creates the ring dependency cycle the datelines break
     // (docs/topology.md). One binding slot per output channel also makes
     // each downstream FIFO single-writer-per-cycle by construction, so
-    // the live capacity reads below stay exact.
+    // the live capacity reads in commit_channel stay exact.
     for (int dp = 0; dp < n_planes_; ++dp) {
         // Protocol plane: requests (0) or responses (1), VC-agnostic.
         const int proto = dp / vc_count_;
@@ -744,13 +787,13 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
 
             // Input slot pidx(plane, port) wormhole-bound to this output
             // channel, held from Head to Tail.
-            int src = rt.bound_in[oi];
+            int src = bound_in[oi];
             if (src < 0) {
                 if (!chan_requested_[oi]) continue;
                 // Allocate: round-robin over the requesting input ports,
                 // VC0 before VC1 within a port.
                 for (int k = 0; k < n_ports_ && src < 0; ++k) {
-                    int i = rt.rr[oi] + k;
+                    int i = rr[oi] + k;
                     if (i >= n_ports_) i -= n_ports_;
                     for (int ivc = 0; ivc < vc_count_; ++ivc) {
                         const std::size_t si = pidx(proto * vc_count_ + ivc, i);
@@ -760,69 +803,136 @@ void XpipesNetwork::collect_router_moves(std::size_t r) {
                         }
                     }
                 }
-                rt.bound_in[oi] = src;
-                ++rt.bound_count;
-                rt.rr[oi] = (src % n_ports_ + 1) % n_ports_;
+                bound_in[oi] = src;
+                set_bit(bound_words(r), oi);
+                rr[oi] = (src % n_ports_ + 1) % n_ports_;
             }
-            const std::size_t sf = base + static_cast<std::size_t>(src);
-            if (fifos_.empty(sf)) continue;
-            if (fault_on_ && rt.fault[static_cast<std::size_t>(src)].blocked)
-                continue; // fault pre-pass withheld this flit this cycle
-            const Flit& front = fifos_.front(sf);
-
-            // Destination capacities are read live: nothing pops or pushes
-            // a FIFO until the apply phase, so these reads see exactly the
-            // start-of-phase sizes (each input FIFO also has a single
-            // writer per cycle, so committed moves cannot overfill one).
-            Move mv;
-            mv.router = static_cast<u32>(r);
-            mv.slot = static_cast<u32>(src);
-            if (fault_on_ && front.kind == Flit::Kind::Payload) {
-                const PortFault& pf = rt.fault[static_cast<std::size_t>(src)];
-                if (pf.kind == FaultKind::Corrupt && pf.serial == front.serial)
-                    mv.corrupt_mask = pf.mask;
-            }
-            if (eject) {
-                mv.to_ni = true;
-                mv.ni_is_master = (out == lm_port_);
-                const int ni = mv.ni_is_master ? master_at_node_[r]
-                                               : slave_at_node_[r];
-                if (ni < 0) continue; // routed to a node without an NI: stuck
-                mv.ni_index = ni;
-                const std::size_t rx_size =
-                    mv.ni_is_master
-                        ? masters_[static_cast<std::size_t>(ni)].rx.size()
-                        : slaves_[static_cast<std::size_t>(ni)].rx.size();
-                if (rx_size >= ni_rx_cap) continue;
-            } else {
-                const TopoLink nbr =
-                    links_[r * static_cast<std::size_t>(lm_port_) +
-                           static_cast<std::size_t>(out)];
-                if (nbr.node == kNoLink)
-                    continue; // dead port: routing never selects one
-                mv.dst_router = nbr.node;
-                mv.dst_slot = static_cast<u32>(pidx(dp, nbr.port));
-                const u32 dst_size =
-                    fifos_.size(fifo_index(nbr.node, mv.dst_slot));
-                if (dst_size >= cfg_.fifo_depth) continue;
-                // Bubble rule (irregular topologies only): a Head may only
-                // claim a link whose downstream FIFO keeps a free slot
-                // after the move, so a dependency cycle never fills
-                // completely (docs/topology.md — a heuristic, not a
-                // proof). Mesh and torus allocation are untouched —
-                // bubble_ is false there.
-                if (bubble_ && front.kind == Flit::Kind::Head &&
-                    dst_size + 2 > cfg_.fifo_depth)
-                    continue;
-            }
-            moves_.push_back(mv);
-            // Advance / release the wormhole binding bookkeeping now:
-            // the move is committed.
-            if (front.kind == Flit::Kind::Tail) {
-                rt.bound_in[oi] = -1;
-                --rt.bound_count;
-            }
+            commit_channel(r, dp, out, src);
         }
+    }
+}
+
+void XpipesNetwork::collect_router_moves_sparse(std::size_t r) {
+    ++stats_.router_visits;
+    int* const bound_in = &bound_in_[r * slots_];
+    int* const rr = &rr_[r * slots_];
+    const PortFault* const fault = &port_fault_[r * slots_];
+    const std::size_t base = fifo_index(r, 0);
+    const u64* occ = occ_words(r);
+    if (fault_on_)
+        for_each_bit(occ, words_,
+                     [&](std::size_t si) { collect_port_fault(r, si); });
+
+    // Request pass over occupied slots only: the Head's channel was routed
+    // when it was written into this FIFO (Flit::chan). req_chans_ is all
+    // zero between visits (the channel walk clears each word it reads).
+    for (std::size_t k = 0; k < words_; ++k) {
+        u64 req = 0;
+        for (u64 bits = occ[k]; bits != 0; bits &= bits - 1) {
+            const std::size_t si =
+                k * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            const Flit& head = fifos_.front(base + si);
+            if (head.kind != Flit::Kind::Head) continue;
+            if (fault_on_ && fault[si].blocked) continue;
+            req |= u64{1} << (si & 63);
+            set_bit(req_chans_.data(), head.chan);
+        }
+        req_slots_[k] = req;
+    }
+
+    // Channels with a request or a binding, in ascending pidx(dp, out)
+    // order — the dense walk's order, which skips every other channel. A
+    // requested channel never fails the dense walk's eject filters: a
+    // Head only requests the eject channel of its own protocol plane, on
+    // VC0.
+    for (std::size_t k = 0; k < words_; ++k) {
+        u64 bits = req_chans_[k] | bound_words(r)[k];
+        req_chans_[k] = 0;
+        for (; bits != 0; bits &= bits - 1) {
+            const std::size_t oi =
+                k * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            int src = bound_in[oi];
+            if (src < 0) {
+                // Allocate: the requester first in the dense round-robin
+                // order — smallest port distance from rr, then VC.
+                int best_key = 0;
+                const int rr_oi = rr[oi];
+                for_each_bit(req_slots_.data(), words_, [&](std::size_t si) {
+                    if (fifos_.front(base + si).chan != oi) return;
+                    const int plane = static_cast<int>(si) / n_ports_;
+                    int d = static_cast<int>(si) - plane * n_ports_ - rr_oi;
+                    if (d < 0) d += n_ports_;
+                    const int key = d * vc_count_ + plane % vc_count_;
+                    if (src < 0 || key < best_key) {
+                        src = static_cast<int>(si);
+                        best_key = key;
+                    }
+                });
+                bound_in[oi] = src;
+                set_bit(bound_words(r), oi);
+                rr[oi] = (src % n_ports_ + 1) % n_ports_;
+            }
+            const int dp = static_cast<int>(oi) / n_ports_;
+            commit_channel(r, dp, static_cast<int>(oi) - dp * n_ports_, src);
+        }
+    }
+}
+
+inline void XpipesNetwork::commit_channel(std::size_t r, int dp, int out,
+                                          int src) {
+    const std::size_t sf = fifo_index(r, static_cast<std::size_t>(src));
+    if (fifos_.empty(sf)) return;
+    if (fault_on_ && port_fault_[sf].blocked)
+        return; // fault pre-pass withheld this flit this cycle
+    const Flit& front = fifos_.front(sf);
+
+    // Destination capacities are read live: nothing pops or pushes a FIFO
+    // until the apply phase, so these reads see exactly the start-of-phase
+    // sizes (each input FIFO also has a single writer per cycle, so
+    // committed moves cannot overfill one).
+    Move mv;
+    mv.router = static_cast<u32>(r);
+    mv.slot = static_cast<u32>(src);
+    if (fault_on_ && front.kind == Flit::Kind::Payload) {
+        const PortFault& pf = port_fault_[sf];
+        if (pf.kind == FaultKind::Corrupt && pf.serial == front.serial)
+            mv.corrupt_mask = pf.mask;
+    }
+    if (out == lm_port_ || out == ls_port_) {
+        mv.to_ni = true;
+        mv.ni_is_master = (out == lm_port_);
+        const int ni =
+            mv.ni_is_master ? master_at_node_[r] : slave_at_node_[r];
+        if (ni < 0) return; // routed to a node without an NI: stuck
+        mv.ni_index = ni;
+        const std::size_t rx_size =
+            mv.ni_is_master ? masters_[static_cast<std::size_t>(ni)].rx.size()
+                            : slaves_[static_cast<std::size_t>(ni)].rx.size();
+        if (rx_size >= ocp::kMaxBurstLen + 4) return;
+    } else {
+        const TopoLink nbr = links_[r * static_cast<std::size_t>(lm_port_) +
+                                    static_cast<std::size_t>(out)];
+        if (nbr.node == kNoLink) return; // dead port: routing never selects one
+        mv.dst_router = nbr.node;
+        mv.dst_slot = static_cast<u32>(pidx(dp, nbr.port));
+        const u32 dst_size = fifos_.size(fifo_index(nbr.node, mv.dst_slot));
+        if (dst_size >= cfg_.fifo_depth) return;
+        // Bubble rule (irregular topologies only): a Head may only claim a
+        // link whose downstream FIFO keeps a free slot after the move, so a
+        // dependency cycle never fills completely (docs/topology.md — a
+        // heuristic, not a proof). Mesh and torus allocation are untouched
+        // — bubble_ is false there.
+        if (bubble_ && front.kind == Flit::Kind::Head &&
+            dst_size + 2 > cfg_.fifo_depth)
+            return;
+    }
+    moves_.push_back(mv);
+    // Advance / release the wormhole binding bookkeeping now: the move is
+    // committed.
+    if (front.kind == Flit::Kind::Tail) {
+        const std::size_t oi = pidx(dp, out);
+        bound_in_[r * slots_ + oi] = -1;
+        clear_bit(bound_words(r), oi);
     }
 }
 
@@ -882,11 +992,12 @@ void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
 void XpipesNetwork::deliver_to_slave(SlaveNi& ni, const Flit& flit) {
     switch (flit.kind) {
         case Flit::Kind::Head:
-            ni.rx_pkt_start = static_cast<u32>(ni.rx.size());
+            ni.rx_pkt_flits = 1;
             ni.rx_csum = csum_init();
             ni.rx.push_back(flit);
             break;
         case Flit::Kind::Payload:
+            ++ni.rx_pkt_flits;
             ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
             ni.rx.push_back(flit);
             break;
@@ -896,7 +1007,7 @@ void XpipesNetwork::deliver_to_slave(SlaveNi& ni, const Flit& flit) {
                 // before it touches the slave; the master's timeout
                 // replays it.
                 ++stats_.reliability.checksum_fails;
-                ni.rx.resize(ni.rx_pkt_start);
+                ni.rx.resize(ni.rx.size() - ni.rx_pkt_flits);
                 break;
             }
             ni.rx.push_back(flit);
@@ -917,24 +1028,22 @@ void XpipesNetwork::eval_routers() {
     // reads other routers' FIFO sizes, so worklist order is irrelevant —
     // behaviour is bit-identical to the index-ordered full scan.
     if (cfg_.router_gating) {
-        for (const u32 r : active_) collect_router_moves(r);
+        for (const u32 r : active_) collect_router_moves_sparse(r);
     } else {
-        for (std::size_t r = 0; r < routers_.size(); ++r)
+        for (std::size_t r = 0; r < node_count(); ++r)
             collect_router_moves(r);
     }
 
     // Apply all moves.
     for (const Move& mv : moves_) {
-        Router& src_rt = routers_[mv.router];
-        Flit flit = fifos_.pop(fifo_index(mv.router, mv.slot));
-        --src_rt.occupancy;
+        Flit flit = fifo_take(mv.router, mv.slot);
         any_activity_ = true;
         if (mv.drop) {
             // Fault: the flit vanishes. Head opens swallow mode on the
             // port (the rest of the packet follows it into the void),
             // Tail closes it.
             --flits_active_;
-            PortFault& pf = src_rt.fault[mv.slot];
+            PortFault& pf = port_fault_[fifo_index(mv.router, mv.slot)];
             pf.swallowing = (flit.kind != Flit::Kind::Tail);
             if (flit.kind == Flit::Kind::Head)
                 ++stats_.reliability.packets_dropped;
@@ -985,8 +1094,7 @@ void XpipesNetwork::eval_routers() {
                 }
             }
         } else {
-            fifos_.push(fifo_index(mv.dst_router, mv.dst_slot), flit);
-            ++routers_[mv.dst_router].occupancy;
+            fifo_write(mv.dst_router, mv.dst_slot, flit);
         }
     }
 
@@ -998,8 +1106,7 @@ void XpipesNetwork::eval_routers() {
     ++active_epoch_;
     scratch_.clear();
     const auto keep = [this](u32 r) {
-        const Router& rt = routers_[r];
-        if (rt.occupancy == 0 && rt.bound_count == 0) return;
+        if (!router_live(r)) return;
         if (active_mark_[r] == active_epoch_) return;
         active_mark_[r] = active_epoch_;
         scratch_.push_back(r);

@@ -24,11 +24,13 @@
 // their own nodes.
 //
 // The router phase is activity-driven: only routers holding flits (or a
-// wormhole binding) are visited each cycle, so per-cycle cost scales with
-// traffic instead of mesh size. docs/xpipes.md documents the mesh
-// microarchitecture and the activity contract; bit-identity against the
-// full-scan reference (router_gating = false) is pinned by
-// tests/xpipes_gating_test.cpp.
+// wormhole binding) are visited each cycle, and inside a router only its
+// occupied input slots and its requested or bound output channels (kept as
+// bitsets; a Head's output channel is routed once, when it is written into
+// the FIFO), so per-cycle cost scales with traffic instead of mesh size or
+// port count. docs/xpipes.md documents the mesh microarchitecture and the
+// activity contract; bit-identity against the dense full-scan reference
+// (router_gating = false) is pinned by tests/xpipes_gating_test.cpp.
 //
 // Compared to the AHB model this fabric has higher zero-load latency but
 // concurrent transfers — the architectural contrast used by the paper's
@@ -61,8 +63,11 @@ struct XpipesConfig {
     /// Flits per router input FIFO, in [2, kMaxFifoDepth].
     u32 fifo_depth = 4;
     /// Activity-driven router phase (the default): eval only routers on the
-    /// active worklist. false = full scan over every router × plane × port,
-    /// kept as the bit-identical reference for tests and benches.
+    /// active worklist, and within each only occupied input slots and
+    /// requested or bound output channels. false = dense full scan over
+    /// every router × input slot × output channel, re-routing every Head
+    /// at a FIFO front on every visit — kept as the bit-identical reference
+    /// (the oracle) for tests and benches.
     bool router_gating = true;
     /// Collect per-packet latency samples into XpipesStats::packet_latency
     /// (docs/traffic.md). Off by default: the stamps are always carried, but
@@ -238,6 +243,11 @@ private:
         /// per beat so a mid-burst error survives the mesh crossing and is
         /// replayed as Resp::Err at the requesting master NI.
         bool err = false;
+        /// Head flits in a router input FIFO: the output channel
+        /// pidx(dst_plane, out) the Head requests at that router, computed
+        /// once when the flit is written into the FIFO (fifo_write). Sits
+        /// in padding, so the flit does not grow.
+        u16 chan = 0;
         u32 payload = 0;
         /// Fault-mode flit identity: fault draws are a pure function of
         /// (seed, router, serial), so fault sites are schedule-independent.
@@ -249,6 +259,8 @@ private:
         /// response's Resp::Err summary in `err`.
         FlitHeader hdr;
     };
+    static_assert(sizeof(Flit) <= 56,
+                  "Flit::chan must sit in padding, not grow the flit");
 
     /// Per-input-port fault state (fault mode only). `serial` guards the
     /// draw: exactly one fault decision per (router, flit), re-evaluated
@@ -282,12 +294,14 @@ private:
         [[nodiscard]] const Flit& front(std::size_t f) const noexcept {
             return buf_[f * depth_ + head_[f]];
         }
-        /// Caller guarantees size(f) < depth.
-        void push(std::size_t f, const Flit& flit) noexcept {
+        /// Caller guarantees size(f) < depth. Returns the stored flit.
+        Flit& push(std::size_t f, const Flit& flit) noexcept {
             u32 pos = u32{head_[f]} + len_[f];
             if (pos >= depth_) pos -= depth_;
-            buf_[f * depth_ + pos] = flit;
+            Flit& slot = buf_[f * depth_ + pos];
+            slot = flit;
             ++len_[f];
+            return slot;
         }
         /// Caller guarantees !empty(f).
         Flit pop(std::size_t f) noexcept {
@@ -302,29 +316,6 @@ private:
         std::vector<Flit> buf_;
         std::vector<u16> head_; ///< ring index of each FIFO's front flit
         std::vector<u16> len_;  ///< flits held (<= depth <= kMaxFifoDepth)
-    };
-
-    /// Per-router control state, sized n_planes_ * n_ports_ at construction
-    /// (the port budget is a topology property, not a compile-time array
-    /// bound); index with pidx(plane, port). The flits themselves live in
-    /// the network's FifoArena.
-    struct Router {
-        /// Wormhole binding per *output channel* pidx(dst_plane, out): the
-        /// input slot pidx(plane, port) whose packet owns the channel from
-        /// Head to Tail, -1 when free. Keyed by the destination plane —
-        /// not the input's — so with dateline VCs a packet bound for
-        /// downstream VC0 never holds the switch against one bound for
-        /// VC1 of the same link (that coupling would re-create the ring
-        /// dependency cycle the datelines break), and each downstream
-        /// FIFO has a single writer per cycle by construction.
-        std::vector<int> bound_in;
-        std::vector<int> rr; ///< round-robin pointer per output channel
-        /// Activity bookkeeping for the worklist: total flits across the
-        /// input FIFOs and number of held wormhole bindings. The router is
-        /// active — and must be on the worklist — iff either is nonzero.
-        u32 occupancy = 0;
-        u32 bound_count = 0;
-        std::vector<PortFault> fault;
     };
 
     /// One response beat buffered at the master NI, with its error flag.
@@ -398,7 +389,10 @@ private:
 
         // --- fault-mode state (docs/faults.md) ---
         u32 rx_csum = 0;      ///< checksum of the request packet arriving
-        u32 rx_pkt_start = 0; ///< rx index where that packet's head sits
+        /// Flits of that packet already in rx — always rx's tail end, as the
+        /// eject channel delivers one packet at a time. A count, not an rx
+        /// index: Idle pops complete packets off the front meanwhile.
+        u32 rx_pkt_flits = 0;
         u32 resp_csum = 0;    ///< checksum of the response packet being built
         /// Last sequence number served per requester node (replay dedupe);
         /// 0xFFFFFFFF = none yet.
@@ -454,6 +448,39 @@ private:
     /// Output port for `hdr` at `node`: the topology's next hop, or the
     /// local ejection port (LM for responses, LS for requests) on arrival.
     [[nodiscard]] int route(u16 node, const FlitHeader& hdr) const noexcept;
+    /// Output channel pidx(dst_plane, out) a Head in input slot
+    /// pidx(plane, port) of router `r` requests: the topology's next hop on
+    /// the VC its transition assigns (pure in the inputs, so the packet's
+    /// body lands on the same plane), or the VC0 eject channel of its
+    /// protocol plane on arrival.
+    [[nodiscard]] std::size_t request_channel(std::size_t r, int plane,
+                                              int port,
+                                              const FlitHeader& hdr) const;
+
+    // --- per-router slot/channel bitsets: words_ u64 words per router,
+    // bit pidx(plane, port) ---
+    [[nodiscard]] u64* occ_words(std::size_t r) noexcept {
+        return &occ_bits_[r * words_];
+    }
+    [[nodiscard]] u64* bound_words(std::size_t r) noexcept {
+        return &bound_bits_[r * words_];
+    }
+    static void set_bit(u64* w, std::size_t i) noexcept {
+        w[i >> 6] |= u64{1} << (i & 63);
+    }
+    static void clear_bit(u64* w, std::size_t i) noexcept {
+        w[i >> 6] &= ~(u64{1} << (i & 63));
+    }
+    /// Router holds a flit or a wormhole binding (it must be on the
+    /// worklist).
+    [[nodiscard]] bool router_live(std::size_t r) const noexcept;
+    /// Writes `flit` into input slot `si` of router `r` (caller checked
+    /// capacity): marks the slot occupied and, for a Head, stores the
+    /// output channel it requests here in Flit::chan.
+    void fifo_write(std::size_t r, std::size_t si, const Flit& flit);
+    /// Pops the front flit of input slot `si` of router `r`, clearing the
+    /// slot's occupied bit when the FIFO drains.
+    Flit fifo_take(std::size_t r, std::size_t si);
 
     void eval_master_ni(MasterNi& ni);
     void eval_slave_ni(SlaveNi& ni);
@@ -471,16 +498,26 @@ private:
     /// last-delivery stamp in open-loop mode.
     void record_delivery(const Flit& tail);
     void eval_routers();
+    /// Dense reference allocator (router_gating = false): every input slot,
+    /// every Head re-routed, every output channel walked.
     void collect_router_moves(std::size_t r);
+    /// Sparse allocator (the gated path): occupied slots and requested or
+    /// bound channels only, Head routes read from Flit::chan. Commits the
+    /// same moves in the same (ascending channel) order as the dense one.
+    void collect_router_moves_sparse(std::size_t r);
+    /// Commits at most one move on output channel pidx(dp, out) from its
+    /// bound input slot `src`, releasing the binding on a Tail.
+    void commit_channel(std::size_t r, int dp, int out, int src);
     void inject(std::deque<Flit>& tx, u16 node, int port, int plane);
     /// Adds `r` to the active worklist unless already stamped this epoch.
     void enqueue_router(std::size_t r);
 
     // --- fault-mode helpers (no-ops / never called when fault_on_ is
     // false; docs/faults.md documents the protocol) ---
-    /// Per-port fault pre-pass: draws fault decisions for FIFO-head flits,
-    /// emits drop moves, counts down stalls, and marks blocked ports.
-    void collect_port_faults(std::size_t r);
+    /// Per-port fault pre-pass for nonempty input slot `si` of router `r`:
+    /// draws the fault decision for its FIFO-head flit, emits drop moves,
+    /// counts down stalls, and marks the port blocked.
+    void collect_port_fault(std::size_t r, std::size_t si);
     /// Stale-filtering + checksum-validating response reassembly at a
     /// master NI (apply-phase flit delivery).
     void deliver_to_master(MasterNi& ni, const Flit& flit);
@@ -535,7 +572,20 @@ private:
     /// quiet_for() at 0 until the backlog drains. Always 0 in closed mode.
     u32 open_backlog_ = 0;
     AddressMap map_;
-    std::vector<Router> routers_;
+    // --- per-router switch state: slots_ entries per router (the port
+    // budget is a topology property, not a compile-time bound), entry
+    // r * slots_ + pidx(plane, port); the flits live in fifos_ ---
+    /// Wormhole binding per *output channel* pidx(dst_plane, out): the
+    /// input slot pidx(plane, port) whose packet owns the channel from Head
+    /// to Tail, -1 when free. Keyed by the destination plane — not the
+    /// input's — so with dateline VCs a packet bound for downstream VC0
+    /// never holds the switch against one bound for VC1 of the same link
+    /// (that coupling would re-create the ring dependency cycle the
+    /// datelines break), and each downstream FIFO has a single writer per
+    /// cycle by construction.
+    std::vector<int> bound_in_;
+    std::vector<int> rr_; ///< round-robin pointer per output channel
+    std::vector<PortFault> port_fault_; ///< per input slot (fault mode)
     FifoArena fifos_; ///< every router input FIFO (nodes × slots_ rings)
     std::vector<MasterNi> masters_;
     std::vector<SlaveNi> slaves_;
@@ -552,19 +602,32 @@ private:
     u32 flits_active_ = 0;
 
     // --- active-router worklist (see docs/xpipes.md) ---
-    /// Routers to visit in the next router phase. Invariant: every router
-    /// with occupancy > 0 or bound_count > 0 is on the list (it may also
-    /// hold just-drained routers until the next rebuild).
+    /// Routers to visit in the next router phase. Invariant: every
+    /// router_live() router is on the list (it may also hold just-drained
+    /// routers until the next rebuild).
     std::vector<u32> active_;
     std::vector<u32> scratch_;      ///< rebuild target, swapped with active_
     std::vector<u64> active_mark_;  ///< per-router epoch stamp (dedup)
     u64 active_epoch_ = 1;
     std::vector<Move> moves_; ///< reused per cycle (allocation-free steady state)
-    // --- per-visit request scratch (collect_router_moves), slots_ long ---
-    /// Output channel pidx(dst_plane, out) requested by the Head at the
-    /// front of each input slot this visit, or -1.
+    /// u64 words per router bitset: ceil(slots_ / 64). Output channels
+    /// pidx(dst_plane, out) share the input slots' index space.
+    std::size_t words_ = 1;
+    /// Per router: input slots whose FIFO is nonempty (fifo_write /
+    /// fifo_take) ...
+    std::vector<u64> occ_bits_;
+    /// ... and output channels holding a wormhole binding (bind/release).
+    std::vector<u64> bound_bits_;
+    // --- per-visit request scratch ---
+    /// Dense allocator, slots_ long: output channel requested by the Head
+    /// at the front of each input slot this visit, or -1; and whether each
+    /// output channel has >= 1 request.
     std::vector<int> slot_req_;
-    std::vector<u8> chan_requested_; ///< output channel has >= 1 request
+    std::vector<u8> chan_requested_;
+    /// Sparse allocator, words_ long: slots holding a requesting Head, and
+    /// the channels they request.
+    std::vector<u64> req_slots_;
+    std::vector<u64> req_chans_;
 };
 
 } // namespace tgsim::ic

@@ -312,6 +312,40 @@ TEST(CliFifoDeath, OutOfRangeDepthsAreParseTimeErrors) {
                 testing::ExitedWithCode(1), "--fifo: invalid number 'four'");
 }
 
+TEST(CliMesh, ParsesSpecsUpToTheNodeIdLimit) {
+    EXPECT_EQ(cli::parse_mesh("auto", 4)->width, 0u);
+    const auto m = cli::parse_mesh("3x2", 8);
+    ASSERT_TRUE(m);
+    EXPECT_EQ(m->width, 3u);
+    EXPECT_EQ(m->height, 2u);
+    EXPECT_EQ(m->fifo_depth, 8u);
+    const auto edge = cli::parse_mesh("255x257", 4); // exactly 65535 nodes
+    ASSERT_TRUE(edge);
+    EXPECT_EQ(edge->width * edge->height, ic::kMaxNodes);
+    for (const char* bad : {"3", "x3", "3x", "0x3", "3x0", "3x2x2", "-1x2",
+                            "3x+2", " 3x2"})
+        EXPECT_FALSE(cli::parse_mesh(bad, 4)) << bad;
+}
+
+TEST(CliMeshDeath, OversizedGridsAreParseTimeErrors) {
+    // Node ids are 16-bit: 300x300 used to truncate them silently, and
+    // 70000x70000 also overflows a u32 node count.
+    EXPECT_EXIT((void)cli::parse_mesh("300x300", 4),
+                testing::ExitedWithCode(1),
+                "--mesh: '300x300' exceeds 65535 nodes");
+    EXPECT_EXIT((void)cli::parse_mesh("256x256", 4),
+                testing::ExitedWithCode(1),
+                "--mesh: '256x256' exceeds 65535 nodes");
+    EXPECT_EXIT((void)cli::parse_mesh("70000x70000", 4),
+                testing::ExitedWithCode(1),
+                "--mesh: '70000x70000' exceeds 65535 nodes");
+    EXPECT_EXIT((void)cli::parse_mesh("99999999999999999999x2", 4),
+                testing::ExitedWithCode(1), "--mesh: .* exceeds 65535 nodes");
+    EXPECT_EXIT((void)cli::parse_mesh("65536x65536", 4, "grid"),
+                testing::ExitedWithCode(1),
+                "--grid: '65536x65536' exceeds 65535 nodes");
+}
+
 TEST(CliCapacityDeath, TooSmallFabricIsAParseTimeError) {
     // 16 cores need 18 nodes (cores + shared memory + semaphores): a 4x4
     // --mesh paired with a 4x4 --grid used to be accepted here and fail

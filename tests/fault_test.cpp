@@ -276,6 +276,42 @@ TEST(FaultRecovery, DataIntegrityUnderFaults) {
     EXPECT_EQ(rel.recovered, rel.retry_latency.count());
 }
 
+TEST(FaultRecovery, CorruptRequestBehindQueuedPacketsIsDiscardedAlone) {
+    // Four masters stream burst writes into one slow slave, so its NI rx
+    // holds complete packets while the next one arrives — and pops them
+    // meanwhile. A request whose tail checksum fails must then be cut off
+    // the back of rx alone. Cutting at the rx index its head had on
+    // arrival would, after those pops, pad rx with empty flits (which the
+    // NI replays as a never-accepted Idle command: the fabric hangs) or
+    // truncate good packets.
+    FaultConfig f = rates(0.02, 0.0, 0.0, 7);
+    f.max_retries = 8;
+    MeshRig rig{mesh33(f)};
+    std::vector<TestMaster*> ms;
+    for (const int node : {0, 2, 6, 4}) ms.push_back(&rig.add_master(node));
+    rig.add_mem(0x0, 0x1000, mem::SlaveTiming{4, 4, 1}, 8);
+    for (u32 i = 0; i < ms.size(); ++i)
+        for (u32 k = 0; k < 20; ++k) {
+            std::vector<u32> beats;
+            for (u32 b = 0; b < 6; ++b) beats.push_back((i << 16) + k * 8 + b);
+            const u32 addr = i * 0x400 + (k % 8) * 0x20;
+            ms[i]->push({ocp::Cmd::BurstWrite, addr, 6, beats, 0});
+            ms[i]->push({ocp::Cmd::BurstRead, addr, 6, {}, 0});
+        }
+    ASSERT_TRUE(rig.run_to_idle(2'000'000));
+    ASSERT_TRUE(drain(rig));
+
+    for (const TestMaster* m : ms) {
+        ASSERT_EQ(m->results().size(), 40u);
+        for (std::size_t i = 0; i < m->results().size(); i += 2)
+            EXPECT_EQ(m->results()[i + 1].rdata, m->results()[i].op.wdata)
+                << "pair " << i / 2;
+    }
+    const auto& rel = rig.ic.stats().reliability;
+    EXPECT_GT(rel.checksum_fails, 0u);
+    EXPECT_EQ(rel.injected, rel.delivered);
+}
+
 TEST(FaultRecovery, RetryExhaustionIsBoundedAndReported) {
     // drop_rate = 1: every head flit dies at its first router input. Reads
     // must complete with synthesized Err beats (never hang the master) and

@@ -298,6 +298,17 @@ TEST(Xpipes, RejectsBadConfigurations) {
     EXPECT_THROW(ic::XpipesNetwork({3, 3, ic::kMaxFifoDepth + 1}),
                  std::invalid_argument);
     EXPECT_NO_THROW(ic::XpipesNetwork({2, 2, ic::kMaxFifoDepth}));
+    // Node ids are 16-bit in flit headers: a mesh or torus past 65535
+    // nodes would alias them, and 65536x65536 wraps a u32 product to 0.
+    for (const auto kind : {ic::TopologyKind::Mesh, ic::TopologyKind::Torus})
+        for (const u32 side : {256u, 300u, 65536u, 70000u}) {
+            ic::XpipesConfig big;
+            big.width = side;
+            big.height = side;
+            big.topology = kind;
+            EXPECT_THROW(ic::XpipesNetwork{big}, std::invalid_argument)
+                << side;
+        }
     ic::XpipesNetwork net{{2, 2, 4}};
     ocp::Channel a, b;
     net.connect_master(a, 0);

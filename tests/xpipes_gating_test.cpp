@@ -1,12 +1,17 @@
 // Property tests for the activity-driven ×pipes router phase
 // (src/ic/xpipes/): with router gating enabled (the default), only routers
-// holding flits or a wormhole binding are visited each cycle — and the
-// result must be observationally indistinguishable from the full-scan
-// reference (router_gating = false): identical handshake timestamps, read
-// data, response codes, memory images and behavioural statistics. Only
-// stats().router_visits may differ (that is the point).
+// holding flits or a wormhole binding are visited each cycle, through the
+// sparse allocator (occupancy bitsets, Head routes computed at FIFO write)
+// — and the result must be observationally indistinguishable from the
+// dense full-scan oracle (router_gating = false): identical handshake
+// timestamps, read data, response codes, memory images and behavioural
+// statistics. Only stats().router_visits may differ (that is the point),
+// and latency samples may be recorded in another order. Coverage spans
+// the mesh, the torus's dateline VCs, the fault pre-pass (corrupt, drop
+// and stall) and open-loop pending queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <tuple>
@@ -16,6 +21,7 @@
 #include "ic/xpipes/xpipes.hpp"
 #include "mem/memory.hpp"
 #include "platform/platform.hpp"
+#include "tg/patterns.hpp"
 #include "test_util.hpp"
 
 namespace tgsim::test {
@@ -56,18 +62,27 @@ struct MeshObservation {
     std::vector<u32> mem_image;            ///< all slave windows, concatenated
     u64 busy = 0, flits = 0, packets = 0, decode_errors = 0, contention = 0;
     std::vector<u64> wait;
+    std::vector<u64> reliability; ///< every ReliabilityStats counter
     u64 router_visits = 0;
     u64 router_phase_cycles = 0;
 };
 
-/// Builds a mesh (masters on even nodes, slaves on odd nodes), drives the
-/// seeded random traffic, and collects everything externally observable.
-MeshObservation run_mesh(u32 width, u32 height, u32 fifo_depth, bool gating,
-                         u32 seed, u32 ops_per_master) {
-    ic::XpipesConfig cfg{width, height, fifo_depth};
+std::vector<u64> reliability_counters(const stats::ReliabilityStats& r) {
+    return {r.injected,       r.delivered,       r.err_delivered,
+            r.recovered,      r.lost,            r.retries,
+            r.flits_corrupted, r.packets_dropped, r.stall_events,
+            r.stall_cycles,   r.checksum_fails,  r.stale_discarded,
+            r.dup_requests};
+}
+
+/// Builds the fabric `cfg` describes (masters on even nodes, slaves on odd
+/// nodes), drives the seeded random traffic, and collects everything
+/// externally observable.
+MeshObservation run_mesh(ic::XpipesConfig cfg, bool gating, u32 seed,
+                         u32 ops_per_master) {
     cfg.router_gating = gating;
     MeshRig rig{cfg};
-    const u32 nodes = width * height;
+    const u32 nodes = cfg.width * cfg.height;
     std::vector<TestMaster*> ms;
     u32 n_slaves = 0;
     for (u32 n = 0; n < nodes; ++n) {
@@ -98,6 +113,7 @@ MeshObservation run_mesh(u32 width, u32 height, u32 fifo_depth, bool gating,
     o.decode_errors = s.decode_errors;
     o.contention = rig.ic.contention_cycles();
     o.wait = s.master_wait_cycles;
+    o.reliability = reliability_counters(s.reliability);
     o.router_visits = s.router_visits;
     o.router_phase_cycles = s.router_phase_cycles;
     return o;
@@ -122,6 +138,7 @@ void expect_identical(const MeshObservation& a, const MeshObservation& b) {
     EXPECT_EQ(a.decode_errors, b.decode_errors);
     EXPECT_EQ(a.contention, b.contention);
     EXPECT_EQ(a.wait, b.wait);
+    EXPECT_EQ(a.reliability, b.reliability);
     // Both schedules run the router phase on the same cycles; only the
     // per-cycle visit set shrinks.
     EXPECT_EQ(a.router_phase_cycles, b.router_phase_cycles);
@@ -130,22 +147,180 @@ void expect_identical(const MeshObservation& a, const MeshObservation& b) {
 TEST(XpipesRouterGating, RandomTrafficBitIdentical) {
     struct Shape {
         u32 w, h, fifo, ops;
+        ic::TopologyKind topo = ic::TopologyKind::Mesh;
+        /// Per fault kind (corrupt, drop, stall); 0 = fault-free.
+        double fault_rate = 0.0;
     };
+    constexpr auto kTorus = ic::TopologyKind::Torus;
     const Shape shapes[] = {
         {2, 2, 4, 30}, {3, 3, 2, 30}, {4, 4, 4, 25}, {8, 2, 3, 20},
+        // Dateline VCs: the VC0 -> VC1 plane transition on wrap links.
+        {4, 5, 2, 25, kTorus}, {8, 2, 3, 20, kTorus},
+        // VCs plus the fault pre-pass, every fault kind live at once.
+        {4, 5, 3, 25, kTorus, 0.004}, {3, 3, 2, 30, kTorus, 0.006},
     };
     for (const Shape& sh : shapes) {
         for (const u32 seed : {11u, 42u, 77u}) {
-            const auto gated =
-                run_mesh(sh.w, sh.h, sh.fifo, true, seed, sh.ops);
-            const auto full =
-                run_mesh(sh.w, sh.h, sh.fifo, false, seed, sh.ops);
+            ic::XpipesConfig fabric{sh.w, sh.h, sh.fifo};
+            fabric.topology = sh.topo;
+            fabric.fault.corrupt_rate = sh.fault_rate;
+            fabric.fault.drop_rate = sh.fault_rate;
+            fabric.fault.stall_rate = sh.fault_rate;
+            fabric.fault.seed = 0xFA0000u + seed;
+            const auto gated = run_mesh(fabric, true, seed, sh.ops);
+            const auto full = run_mesh(fabric, false, seed, sh.ops);
             SCOPED_TRACE(testing::Message()
-                         << sh.w << "x" << sh.h << " fifo" << sh.fifo
+                         << sh.w << "x" << sh.h << " " << to_string(sh.topo)
+                         << " fifo" << sh.fifo << " faults " << sh.fault_rate
                          << " seed " << seed);
             expect_identical(gated, full);
             // The worklist may only ever shrink the visit set.
             EXPECT_LE(gated.router_visits, full.router_visits);
+            if (sh.fault_rate > 0.0) {
+                // Every fault kind must actually have fired:
+                // flits_corrupted, packets_dropped, stall_events.
+                EXPECT_GT(gated.reliability[6], 0u);
+                EXPECT_GT(gated.reliability[7], 0u);
+                EXPECT_GT(gated.reliability[8], 0u);
+            }
+        }
+    }
+}
+
+/// Open-loop and fault-injected pattern runs through the product path
+/// (tg::compile_patterns -> Platform::load_stochastic) on a 4x4 core grid.
+struct PatternObservation {
+    platform::RunResult res;
+    std::vector<u32> mem_image;
+    std::vector<u64> counters; ///< XpipesStats counters and master waits
+    u64 pending_peak = 0;
+    std::vector<u64> reliability;
+    /// Latency samples sorted: the gated phase applies moves in worklist
+    /// order, so the same samples may be recorded in another order.
+    std::vector<u64> packet, net, source_q, retry;
+};
+
+PatternObservation run_pattern(tg::Pattern pattern, double rate,
+                               tg::SourceMode mode, ic::XpipesConfig fabric,
+                               bool gating, u32 seed) {
+    constexpr u32 kCores = 16;
+    tg::PatternConfig pc;
+    pc.pattern = pattern;
+    pc.width = 4;
+    pc.height = 4;
+    pc.injection_rate = rate;
+    pc.packets_per_core = 150;
+    tg::SourceConfig source;
+    source.mode = mode;
+    source.pending_limit = 8; // small enough that pending queues fill
+    std::vector<tg::StochasticConfig> configs =
+        tg::compile_patterns(pc, source);
+    for (u32 core = 0; core < kCores; ++core)
+        configs[core].seed = seed * 7919u + core;
+
+    platform::PlatformConfig cfg;
+    cfg.n_cores = kCores;
+    cfg.ic = platform::IcKind::Xpipes;
+    cfg.xpipes = fabric;
+    cfg.xpipes.height = platform::xpipes_height_for(kCores, fabric.width);
+    cfg.xpipes.router_gating = gating;
+    cfg.xpipes.collect_latency = true;
+    apps::Workload context;
+    context.cores.resize(kCores);
+    platform::Platform p{cfg};
+    p.load_stochastic(configs, context, source);
+
+    PatternObservation o;
+    o.res = p.run(kMaxCycles);
+    EXPECT_TRUE(o.res.completed);
+    const auto image = [&o](const mem::MemorySlave& m) {
+        for (u32 a = 0; a < m.size_bytes(); a += 4)
+            o.mem_image.push_back(m.peek(m.base() + a));
+    };
+    for (u32 core = 0; core < kCores; ++core) image(p.private_mem(core));
+    image(p.shared_mem());
+    const auto& net = dynamic_cast<const ic::XpipesNetwork&>(p.interconnect());
+    const ic::XpipesStats& s = net.stats();
+    o.counters = {s.busy_cycles,           s.flits_routed,
+                  s.packets_sent,          s.decode_errors,
+                  s.router_phase_cycles,   s.req_packets_delivered,
+                  s.resp_packets_delivered, s.resp_err_packets,
+                  s.last_delivery,         net.contention_cycles()};
+    for (const u64 v : s.master_wait_cycles) o.counters.push_back(v);
+    o.pending_peak = s.pending_peak;
+    o.reliability = reliability_counters(s.reliability);
+    const auto sorted = [](std::vector<u64> v) {
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+    o.packet = sorted(s.packet_latency.samples());
+    o.net = sorted(s.net_latency.samples());
+    o.source_q = sorted(s.source_q_latency.samples());
+    o.retry = sorted(s.reliability.retry_latency.samples());
+    return o;
+}
+
+TEST(XpipesRouterGating, PatternTrafficMatchesDenseOracle) {
+    struct Case {
+        const char* name;
+        tg::Pattern pattern;
+        double rate;
+        tg::SourceMode mode;
+        ic::TopologyKind topo;
+        u32 fifo;
+        double fault_rate; ///< per fault kind
+    };
+    constexpr auto kOpen = tg::SourceMode::Open;
+    constexpr auto kClosed = tg::SourceMode::Closed;
+    constexpr auto kMesh = ic::TopologyKind::Mesh;
+    constexpr auto kTorus = ic::TopologyKind::Torus;
+    const Case cases[] = {
+        // Open-loop sources past the knee: pending queues hit their bound.
+        {"open UR mesh", tg::Pattern::UniformRandom, 0.40, kOpen, kMesh, 4, 0},
+        {"open UR torus", tg::Pattern::UniformRandom, 0.40, kOpen, kTorus, 2,
+         0},
+        {"open transpose torus", tg::Pattern::Transpose, 0.30, kOpen, kTorus,
+         3, 0},
+        // Dateline VCs plus every fault kind, recovery protocol included.
+        {"faulted transpose torus", tg::Pattern::Transpose, 0.15, kClosed,
+         kTorus, 3, 0.003},
+        {"faulted UR torus", tg::Pattern::UniformRandom, 0.20, kClosed, kTorus,
+         2, 0.003},
+    };
+    for (const Case& c : cases) {
+        for (const u32 seed : {1u, 2u}) {
+            SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
+            ic::XpipesConfig fabric;
+            fabric.width = 4;
+            fabric.fifo_depth = c.fifo;
+            fabric.topology = c.topo;
+            fabric.fault.corrupt_rate = c.fault_rate;
+            fabric.fault.drop_rate = c.fault_rate;
+            fabric.fault.stall_rate = c.fault_rate;
+            fabric.fault.seed = 0xFA0170u + seed;
+            const auto gated =
+                run_pattern(c.pattern, c.rate, c.mode, fabric, true, seed);
+            const auto dense =
+                run_pattern(c.pattern, c.rate, c.mode, fabric, false, seed);
+            EXPECT_EQ(gated.res.cycles, dense.res.cycles);
+            EXPECT_EQ(gated.res.per_core, dense.res.per_core);
+            EXPECT_EQ(gated.mem_image, dense.mem_image);
+            EXPECT_EQ(gated.counters, dense.counters);
+            EXPECT_EQ(gated.pending_peak, dense.pending_peak);
+            EXPECT_EQ(gated.reliability, dense.reliability);
+            EXPECT_EQ(gated.packet, dense.packet);
+            EXPECT_EQ(gated.net, dense.net);
+            EXPECT_EQ(gated.source_q, dense.source_q);
+            EXPECT_EQ(gated.retry, dense.retry);
+            EXPECT_FALSE(gated.packet.empty());
+            if (c.mode == kOpen) {
+                EXPECT_EQ(gated.pending_peak, 8u); // queues hit their bound
+            } else {
+                // flits_corrupted, packets_dropped, stall_events.
+                EXPECT_GT(gated.reliability[6], 0u);
+                EXPECT_GT(gated.reliability[7], 0u);
+                EXPECT_GT(gated.reliability[8], 0u);
+            }
         }
     }
 }

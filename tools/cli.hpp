@@ -334,23 +334,37 @@ template <typename E>
 /// Parses one mesh spec: "auto" (dimensions chosen by the platform) or
 /// "WxH", e.g. "3x3". Shared by tgsim_sweep (candidate grids) and
 /// tgsim_patterns (logical core grid — which rejects "auto" itself).
-inline std::optional<ic::XpipesConfig> parse_mesh(const std::string& spec,
-                                                  u32 fifo_depth) {
+/// Returns nullopt on a malformed spec. A well-formed spec of more than
+/// ic::kMaxNodes nodes is a fatal usage error naming `flag`: node ids are
+/// 16-bit on the fabric, so a bigger grid would alias them.
+inline std::optional<ic::XpipesConfig> parse_mesh(
+    const std::string& spec, u32 fifo_depth, std::string_view flag = "mesh") {
     ic::XpipesConfig mesh;
     mesh.width = 0;
     mesh.height = 0;
     mesh.fifo_depth = fifo_depth;
     if (spec == "auto") return mesh;
     const auto x = spec.find('x');
-    if (x == std::string::npos || x == 0 || x + 1 == spec.size())
+    // Digits on both sides of the 'x': strtoull alone would also take
+    // blanks, signs ("-1" wraps) and an empty height.
+    if (x == std::string::npos || x + 1 == spec.size() ||
+        !std::isdigit(static_cast<unsigned char>(spec[0])) ||
+        !std::isdigit(static_cast<unsigned char>(spec[x + 1])))
         return std::nullopt;
     char* end = nullptr;
-    mesh.width = static_cast<u32>(std::strtoul(spec.c_str(), &end, 10));
+    const unsigned long long w = std::strtoull(spec.c_str(), &end, 10);
     if (end != spec.c_str() + x) return std::nullopt;
-    mesh.height =
-        static_cast<u32>(std::strtoul(spec.c_str() + x + 1, &end, 10));
+    const unsigned long long h = std::strtoull(spec.c_str() + x + 1, &end, 10);
     if (*end != '\0') return std::nullopt; // reject trailing junk ("3x2x2")
-    if (mesh.width == 0 || mesh.height == 0) return std::nullopt;
+    if (w == 0 || h == 0) return std::nullopt;
+    // Out-of-range digits saturate to ULLONG_MAX; both factors are checked
+    // before the product, so it cannot wrap.
+    if (w > ic::kMaxNodes || h > ic::kMaxNodes || w * h > ic::kMaxNodes)
+        usage_error(flag, "'" + spec + "' exceeds " +
+                              std::to_string(ic::kMaxNodes) +
+                              " nodes (node ids are 16-bit)");
+    mesh.width = static_cast<u32>(w);
+    mesh.height = static_cast<u32>(h);
     return mesh;
 }
 

@@ -244,7 +244,7 @@ std::vector<ic::XpipesConfig> fabric_axis(
 int run_pattern_mode(const cli::Options& args) {
     const std::string pattern_name = args.get("pattern");
     const std::string grid_spec = args.get("grid");
-    const auto grid = cli::parse_mesh(grid_spec, 4);
+    const auto grid = cli::parse_mesh(grid_spec, 4, "grid");
     if (!grid || grid->width == 0) { // the core grid needs explicit dims
         std::fprintf(stderr, "bad --grid spec '%s' (WxH, e.g. 4x4)\n",
                      grid_spec.c_str());
