@@ -11,6 +11,10 @@
 // Each shape runs with router_gating on and off; the run must be
 // bit-identical (handshake timestamps, read data, response codes, memory
 // images, behavioural stats) — any divergence is fatal, so CI fails loudly.
+// The two modes run kTimingReps times each, alternated, and each keeps its
+// fastest wall time: host contention only ever adds time, in bursts that
+// can cover a whole single run, so one run per mode let a burst over either
+// side move the speedup floor's ratio by tens of percent.
 // The 8x8 grid additionally runs as a torus (docs/topology.md): wrap links
 // plus the dateline VC planes ride the same gating contract, and the
 // torus rows feed the same identity + speedup floors in
@@ -19,6 +23,7 @@
 // per-hop trajectory comes from this harness rather than from CI
 // artifacts. Those are host-dependent numbers and carry no floor. Results
 // go to BENCH_mesh_gating.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +40,9 @@ namespace {
 
 using mem::SlaveTiming;
 using test::MeshRig; // shared with tests/xpipes_gating_test.cpp
+
+/// Timed runs per router-phase mode (see the header comment).
+constexpr int kTimingReps = 5;
 
 /// Everything that must be bit-identical across the two router-phase modes.
 struct Observation {
@@ -141,9 +149,22 @@ int main() {
             const auto loader = [&](MeshRig& rig, u32 w, u32 h) {
                 sh.load(rig, w, h, reps);
             };
-            const auto full = run_one(dim, dim, false, topo, loader);
-            const auto gated = run_one(dim, dim, true, topo, loader);
-            const bool identical = gated.same_behaviour(full);
+            Observation full;
+            Observation gated;
+            bool identical = true;
+            for (int rep = 0; rep < kTimingReps; ++rep) {
+                const auto f = run_one(dim, dim, false, topo, loader);
+                const auto g = run_one(dim, dim, true, topo, loader);
+                if (rep == 0) {
+                    full = f;
+                    gated = g;
+                }
+                identical = identical && f.same_behaviour(full) &&
+                            g.same_behaviour(full);
+                full.wall_seconds = std::min(full.wall_seconds, f.wall_seconds);
+                gated.wall_seconds =
+                    std::min(gated.wall_seconds, g.wall_seconds);
+            }
             all_identical = all_identical && identical;
             const double speedup = full.wall_seconds / gated.wall_seconds;
             const u64 bound =
