@@ -13,7 +13,8 @@
 // kernel (per-component clock gating with wake lists, sim/kernel.hpp), where
 // every component outside the active traffic parks and a platform whose TGs
 // all sit in long Idle waits fast-forwards — cycle counts are bit-identical,
-// only wall time changes. Results are also written to
+// only wall time changes. Every wall time is the fastest of kTimingReps
+// alternated runs. Results are also written to
 // BENCH_table2_tg_vs_arm.json (cycles/sec, wall seconds, gating speedup).
 //
 // Expected shape versus the paper: error ~0% (<= ~1.5% in the contended
@@ -21,6 +22,7 @@
 // count, MP-matrix/DES gain shrinking once the bus saturates. Absolute cycle
 // counts and times differ (different ISA, memory timings and host); see
 // EXPERIMENTS.md.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -39,6 +41,13 @@ struct Row {
     double tg_secs_event; ///< TG run with per-component clock gating
 };
 
+/// Timed runs per side (ARM, ungated TG, gated TG). The sides alternate
+/// within each repetition and each keeps its fastest wall time: host
+/// contention only ever adds time, in bursts that can cover a whole run, so
+/// a single run per side let a burst over either one move the gain and
+/// gating-speedup floors by tens of percent.
+constexpr int kTimingReps = 3;
+
 Row run_row(const apps::Workload& w, u32 cores) {
     platform::PlatformConfig cfg;
     cfg.n_cores = cores;
@@ -48,28 +57,40 @@ Row run_row(const apps::Workload& w, u32 cores) {
     cfg.kernel_gating = false;
     cfg.max_idle_skip = 0;
 
-    const TimedRun plain = run_cpu(w, cfg, /*traced=*/false);
     platform::PlatformConfig trace_cfg = cfg;
     trace_cfg.kernel_gating = true; // tracing run: speed doesn't matter
     const TimedRun traced = run_cpu(w, trace_cfg, /*traced=*/true);
     const auto programs = translate_all(traced.traces, w);
-
-    const auto tg_cycle_mode = run_tg(programs, w, cfg);
     platform::PlatformConfig event_cfg = cfg;
     event_cfg.kernel_gating = true; // activity-driven kernel
-    const auto tg_event_mode = run_tg(programs, w, event_cfg);
 
-    if (tg_cycle_mode.cycles != tg_event_mode.cycles) {
-        std::fprintf(stderr, "FATAL: skip changed results (%s)\n",
-                     w.name.c_str());
-        std::exit(1);
+    Row row{cores, 0, 0, 0.0, 0.0, 0.0};
+    for (int rep = 0; rep < kTimingReps; ++rep) {
+        const TimedRun plain = run_cpu(w, cfg, /*traced=*/false);
+        const auto tg_cycle_mode = run_tg(programs, w, cfg);
+        const auto tg_event_mode = run_tg(programs, w, event_cfg);
+        if (tg_cycle_mode.cycles != tg_event_mode.cycles) {
+            std::fprintf(stderr, "FATAL: skip changed results (%s)\n",
+                         w.name.c_str());
+            std::exit(1);
+        }
+        if (rep == 0) {
+            row.arm_cycles = plain.result.cycles;
+            row.tg_cycles = tg_cycle_mode.cycles;
+            row.arm_secs = plain.result.wall_seconds;
+            row.tg_secs = tg_cycle_mode.wall_seconds;
+            row.tg_secs_event = tg_event_mode.wall_seconds;
+        } else if (plain.result.cycles != row.arm_cycles ||
+                   tg_cycle_mode.cycles != row.tg_cycles) {
+            std::fprintf(stderr, "FATAL: repeated run changed results (%s)\n",
+                         w.name.c_str());
+            std::exit(1);
+        }
+        row.arm_secs = std::min(row.arm_secs, plain.result.wall_seconds);
+        row.tg_secs = std::min(row.tg_secs, tg_cycle_mode.wall_seconds);
+        row.tg_secs_event = std::min(row.tg_secs_event, tg_event_mode.wall_seconds);
     }
-    return Row{cores,
-               plain.result.cycles,
-               tg_cycle_mode.cycles,
-               plain.result.wall_seconds,
-               tg_cycle_mode.wall_seconds,
-               tg_event_mode.wall_seconds};
+    return row;
 }
 
 void print_row(const Row& r) {

@@ -5,6 +5,7 @@ namespace tgsim::ic {
 std::size_t AhbBus::connect_master(ocp::ChannelRef ch, int /*node*/) {
     stats_.grants.push_back(0);
     stats_.wait_cycles.push_back(0);
+    tidy_all_ = true;
     return track_master(ch);
 }
 
@@ -13,6 +14,7 @@ std::size_t AhbBus::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
     const std::size_t idx = map_.add_range(base, size);
     slaves_.push_back(ch);
     stats_.slave_transactions.push_back(0);
+    tidy_all_ = true;
     return idx;
 }
 
@@ -36,13 +38,22 @@ int AhbBus::arbitrate() const noexcept {
 
 void AhbBus::eval() {
     const auto& masters = master_ports();
-    // Default-drive every wire this bus owns; the bridge re-drives the
-    // active ones below. With the SoA store these passes are straight scans
-    // over the contiguous field arrays. Skipped entirely while the bus is
-    // quiescent and the wires are known clean (they persist).
+    // Default-drive the wires this bus owns; the bridge re-drives the
+    // active ones below. Only the ports the bridge drove since the last pass
+    // can be non-idle, so only those are tidied (every port on the first
+    // pass). Skipped entirely while the bus is quiescent and the wires are
+    // known clean (they persist).
     if (bridge_.active() || wires_dirty_) {
-        for (const ocp::ChannelRef& m : masters) m.tidy_response();
-        for (const ocp::ChannelRef& s : slaves_) s.tidy_request();
+        if (tidy_all_) {
+            for (const ocp::ChannelRef& m : masters) m.tidy_response();
+            for (const ocp::ChannelRef& s : slaves_) s.tidy_request();
+            tidy_all_ = false;
+        } else {
+            if (drove_master_ >= 0)
+                masters[static_cast<std::size_t>(drove_master_)].tidy_response();
+            if (drove_slave_ >= 0)
+                slaves_[static_cast<std::size_t>(drove_slave_)].tidy_request();
+        }
         wires_dirty_ = false;
     }
 
@@ -88,6 +99,8 @@ void AhbBus::eval() {
     }
     owner_ = winner;
     rr_last_ = winner;
+    drove_master_ = owner_;
+    drove_slave_ = target_slave_;
     stats_.grants[winner] += 1;
     ++stats_.busy_cycles;
     bridge_.start(m, s);

@@ -78,7 +78,7 @@ struct XpipesConfig {
     /// (docs/faults.md). All-zero rates (the default) keep the mesh
     /// bit-identical to the pre-fault model: no serials, no checksums, no
     /// acks, posted writes stay posted.
-    FaultConfig fault;
+    FaultConfig fault{};
     /// Fabric topology (docs/topology.md). Mesh (the default) preserves the
     /// original XY-routed behaviour bit-for-bit; Torus adds wrap links with
     /// minimal dimension-ordered routing; Table routes the graph below.
@@ -88,7 +88,7 @@ struct XpipesConfig {
     /// Adjacency for TopologyKind::Table (width/height are ignored there:
     /// the node count comes from the graph). Shared and immutable, so sweep
     /// workers reuse one parsed graph across the whole candidate grid.
-    std::shared_ptr<const GraphSpec> graph;
+    std::shared_ptr<const GraphSpec> graph{};
 };
 
 struct XpipesStats {

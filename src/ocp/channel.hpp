@@ -13,7 +13,9 @@
 // documented in docs/ocp.md. Summary: the master side drives the request
 // group (m_*) and bumps m_gen on every change; the slave side drives
 // s_cmd_accept and the response group (s_*) and bumps s_gen; a missed bump
-// breaks bit-reproducibility, so drivers bump conservatively.
+// breaks bit-reproducibility, so drivers bump conservatively. Every counter
+// has a wake list beside it (m_wake/s_wake): a bump also sets the run bit of
+// each component the gating kernel subscribed to that counter.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +23,7 @@
 #include <vector>
 
 #include "ocp/types.hpp"
-#include "sim/types.hpp"
+#include "sim/wake.hpp"
 
 namespace tgsim::ocp {
 
@@ -36,9 +38,9 @@ class ChannelRef;
 ///
 /// Allocation happens during platform wiring only. Growing the store never
 /// invalidates ChannelRefs (they are store + index), but it may invalidate
-/// raw pointers into the field arrays — the kernel builds its watch ranges
-/// lazily at first park, so the standing rule "wire everything before the
-/// first run" (docs/kernel.md) keeps those pointers stable.
+/// raw pointers into the field arrays — the kernel reads a component's watch
+/// ranges once, at its first park, so the standing rule "wire everything
+/// before the first run" (docs/kernel.md) keeps those pointers stable.
 class ChannelStore {
 public:
     // --- request group: driven by the master side ---
@@ -57,6 +59,9 @@ public:
     // --- activity generation counters (see docs/ocp.md) ---
     std::vector<u32> m_gen; ///< bumped when the master-driven wires change
     std::vector<u32> s_gen; ///< bumped when the slave-driven wires change
+    /// Subscribers woken by each bump (sim::WakeList; one per counter).
+    std::vector<sim::WakeList> m_wake;
+    std::vector<sim::WakeList> s_wake;
 
     /// Appends one idle channel and returns its handle.
     ChannelRef allocate();
@@ -73,6 +78,8 @@ public:
         s_resp_last.reserve(n);
         m_gen.reserve(n);
         s_gen.reserve(n);
+        m_wake.reserve(n);
+        s_wake.reserve(n);
     }
 
     [[nodiscard]] std::size_t size() const noexcept { return m_cmd.size(); }
@@ -91,10 +98,17 @@ public:
                !s_resp_last[i];
     }
 
-    /// The driver of the m_* group calls this after changing any m_* wire.
-    void touch_m(u32 i) noexcept { ++m_gen[i]; }
+    /// The driver of the m_* group calls this after changing any m_* wire;
+    /// it bumps m_gen and wakes the counter's subscribers.
+    void touch_m(u32 i) noexcept {
+        ++m_gen[i];
+        m_wake[i].fire();
+    }
     /// The driver of the s_* group calls this after changing any s_* wire.
-    void touch_s(u32 i) noexcept { ++s_gen[i]; }
+    void touch_s(u32 i) noexcept {
+        ++s_gen[i];
+        s_wake[i].fire();
+    }
 
     /// Resets the master-driven wires to the idle state (no activity bump;
     /// prefer tidy_request() in eval paths).
@@ -138,13 +152,14 @@ public:
         clear_response(i);
     }
 
-    /// Contiguous activity-counter range over master-side gens — the kernel
-    /// watch-subscription currency (sim::Clocked::watch_inputs).
+    /// Contiguous activity-counter range over master-side gens, with their
+    /// wake lists — the kernel watch-subscription currency
+    /// (sim::Clocked::watch_inputs).
     [[nodiscard]] sim::WatchRange m_gen_range(u32 first, u32 count) const noexcept {
-        return sim::WatchRange{m_gen.data() + first, count};
+        return sim::WatchRange{m_gen.data() + first, count, m_wake.data() + first};
     }
     [[nodiscard]] sim::WatchRange s_gen_range(u32 first, u32 count) const noexcept {
-        return sim::WatchRange{s_gen.data() + first, count};
+        return sim::WatchRange{s_gen.data() + first, count, s_wake.data() + first};
     }
 };
 
@@ -217,6 +232,8 @@ inline ChannelRef ChannelStore::allocate() {
     s_resp_last.push_back(false);
     m_gen.push_back(0);
     s_gen.push_back(0);
+    m_wake.emplace_back();
+    s_wake.emplace_back();
     return ChannelRef{*this, static_cast<u32>(size() - 1)};
 }
 

@@ -1,31 +1,44 @@
 #include "sim/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <stdexcept>
 
 namespace tgsim::sim {
 
+Kernel::Kernel() : run_(std::make_shared<RunBits>()) {}
+
+Kernel::~Kernel() { run_->live = false; }
+
 void Kernel::add(Clocked& component, int stage, std::string name) {
-    // Late registration while components are parked would invalidate slot
-    // indices held by the wake heap; settle everything first.
+    // Late registration re-sorts the tick order, which invalidates the tick
+    // positions held by the wake heap; settle everything first.
     if (parked_count_ > 0) unpark_all();
-    slots_.push_back(Slot{});
-    slots_.back().component = &component;
-    slots_.back().stage = stage;
-    slots_.back().order = slots_.size() - 1;
-    slots_.back().name = std::move(name);
+    const auto id = static_cast<u32>(slots_.size());
+    slots_.push_back(Slot{&component, stage, id, false, std::move(name)});
     sorted_ = false;
 }
 
 void Kernel::sort_slots() {
     std::stable_sort(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
         if (a.stage != b.stage) return a.stage < b.stage;
-        return a.order < b.order;
+        return a.id < b.id;
     });
-    tick_order_.clear();
-    tick_order_.reserve(slots_.size());
-    for (const Slot& s : slots_) tick_order_.push_back(s.component);
+    // Nothing is parked here (add() un-parks), so every run bit is set.
+    // Subscriptions name registration ids, so rewriting the position table
+    // keeps them valid.
+    // The bitset and position table only grow here: positions of ids
+    // subscribed before a late add() stay in range until the re-sort.
+    hot_.assign(slots_.size(), Hot{});
+    ran_.reserve(slots_.size());
+    run_->pos.resize(slots_.size());
+    run_->words.assign((slots_.size() + 63) / 64, u64{0});
+    for (u32 p = 0; p < slots_.size(); ++p) {
+        hot_[p].component = slots_[p].component;
+        run_->pos[slots_[p].id] = p;
+        set_bit(p);
+    }
     sorted_ = true;
 }
 
@@ -37,24 +50,24 @@ void Kernel::set_gating(bool on) {
 void Kernel::tick() {
     if (!sorted_) sort_slots();
     if (parked_count_ > 0) unpark_all();
-    for (Clocked* c : tick_order_) c->eval();
-    for (Clocked* c : tick_order_) c->update();
+    for (const Hot& h : hot_) h.component->eval();
+    for (const Hot& h : hot_) h.component->update();
     ++now_;
 }
 
 // --- legacy (ungated) schedule ---------------------------------------------
 
 Cycle Kernel::step(Cycle cap) {
-    for (Clocked* c : tick_order_) c->eval();
-    for (Clocked* c : tick_order_) c->update();
+    for (const Hot& h : hot_) h.component->eval();
+    for (const Hot& h : hot_) h.component->update();
     ++now_;
     if (cap == 0) return 1;
     // Global quiescence probe: bail out at the first non-quiet component. If
     // every component is quiet indefinitely there is no upcoming event at
     // all, so skipping would only inflate now_ past the end of time — don't.
     Cycle q = kQuietForever;
-    for (Clocked* c : tick_order_) {
-        const Cycle cq = c->quiet_for();
+    for (const Hot& h : hot_) {
+        const Cycle cq = h.component->quiet_for();
         if (cq < q) {
             q = cq;
             if (q == 0) return 1;
@@ -62,87 +75,101 @@ Cycle Kernel::step(Cycle cap) {
     }
     if (q == kQuietForever) return 1;
     q = std::min(q, cap);
-    for (Clocked* c : tick_order_) c->advance(q);
+    for (const Hot& h : hot_) h.component->advance(q);
     now_ += q;
     return 1 + q;
 }
 
 // --- gated schedule ---------------------------------------------------------
 
-u64 Kernel::gen_sum(const Slot& s) const noexcept {
-    u64 sum = 0;
-    for (const WatchRange& r : s.watch)
-        for (u32 i = 0; i < r.count; ++i) sum += r.first[i];
-    return sum;
+void Kernel::wake(u32 p) {
+    Hot& h = hot_[p];
+    const Cycle skipped = now_ - h.parked_since;
+    if (skipped > 0) h.component->advance(skipped);
+    h.parked = false;
+    h.wake_at = kNoWake;
+    --parked_count_;
+    set_bit(p);
 }
 
-void Kernel::wake_slot(Slot& s) {
-    const Cycle skipped = now_ - s.parked_since;
-    if (skipped > 0) s.component->advance(skipped);
-    s.parked = false;
-    s.wake_at = kNoWake;
-    --parked_count_;
+void Kernel::park(u32 p, Cycle q) {
+    Slot& s = slots_[p];
+    if (!s.subscribed) {
+        std::vector<WatchRange> watch;
+        s.component->watch_inputs(watch);
+        for (const WatchRange& r : watch) {
+            if (r.count > 0 && r.wake == nullptr)
+                throw std::logic_error{"Kernel: watch range without wake lists ('" +
+                                       s.name + "')"};
+            for (u32 i = 0; i < r.count; ++i) r.wake[i].subscribe(run_, s.id);
+        }
+        s.subscribed = true;
+    }
+    Hot& h = hot_[p];
+    h.parked = true;
+    h.parked_since = now_;
+    ++parked_count_;
+    // Bumps from this cycle are already part of the state the component
+    // judged itself quiet in; only later ones may wake it.
+    run_->words[p >> 6] &= ~(u64{1} << (p & 63));
+    if (q >= kQuietForever - now_) {
+        h.wake_at = kNoWake; // inert until inputs move
+    } else {
+        h.wake_at = now_ + q;
+        wake_heap_.emplace_back(h.wake_at, p);
+        std::push_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+    }
+}
+
+bool Kernel::any_bit() const noexcept {
+    for (const u64 w : run_->words)
+        if (w != 0) return true;
+    return false;
 }
 
 void Kernel::gated_tick() {
     // Due timer wakes.
     while (!wake_heap_.empty() && wake_heap_.front().first <= now_) {
-        std::pop_heap(wake_heap_.begin(), wake_heap_.end(),
-                      std::greater<>{});
-        const auto [when, idx] = wake_heap_.back();
+        std::pop_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+        const auto [when, p] = wake_heap_.back();
         wake_heap_.pop_back();
-        Slot& s = slots_[idx];
-        if (s.parked && s.wake_at == when) wake_slot(s);
+        if (hot_[p].parked && hot_[p].wake_at == when) wake(p);
     }
 
-    // Eval phase. A parked component is checked for input activity at its
-    // own position in the (stage, order) sequence: changes driven earlier
-    // this cycle are observed this cycle, changes driven later are caught
-    // here next cycle — exactly the fully clocked schedule's visibility.
-    for (Slot& s : slots_) {
-        if (s.parked) {
-            if (s.watch.empty() || gen_sum(s) == s.gen_seen) continue;
-            wake_slot(s);
+    // Eval phase over the set run bits in (stage, order) sequence. The word
+    // under the cursor is re-read after each eval(): a bit that an earlier
+    // component's bump sets ahead of the cursor runs this cycle, one set
+    // behind it runs next cycle — exactly the fully clocked schedule's
+    // visibility. A parked component reached here is settled and re-armed.
+    ran_.clear();
+    const u64* const words = run_->words.data();
+    const std::size_t n_words = run_->words.size();
+    for (std::size_t w = 0; w < n_words; ++w) {
+        u64 bits = words[w];
+        while (bits != 0) {
+            const auto b = static_cast<u32>(std::countr_zero(bits));
+            const auto p = static_cast<u32>(w * 64) + b;
+            if (hot_[p].parked) wake(p);
+            hot_[p].component->eval();
+            ran_.push_back(p);
+            bits = words[w] & ~((u64{2} << b) - 1);
         }
-        s.component->eval();
     }
-    for (Slot& s : slots_) {
-        if (!s.parked) s.component->update();
-    }
+    for (const u32 p : ran_) hot_[p].component->update();
     ++now_;
 
-    // Parking decisions for the still-active set.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot& s = slots_[i];
-        if (s.parked) continue;
-        const Cycle q = s.component->quiet_for();
-        if (q == 0) continue;
-        if (!s.watch_cached) {
-            s.component->watch_inputs(s.watch);
-            s.watch_cached = true;
-        }
-        s.parked = true;
-        s.parked_since = now_;
-        s.gen_seen = gen_sum(s);
-        ++parked_count_;
-        if (q >= kQuietForever - now_) {
-            s.wake_at = kNoWake; // inert until inputs move
-        } else {
-            s.wake_at = now_ + q;
-            wake_heap_.emplace_back(s.wake_at, i);
-            std::push_heap(wake_heap_.begin(), wake_heap_.end(),
-                           std::greater<>{});
-        }
+    // Parking decisions for the evaluated set.
+    for (const u32 p : ran_) {
+        const Cycle q = hot_[p].component->quiet_for();
+        if (q != 0) park(p, q);
     }
 }
 
 Cycle Kernel::next_wake() {
     while (!wake_heap_.empty()) {
-        const auto [when, idx] = wake_heap_.front();
-        const Slot& s = slots_[idx];
-        if (s.parked && s.wake_at == when) return when;
-        std::pop_heap(wake_heap_.begin(), wake_heap_.end(),
-                      std::greater<>{});
+        const auto [when, p] = wake_heap_.front();
+        if (hot_[p].parked && hot_[p].wake_at == when) return when;
+        std::pop_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
         wake_heap_.pop_back();
     }
     return kNoWake;
@@ -150,17 +177,17 @@ Cycle Kernel::next_wake() {
 
 void Kernel::settle_parked() {
     if (parked_count_ == 0) return;
-    for (Slot& s : slots_) {
-        if (!s.parked || s.parked_since >= now_) continue;
-        s.component->advance(now_ - s.parked_since);
-        s.parked_since = now_;
+    for (Hot& h : hot_) {
+        if (!h.parked || h.parked_since >= now_) continue;
+        h.component->advance(now_ - h.parked_since);
+        h.parked_since = now_;
     }
 }
 
 void Kernel::unpark_all() {
     if (parked_count_ == 0) return;
-    for (Slot& s : slots_)
-        if (s.parked) wake_slot(s);
+    for (u32 p = 0; p < hot_.size(); ++p)
+        if (hot_[p].parked) wake(p);
     wake_heap_.clear();
 }
 
@@ -178,7 +205,7 @@ void Kernel::run(Cycle cycles) {
         return;
     }
     while (consumed < cycles) {
-        if (parked_count_ == slots_.size() && !slots_.empty()) {
+        if (all_asleep()) {
             // Everything is clock-gated: jump to the earliest wake (or the
             // end of the budget — a fully inert platform has no events).
             const Cycle nw = next_wake();
@@ -224,7 +251,7 @@ bool Kernel::run_until(const std::function<bool()>& done, Cycle max_cycles,
             if (done()) return true;
             next_check = consumed + check_interval;
         }
-        if (parked_count_ == slots_.size() && !slots_.empty()) {
+        if (all_asleep()) {
             // Jump towards the earliest wake, but never past a done-poll
             // boundary: the predicate may watch now(), and the contract is
             // that it is polled at least every check_interval cycles.
@@ -247,9 +274,9 @@ bool Kernel::run_until(const std::function<bool()>& done, Cycle max_cycles,
 
 void Kernel::notify(Clocked& component) {
     if (parked_count_ == 0) return;
-    for (Slot& s : slots_) {
-        if (s.component == &component) {
-            if (s.parked) wake_slot(s);
+    for (u32 p = 0; p < hot_.size(); ++p) {
+        if (hot_[p].component == &component) {
+            if (hot_[p].parked) wake(p);
             return;
         }
     }

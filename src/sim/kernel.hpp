@@ -29,23 +29,28 @@
 // --- Activity-driven scheduling -------------------------------------------
 //
 // Paying O(all components) every cycle defeats the purpose of a lightweight
-// TG platform, so run()/run_until() gate the clock per component. A component
-// whose quiet_for() returns n > 0 is *parked*: it stops receiving eval() and
-// update() calls and is re-armed either
+// TG platform, so run()/run_until() gate the clock per component. The gated
+// schedule is push-based: a run bitset in (stage, registration) order holds
+// one bit per component, and a cycle evaluates only the set bits. Active
+// components keep their bit set. A component whose quiet_for() returns
+// n > 0 is *parked* — its bit is cleared, so it stops receiving eval() and
+// update() calls — and is re-armed either
 //
 //   * by timer — a min-heap of wake times fires at now + n, or
-//   * by activity — the component names contiguous ranges of the activity
-//     generation counters of the wire groups it observes (watch_inputs(),
-//     see ocp::ChannelStore::m_gen / s_gen, scanned as straight sweeps over
-//     the store arrays); whenever one of those counters moves, the
-//     component is woken at
-//     its own position in the eval order, so it observes the change on
-//     exactly the cycle it would have in the fully clocked schedule.
+//   * by activity — the component names the activity generation counters
+//     of the wire groups it observes (watch_inputs(), slices of
+//     ocp::ChannelStore::m_gen / s_gen with their wake lists); at its first
+//     park the kernel subscribes it to each of them, and every later bump
+//     of one sets its run bit. The eval walk re-reads the bitset after each
+//     eval(), so a bit set ahead of the cursor (by an earlier component this
+//     cycle) runs this cycle and one set behind it runs next cycle: the
+//     component observes the change on exactly the cycle it would have in
+//     the fully clocked schedule.
 //
 // On wake the kernel calls advance(k) with the number of skipped cycles, so
 // per-cycle accounting (idle counters, internal clocks) stays bit-identical
-// to the ungated schedule. When every component is parked the kernel jumps
-// straight to the earliest pending wake time. set_gating(false) restores the
+// to the ungated schedule. When every component is parked with no bit set,
+// the kernel jumps straight to the earliest pending wake time. set_gating(false) restores the
 // legacy behaviour (tick every cycle; optional *global* quiescence skip
 // bounded by set_max_skip). Results are bit-identical in all modes — only
 // wall time changes. See docs/kernel.md for the full protocol and the rules
@@ -54,11 +59,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
+#include "sim/wake.hpp"
 
 namespace tgsim::sim {
 
@@ -90,7 +97,7 @@ public:
     /// behave differently if ticked — PROVIDED the wire groups it watches
     /// (watch_inputs) stay unchanged at its observation point in the eval
     /// order. A component whose inputs are non-idle *right now* must return
-    /// 0: the gating kernel snapshots the activity counters at parking time,
+    /// 0: parking clears the component's run bit, discarding earlier bumps,
     /// so a change that already happened would never trigger a wake.
     /// Components that cannot reason about this return 0 (the default),
     /// which keeps them clocked every cycle... and is always safe.
@@ -102,22 +109,29 @@ public:
     virtual void advance(Cycle cycles) { (void)cycles; }
 
     /// Activity subscription (optional): appends contiguous ranges of the
-    /// activity generation counters (e.g. a slice of ocp::ChannelStore's
-    /// m_gen array) of every wire group this component observes while quiet.
-    /// The gating kernel re-arms a parked component as soon as any watched
-    /// counter moves, scanning each range as one contiguous sweep. Components
+    /// activity generation counters, with their wake lists (e.g.
+    /// ocp::ChannelStore::m_gen_range), of every wire group this component
+    /// observes while quiet. The gating kernel subscribes the component to
+    /// every counter in the ranges, so any later bump re-arms it. A range
+    /// without wake lists is a std::logic_error at first park. Components
     /// that are input-insensitive while quiet (masters sleeping on a timer)
-    /// leave the list empty and wake by timer only. Called once, lazily, the
-    /// first time the component parks — the watch set (and the store memory
-    /// the ranges point into) must be stable from then on.
+    /// leave the list empty and wake by timer only. Called once, the first
+    /// time the component parks in a kernel — the watch set is fixed from
+    /// then on, and the store must be wired before that (its wake lists
+    /// keep the subscription).
     virtual void watch_inputs(std::vector<WatchRange>& out) const { (void)out; }
 };
 
 /// Deterministic cycle-driven scheduler. Non-owning: components are owned by
 /// the platform (or the test) and must outlive the kernel they registered in.
+/// The channel stores a kernel's components watch may die before or after
+/// the kernel: their wake lists and the kernel share the run bits.
 class Kernel {
 public:
-    Kernel() = default;
+    Kernel();
+    Kernel(const Kernel&) = delete;
+    Kernel& operator=(const Kernel&) = delete;
+    ~Kernel();
 
     /// Registers a component at the given stage. Components registered at the
     /// same stage evaluate in registration order.
@@ -157,8 +171,9 @@ public:
                    Cycle check_interval = 1);
 
     /// Wake hook: re-arms `component` immediately if it is parked (its
-    /// skipped cycles are settled via advance()). For external agents that
-    /// change component-visible state outside the wire/timer protocol.
+    /// skipped cycles are settled via advance(); it evals from the next
+    /// cycle on). For external agents that change component-visible state
+    /// outside the wire/timer protocol.
     /// Callable between ticks; unknown components are ignored.
     void notify(Clocked& component);
 
@@ -173,20 +188,20 @@ public:
 private:
     static constexpr Cycle kNoWake = ~Cycle{0};
 
+    /// Cold per-component metadata, in tick order once sorted.
     struct Slot {
         Clocked* component = nullptr;
         int stage = 0;
-        std::size_t order = 0;
+        u32 id = 0; ///< registration index
+        bool subscribed = false; ///< watch_inputs() wake lists joined
         std::string name;
-        // --- gating state ---
-        bool parked = false;
-        bool watch_cached = false;
+    };
+    /// Hot per-component state, parallel to slots_ (tick order).
+    struct Hot {
+        Clocked* component = nullptr;
         Cycle parked_since = 0;  ///< first gated cycle
         Cycle wake_at = kNoWake; ///< scheduled timer wake (kNoWake: none)
-        u64 gen_seen = 0;        ///< watched-counter sum at parking time
-        /// Cached activity counter ranges this component watches
-        /// (watch_inputs); each range is scanned as one contiguous sweep.
-        std::vector<WatchRange> watch;
+        bool parked = false;
     };
 
     void sort_slots();
@@ -194,29 +209,41 @@ private:
     /// by `cap`; returns the number of cycles consumed (>= 1).
     Cycle step(Cycle cap);
 
-    /// One gated cycle: fires due timer wakes, re-arms parked components
-    /// whose watched counters moved (at their position in the eval order),
-    /// evals+updates the active set, then parks newly quiet components.
+    /// One gated cycle: fires due timer wakes, evals the set run bits in
+    /// tick order (waking parked components whose bit a watched counter
+    /// set), updates the evaluated set, then parks its quiet members.
     void gated_tick();
-    [[nodiscard]] u64 gen_sum(const Slot& s) const noexcept;
-    void wake_slot(Slot& s);
+    /// Parks the component at tick position p until `now_ + q` (or until a
+    /// watched counter moves), subscribing it at its first park.
+    void park(u32 p, Cycle q);
+    void wake(u32 p);
+    void set_bit(u32 p) noexcept { run_->words[p >> 6] |= u64{1} << (p & 63); }
+    [[nodiscard]] bool any_bit() const noexcept;
     /// Settles every parked component to now_ via advance() (they stay
     /// parked); makes externally observed state identical to the fully
     /// clocked schedule.
     void settle_parked();
     /// Settles and un-parks everything; used at gating-mode boundaries.
     void unpark_all();
+    /// True when everything is parked with no wake pending this cycle: the
+    /// run loops may jump to the next timer wake.
+    [[nodiscard]] bool all_asleep() const noexcept {
+        return parked_count_ == hot_.size() && !hot_.empty() && !any_bit();
+    }
     /// Earliest valid pending timer wake, or kNoWake. Lazily drops stale
     /// heap entries.
     [[nodiscard]] Cycle next_wake();
 
     std::vector<Slot> slots_;
-    /// Compact dispatch array rebuilt by sort_slots(); iterated every tick
-    /// so it stays free of cold metadata (names etc.).
-    std::vector<Clocked*> tick_order_;
-    /// Min-heap of (wake time, slot index); entries are invalidated lazily
-    /// (a slot's authoritative wake time is Slot::wake_at).
-    std::vector<std::pair<Cycle, std::size_t>> wake_heap_;
+    std::vector<Hot> hot_;
+    /// Run bitset over tick positions plus the id -> position table, shared
+    /// with the wake lists this kernel subscribed to.
+    std::shared_ptr<RunBits> run_;
+    /// Tick positions evaluated this gated cycle, ascending.
+    std::vector<u32> ran_;
+    /// Min-heap of (wake time, tick position); entries are invalidated
+    /// lazily (a component's authoritative wake time is Hot::wake_at).
+    std::vector<std::pair<Cycle, u32>> wake_heap_;
     std::size_t parked_count_ = 0;
     bool gating_ = true;
     bool sorted_ = true;

@@ -20,16 +20,4 @@ using Cycle = u64;
 /// in the paper's "@55ns" style; all internal arithmetic is in cycles).
 inline constexpr u64 kCyclePeriodNs = 5;
 
-namespace sim {
-
-/// One contiguous run of activity generation counters (typically a slice of
-/// an ocp::ChannelStore gen array). The gating kernel's watch subscriptions
-/// (Clocked::watch_inputs) are lists of these, scanned as straight sweeps.
-struct WatchRange {
-    const u32* first = nullptr;
-    u32 count = 0;
-};
-
-} // namespace sim
-
 } // namespace tgsim

@@ -426,8 +426,16 @@ TgProgram disassemble(const std::vector<u32>& image) {
         in.a = w0.a;
         in.b = w0.b;
         in.cmp = w0.cmp;
+        if (w0.op < TgOp::Read || w0.op > TgOp::Halt)
+            throw std::invalid_argument{"disassemble: unknown opcode " +
+                                        std::to_string(static_cast<u32>(w0.op)) +
+                                        " at word " + std::to_string(pos)};
+        if ((w0.op == TgOp::If || w0.op == TgOp::IfImm) && w0.cmp > TgCmp::Ges)
+            throw std::invalid_argument{"disassemble: unknown comparison " +
+                                        std::to_string(static_cast<u32>(w0.cmp)) +
+                                        " at word " + std::to_string(pos)};
         const u32 words = encoded_words(w0);
-        if (pos + words > image.size())
+        if (words > image.size() - pos)
             throw std::invalid_argument{"disassemble: truncated image"};
         switch (w0.op) {
             case TgOp::Read:

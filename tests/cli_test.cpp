@@ -4,6 +4,7 @@
 // silent defaults — and the shared getters built on it.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -362,6 +363,35 @@ TEST(CliCapacityDeath, TooSmallFabricIsAParseTimeError) {
     mesh.width = 0; // auto-sized: always fits
     mesh.height = 0;
     cli::check_fabric_capacity(mesh, 16, "--mesh");
+}
+
+/// Writes `bytes` to a fresh file under the test temp directory.
+std::string write_bytes(const std::string& name, const std::string& bytes) {
+    const std::string path = testing::TempDir() + name;
+    std::ofstream{path, std::ios::binary} << bytes;
+    return path;
+}
+
+TEST(CliImageDeath, PartialTrailingWordIsAnError) {
+    // Three bytes used to load as an empty image and "disassemble" to an
+    // empty program with exit 0.
+    const std::string path = write_bytes("cli_test_partial.bin", "abc");
+    EXPECT_EXIT((void)cli::disassemble_image("tgsim-tgdis", path),
+                testing::ExitedWithCode(1),
+                "tgsim-tgdis: .*cli_test_partial.bin: image size 3 bytes is not a "
+                "multiple of 4");
+}
+
+TEST(CliImageDeath, MalformedImageNamesToolAndFile) {
+    // One SetRegister word without its immediate: disassemble() throws,
+    // which must become a usage error, not an abort.
+    const u32 w0 = tg::encode_w0(tg::TgOp::SetRegister, 1);
+    std::string bytes;
+    for (int k = 0; k < 4; ++k) bytes += static_cast<char>((w0 >> (8 * k)) & 0xFF);
+    const std::string path = write_bytes("cli_test_truncated.bin", bytes);
+    EXPECT_EXIT((void)cli::disassemble_image("tgsim-tgdis", path),
+                testing::ExitedWithCode(1),
+                "tgsim-tgdis: .*cli_test_truncated.bin: disassemble: truncated image");
 }
 
 } // namespace

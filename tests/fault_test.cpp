@@ -64,7 +64,9 @@ TEST(FaultModel, DrawIsPureAndInBounds) {
             ASSERT_EQ(d.mask, again.mask);
             ASSERT_EQ(d.stall, again.stall);
             ++seen[static_cast<u32>(d.kind)];
-            if (d.kind == FaultKind::Corrupt) ASSERT_NE(d.mask, 0u);
+            if (d.kind == FaultKind::Corrupt) {
+                ASSERT_NE(d.mask, 0u);
+            }
             if (d.kind == FaultKind::Stall) {
                 ASSERT_GE(d.stall, 1u);
                 ASSERT_LE(d.stall, cfg.stall_max);

@@ -6,6 +6,8 @@
 // traces (byte-for-byte) and component statistics. Only wall time may differ.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -354,6 +356,154 @@ TEST(GatingKernel, CheckIntervalDoesNotChangeCompletion) {
     }
     EXPECT_EQ(cycles[0], cycles[1]);
     EXPECT_EQ(cycles[0], cycles[2]);
+}
+
+// --- push wake: visibility and lifetime ---------------------------------------
+
+/// Parks whenever it can and logs the cycle of each eval(); woken only by a
+/// bump of its channel's m_gen.
+class Watcher final : public sim::Clocked {
+public:
+    Watcher(const sim::Kernel& k, ocp::ChannelRef ch) : k_(&k), ch_(ch) {}
+    void eval() override { evals.push_back(k_->now()); }
+    void update() override {}
+    [[nodiscard]] Cycle quiet_for() const override { return sim::kQuietForever; }
+    void watch_inputs(std::vector<sim::WatchRange>& out) const override {
+        out.push_back(ch_.m_gen_watch());
+    }
+    void rebind(const sim::Kernel& k) { k_ = &k; }
+
+    std::vector<Cycle> evals;
+
+private:
+    const sim::Kernel* k_;
+    ocp::ChannelRef ch_;
+};
+
+/// Never parks; bumps its channel's m_gen during the eval of cycle `at`.
+class Toucher final : public sim::Clocked {
+public:
+    Toucher(const sim::Kernel& k, ocp::ChannelRef ch, Cycle at)
+        : k_(k), ch_(ch), at_(at) {}
+    void eval() override {
+        if (k_.now() == at_) ch_.touch_m();
+    }
+    void update() override {}
+
+private:
+    const sim::Kernel& k_;
+    ocp::ChannelRef ch_;
+    Cycle at_;
+};
+
+TEST(PushWake, EarlierStageWriteWakesSameCycleLaterStageNextCycle) {
+    for (const int stage : {sim::kStageMaster, sim::kStageObserver}) {
+        sim::Kernel k;
+        ocp::Channel ch;
+        Watcher w{k, ch};
+        Toucher t{k, ch, 5};
+        k.add(w, sim::kStageSlave);
+        k.add(t, stage);
+        k.run(10);
+        // The watcher parks after its first cycle. A bump ahead of it in the
+        // eval order is seen in the cycle it happens; one behind it, in the
+        // next — as in the fully clocked schedule.
+        const Cycle seen = stage == sim::kStageMaster ? 5 : 6;
+        EXPECT_EQ(w.evals, (std::vector<Cycle>{0, seen})) << "stage " << stage;
+        EXPECT_EQ(k.now(), 10u);
+    }
+}
+
+TEST(PushWake, BumpBetweenRunsWakesOnTheNextCycle) {
+    sim::Kernel k;
+    ocp::Channel ch;
+    Watcher w{k, ch};
+    k.add(w, sim::kStageSlave);
+    k.run(4);
+    ch.touch_m();
+    k.run(4);
+    EXPECT_EQ(w.evals, (std::vector<Cycle>{0, 4}));
+}
+
+TEST(PushWake, StoreDiesBeforeKernel) {
+    // Destruction order of the GatingKernel tests: the store first.
+    sim::Kernel k;
+    auto store = std::make_unique<ocp::ChannelStore>();
+    const ocp::ChannelRef ch = store->allocate();
+    Watcher w{k, ch};
+    k.add(w, sim::kStageSlave);
+    k.run(3);
+    ASSERT_EQ(k.parked_count(), 1u);
+    EXPECT_EQ(store->m_wake[0].size(), 1u);
+    store.reset();
+}
+
+TEST(PushWake, KernelDiesBeforeStore) {
+    ocp::Channel ch;
+    {
+        sim::Kernel k;
+        Watcher w{k, ch};
+        k.add(w, sim::kStageSlave);
+        k.run(3);
+        ASSERT_EQ(k.parked_count(), 1u);
+    }
+    ch.touch_m(); // sets a bit of the dead kernel's run bits: harmless
+    EXPECT_EQ(ch.store()->m_wake[ch.index()].size(), 1u);
+}
+
+TEST(PushWake, AddAfterParkingResortsWithoutResubscribing) {
+    sim::Kernel k;
+    ocp::Channel ch;
+    Watcher w{k, ch};
+    k.add(w, sim::kStageSlave);
+    k.run(3);
+    ASSERT_EQ(k.parked_count(), 1u);
+    // A late master moves the watcher one tick position back; its
+    // subscription (by registration id) must follow it.
+    Toucher t{k, ch, 6};
+    k.add(t, sim::kStageMaster);
+    k.run(7);
+    EXPECT_EQ(w.evals, (std::vector<Cycle>{0, 3, 6}));
+    EXPECT_EQ(ch.store()->m_wake[ch.index()].size(), 1u);
+}
+
+TEST(PushWake, ComponentReusedInASecondKernel) {
+    ocp::Channel ch;
+    auto first = std::make_unique<sim::Kernel>();
+    Watcher w{*first, ch};
+    first->add(w, sim::kStageSlave);
+    first->run(3);
+    first.reset();
+    sim::Kernel second;
+    w.rebind(second);
+    w.evals.clear();
+    Toucher t{second, ch, 4};
+    second.add(t, sim::kStageMaster);
+    second.add(w, sim::kStageSlave);
+    second.run(8);
+    EXPECT_EQ(w.evals, (std::vector<Cycle>{0, 4}));
+    // The dead kernel's subscription was dropped when the second one joined.
+    EXPECT_EQ(ch.store()->m_wake[ch.index()].size(), 1u);
+}
+
+TEST(PushWake, WatchRangeWithoutWakeListsIsALogicError) {
+    /// Names a bare counter slice: nothing could ever wake it.
+    class Bare final : public sim::Clocked {
+    public:
+        void eval() override {}
+        void update() override {}
+        [[nodiscard]] Cycle quiet_for() const override { return sim::kQuietForever; }
+        void watch_inputs(std::vector<sim::WatchRange>& out) const override {
+            out.push_back(sim::WatchRange{&gen_, 1});
+        }
+
+    private:
+        u32 gen_ = 0;
+    };
+    sim::Kernel k;
+    Bare b;
+    k.add(b, sim::kStageSlave, "bare");
+    EXPECT_THROW(k.run(2), std::logic_error);
 }
 
 } // namespace

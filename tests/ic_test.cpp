@@ -128,6 +128,47 @@ struct IcRig {
 
 // --- AHB bus ---
 
+TEST(AhbBus, DrivesOnlyTheOwnerAndTargetChannels) {
+    // The bus default-drives the response group of every master channel and
+    // the request group of every slave channel, but only the owner's and
+    // the target's can ever be non-idle: while master 0 bursts from slave 0,
+    // the bus must not move s_gen of the other masters (one of them waiting
+    // for the bus) nor m_gen of the other slave.
+    IcRig<ic::AhbBus> rig{ic::Arbitration::FixedPriority};
+    auto& owner = rig.add_master();
+    auto& waiter = rig.add_master();
+    rig.add_master(); // idle
+    rig.add_mem(0x1000, 0x1000);
+    rig.add_mem(0x2000, 0x1000);
+    rig.finish_wiring();
+    const ocp::ChannelRef owner_ch = *rig.chans[0];
+    const ocp::ChannelRef target_ch = *rig.chans[3];
+    const std::vector<ocp::ChannelRef> bystanders{*rig.chans[1], *rig.chans[2]};
+    const ocp::ChannelRef other_slave = *rig.chans[4];
+    owner.push({ocp::Cmd::BurstRead, 0x1000, 4, {}, 0});
+    waiter.push({ocp::Cmd::Read, 0x2000, 1, {}, 0});
+
+    const u32 owner_s = owner_ch.s_gen();
+    const u32 target_m = target_ch.m_gen();
+    std::vector<u32> bystander_s;
+    for (const ocp::ChannelRef& c : bystanders) bystander_s.push_back(c.s_gen());
+    const u32 other_m = other_slave.m_gen();
+    Cycle busy = 0;
+    while (!owner.idle() && busy < 1000) {
+        rig.kernel.run(1);
+        ++busy;
+        for (std::size_t i = 0; i < bystanders.size(); ++i)
+            ASSERT_EQ(bystanders[i].s_gen(), bystander_s[i]) << "cycle " << busy;
+        ASSERT_EQ(other_slave.m_gen(), other_m) << "cycle " << busy;
+    }
+    ASSERT_TRUE(owner.idle());
+    EXPECT_GT(rig.ic.stats().wait_cycles[1], 0u); // the waiter did contend
+    EXPECT_NE(owner_ch.s_gen(), owner_s);
+    EXPECT_NE(target_ch.m_gen(), target_m);
+    ASSERT_TRUE(rig.run_to_idle());
+    EXPECT_EQ(waiter.results().size(), 1u);
+}
+
 TEST(AhbBus, SingleMasterWriteReadRoundTrip) {
     IcRig<ic::AhbBus> rig;
     auto& m = rig.add_master();

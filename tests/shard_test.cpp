@@ -46,7 +46,7 @@ Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
 /// 2 meshes x 5 rates = 10 candidates (mesh must host 16 cores + slaves).
 std::vector<Candidate> small_shard_grid() {
     std::vector<Candidate> out;
-    for (const ic::XpipesConfig mesh :
+    for (const ic::XpipesConfig& mesh :
          {ic::XpipesConfig{5, 4, 2}, ic::XpipesConfig{6, 3, 2}})
         for (const double rate : {0.01, 0.02, 0.04, 0.08, 0.16})
             out.push_back(mesh_candidate(mesh, rate));

@@ -5,6 +5,7 @@
 #include "mem/memory.hpp"
 #include "mem/semaphore.hpp"
 #include "ocp/monitor.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
 #include "tg/program.hpp"
 #include "tg/stochastic.hpp"
@@ -152,6 +153,89 @@ TEST(TgProgram, DisassembleRejectsTruncatedImage) {
     auto image = assemble(p);
     image.pop_back();
     EXPECT_THROW((void)disassemble(image), std::invalid_argument);
+}
+
+// --- disassembler robustness: deterministic mutation loop ---
+
+/// Images of assembled programs: the hand-written sample plus the TG
+/// programs translated from small traced runs of each multicore app.
+std::vector<std::vector<u32>> disassembler_corpus() {
+    std::vector<std::vector<u32>> corpus{assemble(sample_program())};
+    platform::PlatformConfig cfg;
+    cfg.n_cores = 2;
+    for (const apps::Workload& w :
+         {apps::make_mp_matrix({2, 4}), apps::make_des({2, 1}),
+          apps::make_cacheloop({2, 16})}) {
+        for (const TgProgram& p : run_flow(w, cfg).programs)
+            corpus.push_back(assemble(p));
+    }
+    return corpus;
+}
+
+TEST(TgDisassembleFuzz, AnyImageYieldsAProgramOrInvalidArgument) {
+    // What tgsim-tgdis does with a file: every mutant must disassemble to a
+    // program whose text survives re-assembly, or be rejected with
+    // std::invalid_argument — never crash, hang or throw anything else.
+    const std::vector<std::vector<u32>> corpus = disassembler_corpus();
+    sim::Rng rng{0x7D15ull};
+    const auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng.next() % n);
+    };
+    const auto word = [&] { return static_cast<u32>(rng.next()); };
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int iter = 0; iter < 6000; ++iter) {
+        std::vector<u32> img = corpus[below(corpus.size())];
+        const std::size_t edits = 1 + below(4);
+        for (std::size_t e = 0; e < edits; ++e) {
+            const std::size_t at = below(img.size() + 1); // may be end()
+            const bool in_range = at < img.size();
+            switch (below(7)) {
+                case 0: // bit flip
+                    if (in_range) img[at] ^= 1u << below(32);
+                    break;
+                case 1: // random word
+                    if (in_range) img[at] = word();
+                    break;
+                case 2: // valid opcode over arbitrary operands
+                    if (in_range)
+                        img[at] = (img[at] & 0x00FFFFFFu) |
+                                  (static_cast<u32>(1 + below(11)) << 24);
+                    break;
+                case 3: // plausible branch target
+                    if (in_range) img[at] = static_cast<u32>(below(img.size() + 2));
+                    break;
+                case 4: // truncate
+                    img.resize(at);
+                    break;
+                case 5: // insert or delete a word
+                    if (in_range && below(2) == 0)
+                        img.erase(img.begin() + static_cast<std::ptrdiff_t>(at));
+                    else
+                        img.insert(img.begin() + static_cast<std::ptrdiff_t>(at), word());
+                    break;
+                case 6: { // splice the tail of another image
+                    const std::vector<u32>& other = corpus[below(corpus.size())];
+                    const std::size_t cut = below(other.size() + 1);
+                    img.insert(img.end(), other.begin() + static_cast<std::ptrdiff_t>(cut),
+                               other.end());
+                    break;
+                }
+            }
+        }
+        TgProgram prog;
+        try {
+            prog = disassemble(img);
+        } catch (const std::invalid_argument&) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        const std::string text = to_text(prog);
+        ASSERT_EQ(to_text(disassemble(assemble(prog))), text) << "iteration " << iter;
+    }
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 // --- TG core execution ---

@@ -18,11 +18,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -563,21 +566,40 @@ inline void save_image(const std::vector<u32>& image, const std::string& path) {
     }
 }
 
+/// A file whose size is not a whole number of words throws
+/// std::invalid_argument rather than loading with its tail dropped.
 inline std::vector<u32> load_image(const std::string& path) {
     std::ifstream in{path, std::ios::binary};
     if (!in) {
         std::fprintf(stderr, "cannot open %s\n", path.c_str());
         std::exit(1);
     }
+    const std::string raw{std::istreambuf_iterator<char>{in},
+                          std::istreambuf_iterator<char>{}};
+    if (raw.size() % 4 != 0)
+        throw std::invalid_argument{"image size " + std::to_string(raw.size()) +
+                                    " bytes is not a multiple of 4 (TG images "
+                                    "are 32-bit words)"};
     std::vector<u32> image;
-    char bytes[4];
-    while (in.read(bytes, 4)) {
-        image.push_back(static_cast<u32>(static_cast<u8>(bytes[0])) |
-                        (static_cast<u32>(static_cast<u8>(bytes[1])) << 8) |
-                        (static_cast<u32>(static_cast<u8>(bytes[2])) << 16) |
-                        (static_cast<u32>(static_cast<u8>(bytes[3])) << 24));
+    image.reserve(raw.size() / 4);
+    for (std::size_t i = 0; i < raw.size(); i += 4) {
+        image.push_back(static_cast<u32>(static_cast<u8>(raw[i])) |
+                        (static_cast<u32>(static_cast<u8>(raw[i + 1])) << 8) |
+                        (static_cast<u32>(static_cast<u8>(raw[i + 2])) << 16) |
+                        (static_cast<u32>(static_cast<u8>(raw[i + 3])) << 24));
     }
     return image;
+}
+
+/// Loads and disassembles the TG image in `path`; a malformed image prints
+/// "TOOL: FILE: message" and exits 1.
+inline tg::TgProgram disassemble_image(const char* tool, const std::string& path) {
+    try {
+        return tg::disassemble(load_image(path));
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s: %s\n", tool, path.c_str(), e.what());
+        std::exit(1);
+    }
 }
 
 inline std::string read_text_file(const std::string& path) {

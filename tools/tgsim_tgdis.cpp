@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
         options().print_help(stderr);
         return 1;
     }
-    const auto image = cli::load_image(args.positional()[0]);
-    const tg::TgProgram prog = tg::disassemble(image);
+    const tg::TgProgram prog =
+        cli::disassemble_image("tgsim-tgdis", args.positional()[0]);
     const std::string text = tg::to_text(prog);
     if (args.has("out")) {
         cli::write_text_file(args.get("out"), text);
