@@ -31,7 +31,7 @@ void Kernel::sort_slots() {
     // The bitset and position table only grow here: positions of ids
     // subscribed before a late add() stay in range until the re-sort.
     hot_.assign(slots_.size(), Hot{});
-    ran_.reserve(slots_.size());
+    ran_.resize(slots_.size());
     run_->pos.resize(slots_.size());
     run_->words.assign((slots_.size() + 63) / 64, u64{0});
     for (u32 p = 0; p < slots_.size(); ++p) {
@@ -141,7 +141,9 @@ void Kernel::gated_tick() {
     // component's bump sets ahead of the cursor runs this cycle, one set
     // behind it runs next cycle — exactly the fully clocked schedule's
     // visibility. A parked component reached here is settled and re-armed.
-    ran_.clear();
+    u32* const ran = ran_.data();
+    u32 n_ran = 0;
+    Hot* const hot = hot_.data();
     const u64* const words = run_->words.data();
     const std::size_t n_words = run_->words.size();
     for (std::size_t w = 0; w < n_words; ++w) {
@@ -149,19 +151,19 @@ void Kernel::gated_tick() {
         while (bits != 0) {
             const auto b = static_cast<u32>(std::countr_zero(bits));
             const auto p = static_cast<u32>(w * 64) + b;
-            if (hot_[p].parked) wake(p);
-            hot_[p].component->eval();
-            ran_.push_back(p);
+            if (hot[p].parked) wake(p);
+            hot[p].component->eval();
+            ran[n_ran++] = p;
             bits = words[w] & ~((u64{2} << b) - 1);
         }
     }
-    for (const u32 p : ran_) hot_[p].component->update();
+    for (u32 i = 0; i < n_ran; ++i) hot[ran[i]].component->update();
     ++now_;
 
     // Parking decisions for the evaluated set.
-    for (const u32 p : ran_) {
-        const Cycle q = hot_[p].component->quiet_for();
-        if (q != 0) park(p, q);
+    for (u32 i = 0; i < n_ran; ++i) {
+        const Cycle q = hot[ran[i]].component->quiet_for();
+        if (q != 0) park(ran[i], q);
     }
 }
 

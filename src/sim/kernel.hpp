@@ -239,7 +239,8 @@ private:
     /// Run bitset over tick positions plus the id -> position table, shared
     /// with the wake lists this kernel subscribed to.
     std::shared_ptr<RunBits> run_;
-    /// Tick positions evaluated this gated cycle, ascending.
+    /// Scratch for the tick positions evaluated in a gated cycle, ascending
+    /// (each position at most once, so one entry per component suffices).
     std::vector<u32> ran_;
     /// Min-heap of (wake time, tick position); entries are invalidated
     /// lazily (a component's authoritative wake time is Hot::wake_at).
