@@ -112,25 +112,20 @@ struct AosChannel {
 
 /// Pre-SoA wiring, reproduced faithfully: the platform owned a dense
 /// std::vector<Channel>, but the bus scanned it through a per-master pointer
-/// vector and the gating kernel watched a list of scattered const u32*
-/// counters. Masters occupy the first n slots of the backing array, exactly
+/// vector. Masters occupy the first n slots of the backing array, exactly
 /// like Platform::build_fabric() allocated them.
 struct AosRig {
     std::vector<AosChannel> backing;
     std::vector<const AosChannel*> masters; ///< old AhbBus::masters_
-    std::vector<const u32*> watch;          ///< old Kernel Slot::watch
 
     explicit AosRig(u32 n) : backing(2u * n + 2u) {
-        for (u32 i = 0; i < n; ++i) {
-            masters.push_back(&backing[i]);
-            watch.push_back(&backing[i].m_gen);
-        }
+        for (u32 i = 0; i < n; ++i) masters.push_back(&backing[i]);
     }
 };
 
 /// One bus-style idle pass over n masters: the arbitration probe (is any
-/// command asserted?) fused with the gating kernel's activity sweep (sum of
-/// the master-side gen counters).
+/// command asserted?) fused with a sum of the master-side gen counters (the
+/// activity sweep of the polling kernel that the push wake replaced).
 u64 scan_aos(const AosRig& rig) {
     u64 acc = 0;
     for (const AosChannel* c : rig.masters)
@@ -144,21 +139,6 @@ u64 scan_soa(const ocp::ChannelStore& store, u32 n) {
     const u32* gen = store.m_gen.data();
     for (u32 i = 0; i < n; ++i)
         acc += static_cast<u64>(cmd[i] != ocp::Cmd::Idle) + gen[i];
-    return acc;
-}
-
-/// The kernel's parked-component activity check in both worlds: scattered
-/// pointer list (old) vs one contiguous WatchRange sweep (new).
-u64 watch_aos(const AosRig& rig) {
-    u64 acc = 0;
-    for (const u32* g : rig.watch) acc += *g;
-    return acc;
-}
-
-u64 watch_soa(const ocp::ChannelStore& store, u32 n) {
-    u64 acc = 0;
-    const u32* gen = store.m_gen.data();
-    for (u32 i = 0; i < n; ++i) acc += gen[i];
     return acc;
 }
 
@@ -220,16 +200,11 @@ void write_channel_scan_report() {
         };
         const double aos_ns = time_ns([&] { return scan_aos(rig); });
         const double soa_ns = time_ns([&] { return scan_soa(store, n); });
-        const double aos_watch_ns = time_ns([&] { return watch_aos(rig); });
-        const double soa_watch_ns = time_ns([&] { return watch_soa(store, n); });
         report.add_row("masters_" + std::to_string(n),
                        {{"masters", static_cast<double>(n)},
                         {"aos_ns_per_scan", aos_ns},
                         {"soa_ns_per_scan", soa_ns},
-                        {"soa_speedup", aos_ns / soa_ns},
-                        {"aos_ns_per_watch_sweep", aos_watch_ns},
-                        {"soa_ns_per_watch_sweep", soa_watch_ns},
-                        {"watch_speedup", aos_watch_ns / soa_watch_ns}});
+                        {"soa_speedup", aos_ns / soa_ns}});
     }
 }
 

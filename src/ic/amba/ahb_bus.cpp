@@ -5,7 +5,6 @@ namespace tgsim::ic {
 std::size_t AhbBus::connect_master(ocp::ChannelRef ch, int /*node*/) {
     stats_.grants.push_back(0);
     stats_.wait_cycles.push_back(0);
-    tidy_all_ = true;
     return track_master(ch);
 }
 
@@ -14,7 +13,6 @@ std::size_t AhbBus::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
     const std::size_t idx = map_.add_range(base, size);
     slaves_.push_back(ch);
     stats_.slave_transactions.push_back(0);
-    tidy_all_ = true;
     return idx;
 }
 

@@ -74,9 +74,9 @@ private:
     int target_slave_ = -1;
     int rr_last_ = -1;
     bool wires_dirty_ = true; ///< wires need a default-drive pass
-    /// The next default-drive pass idles every port (first pass, or a port
-    /// connected since); later passes idle only the master and slave the
-    /// bridge drove since the last one — no other bus-driven wire moves.
+    /// The first default-drive pass idles every port; later passes idle only
+    /// the master and slave the bridge drove since the last one — no other
+    /// bus-driven wire moves.
     bool tidy_all_ = true;
     int drove_master_ = -1;
     int drove_slave_ = -1;

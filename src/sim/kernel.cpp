@@ -27,9 +27,8 @@ void Kernel::sort_slots() {
     });
     // Nothing is parked here (add() un-parks), so every run bit is set.
     // Subscriptions name registration ids, so rewriting the position table
-    // keeps them valid.
-    // The bitset and position table only grow here: positions of ids
-    // subscribed before a late add() stay in range until the re-sort.
+    // keeps them valid. The bitset and the table grow only here, so a bump
+    // between a late add() and this re-sort still lands in range.
     hot_.assign(slots_.size(), Hot{});
     ran_.resize(slots_.size());
     run_->pos.resize(slots_.size());
@@ -117,7 +116,8 @@ void Kernel::park(u32 p, Cycle q) {
     } else {
         h.wake_at = now_ + q;
         wake_heap_.emplace_back(h.wake_at, p);
-        std::push_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+        std::push_heap(wake_heap_.begin(), wake_heap_.end(),
+                       std::greater<>{});
     }
 }
 
@@ -130,7 +130,8 @@ bool Kernel::any_bit() const noexcept {
 void Kernel::gated_tick() {
     // Due timer wakes.
     while (!wake_heap_.empty() && wake_heap_.front().first <= now_) {
-        std::pop_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+        std::pop_heap(wake_heap_.begin(), wake_heap_.end(),
+                      std::greater<>{});
         const auto [when, p] = wake_heap_.back();
         wake_heap_.pop_back();
         if (hot_[p].parked && hot_[p].wake_at == when) wake(p);
@@ -171,7 +172,8 @@ Cycle Kernel::next_wake() {
     while (!wake_heap_.empty()) {
         const auto [when, p] = wake_heap_.front();
         if (hot_[p].parked && hot_[p].wake_at == when) return when;
-        std::pop_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+        std::pop_heap(wake_heap_.begin(), wake_heap_.end(),
+                      std::greater<>{});
         wake_heap_.pop_back();
     }
     return kNoWake;

@@ -167,6 +167,11 @@ TEST(AhbBus, DrivesOnlyTheOwnerAndTargetChannels) {
     EXPECT_NE(target_ch.m_gen(), target_m);
     ASSERT_TRUE(rig.run_to_idle());
     EXPECT_EQ(waiter.results().size(), 1u);
+    // ...and everything the bus drove is idle again once the bus is.
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(rig.chans[i]->response_is_idle()) << "master " << i;
+    for (std::size_t i = 3; i < 5; ++i)
+        EXPECT_TRUE(rig.chans[i]->request_is_idle()) << "slave " << i - 3;
 }
 
 TEST(AhbBus, SingleMasterWriteReadRoundTrip) {

@@ -155,6 +155,17 @@ TEST(TgProgram, DisassembleRejectsTruncatedImage) {
     EXPECT_THROW((void)disassemble(image), std::invalid_argument);
 }
 
+TEST(TgProgram, DisassembleRejectsUnknownOpcodeAndComparison) {
+    // Both used to disassemble into instructions printed as "?".
+    EXPECT_THROW((void)disassemble({0xFF000000u}), std::invalid_argument);
+    EXPECT_THROW((void)disassemble({0x00000000u}), std::invalid_argument);
+    const u32 bad_cmp = encode_w0(TgOp::If, 1, 2, static_cast<TgCmp>(9));
+    EXPECT_THROW((void)disassemble({bad_cmp, 0u}), std::invalid_argument);
+    // The compare field of a non-branch is ignored, as the core ignores it.
+    const u32 read = encode_w0(TgOp::Read, 1, 0, static_cast<TgCmp>(9));
+    EXPECT_EQ(disassemble({read}).instrs.size(), 1u);
+}
+
 // --- disassembler robustness: deterministic mutation loop ---
 
 /// Images of assembled programs: the hand-written sample plus the TG
