@@ -94,9 +94,9 @@ void Kernel::wake(u32 p) {
 void Kernel::park(u32 p, Cycle q) {
     Slot& s = slots_[p];
     if (!s.subscribed) {
-        std::vector<WatchRange> watch;
-        s.component->watch_inputs(watch);
-        for (const WatchRange& r : watch) {
+        watch_.clear();
+        s.component->watch_inputs(watch_);
+        for (const WatchRange& r : watch_) {
             if (r.count > 0 && r.wake == nullptr)
                 throw std::logic_error{"Kernel: watch range without wake lists ('" +
                                        s.name + "')"};

@@ -242,6 +242,8 @@ private:
     /// Scratch for the tick positions evaluated in a gated cycle, ascending
     /// (each position at most once, so one entry per component suffices).
     std::vector<u32> ran_;
+    /// Scratch for the watch set a component names at its first park.
+    std::vector<WatchRange> watch_;
     /// Min-heap of (wake time, tick position); entries are invalidated
     /// lazily (a component's authoritative wake time is Hot::wake_at).
     std::vector<std::pair<Cycle, u32>> wake_heap_;
