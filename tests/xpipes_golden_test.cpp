@@ -110,6 +110,7 @@ struct PatternCase {
     double rate = 0.1;
     tg::SourceMode mode = tg::SourceMode::Closed;
     u64 txns_per_core = 200;
+    double burst_fraction = 0.0;
     ic::XpipesConfig fabric;
 };
 
@@ -121,6 +122,7 @@ u64 pattern_run(PatternCase pcase, bool gating) {
     pc.height = 4;
     pc.injection_rate = pcase.rate;
     pc.packets_per_core = pcase.txns_per_core;
+    pc.burst_fraction = pcase.burst_fraction;
     tg::SourceConfig source;
     source.mode = pcase.mode;
     std::vector<tg::StochasticConfig> configs = tg::compile_patterns(pc, source);
@@ -244,6 +246,37 @@ TEST(XpipesGolden, OpenLoopUniformRandomMesh) {
     c.fabric = fabric_4x5(ic::TopologyKind::Mesh, 8);
     expect_golden("4x5 open-loop uniform random 0.30, fifo 8",
                   {0x10fa9e36cf667ff8ull, 0xe51213085038a300ull},
+                  [&](bool g) { return pattern_run(c, g); });
+}
+
+// Bursts pin the NI's multi-beat write collection (CollectWrite) under
+// open-loop sources and under fault recovery.
+TEST(XpipesGolden, OpenLoopUniformRandomMeshBursts) {
+    PatternCase c;
+    c.pattern = tg::Pattern::UniformRandom;
+    c.rate = 0.30;
+    c.mode = tg::SourceMode::Open;
+    c.txns_per_core = 400;
+    c.burst_fraction = 0.3;
+    c.fabric = fabric_4x5(ic::TopologyKind::Mesh, 8);
+    expect_golden("4x5 open-loop uniform random 0.30, bursts 0.3, fifo 8",
+                  {0x146d18564c687f04ull, 0x190b30877ebd9b38ull},
+                  [&](bool g) { return pattern_run(c, g); });
+}
+
+TEST(XpipesGolden, TorusTransposeWithFaultsBursts) {
+    PatternCase c;
+    c.pattern = tg::Pattern::Transpose;
+    c.rate = 0.10;
+    c.txns_per_core = 300;
+    c.burst_fraction = 0.3;
+    c.fabric = fabric_4x5(ic::TopologyKind::Torus, 4);
+    c.fabric.fault.corrupt_rate = 0.003;
+    c.fabric.fault.drop_rate = 0.003;
+    c.fabric.fault.stall_rate = 0.001;
+    c.fabric.fault.seed = 0xFA017;
+    expect_golden("4x5 torus transpose, faults 0.007, bursts 0.3",
+                  {0x2c8a5009880eefa2ull, 0x70f9af291720abb4ull},
                   [&](bool g) { return pattern_run(c, g); });
 }
 
