@@ -162,19 +162,61 @@ inline XpipesNetwork::Flit XpipesNetwork::fifo_take(std::size_t r,
     return flit;
 }
 
+inline void XpipesNetwork::stamp_fault(Flit& flit, u32& csum) {
+    flit.serial = next_serial_++;
+    switch (flit.kind) {
+        case Flit::Kind::Head: csum = csum_init(); break;
+        case Flit::Kind::Payload: csum = csum_step(csum, flit.payload); break;
+        case Flit::Kind::Tail: flit.payload = csum; break;
+    }
+}
+
+inline void XpipesNetwork::push_request(MasterNi& ni, Flit flit) {
+    if (flit.kind == Flit::Kind::Tail)
+        flit.hdr.created = flit.hdr.inject = ni.created;
+    if (fault_on_) {
+        if (flit.kind == Flit::Kind::Head) ni.pkt_copy.clear();
+        stamp_fault(flit, ni.tx_csum);
+        ni.pkt_copy.push_back(flit);
+    }
+    if (!open_) {
+        ni.tx.push_back(flit);
+        ++flits_active_;
+        return;
+    }
+    ni.pending.push_back(flit);
+    if (flit.kind != Flit::Kind::Tail) return;
+    ++ni.pending_tails;
+    ++open_backlog_;
+    if (ni.pending_tails > stats_.pending_peak)
+        stats_.pending_peak = ni.pending_tails;
+}
+
+inline void XpipesNetwork::take_write_beat(MasterNi& ni) {
+    if (!ni.err)
+        push_request(ni, make_flit(Flit::Kind::Payload, ni.ch.m_data()));
+    if (++ni.beats < ni.burst) {
+        ni.st = MasterNi::St::CollectWrite;
+        return;
+    }
+    if (!ni.err) push_request(ni, make_flit(Flit::Kind::Tail));
+    // Fault mode holds the write until the slave's ack; otherwise it is
+    // posted.
+    ni.st = (fault_on_ && !ni.err) ? MasterNi::St::AwaitAck
+                                   : MasterNi::St::Idle;
+}
+
 void XpipesNetwork::eval_master_ni(MasterNi& ni) {
     const ocp::ChannelRef ch = ni.ch;
     ch.tidy_response();
     switch (ni.st) {
         case MasterNi::St::Idle: {
             if (ch.m_cmd() == ocp::Cmd::Idle) break;
-            if (open_) {
-                // Open-loop source: accept at the offered rate into the
-                // pending queue; injection is decoupled (drained below).
-                open_accept(ni);
-                break;
-            }
-            if (!ni.tx.empty()) { // still draining the previous packet
+            // Backpressure: a closed-loop NI takes the next command once the
+            // previous packet has left tx; an open-loop source once its
+            // pending queue has room — the only stall it ever sees.
+            if (open_ ? ni.pending_tails >= open_pending_limit_
+                      : !ni.tx.empty()) {
                 stats_.master_wait_cycles[static_cast<std::size_t>(
                     &ni - masters_.data())] += 1;
                 break;
@@ -189,15 +231,16 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
             const auto slave_idx = map_.decode(ch.m_addr());
             ni.err = !slave_idx;
             any_activity_ = true;
+            ch.s_cmd_accept() = true; // consume the first (or only) beat
+            ch.touch_s();
             if (ni.err) {
                 ++stats_.decode_errors;
-                ch.s_cmd_accept() = true; // consume the first (or only) beat
-                ch.touch_s();
+                // A decode-error write has its beats collected and
+                // discarded; a closed-loop read is answered with ERR beats.
+                // Open-loop masters never wait for read data.
                 if (ocp::is_write(ni.cmd)) {
-                    ni.beats = 1;
-                    ni.st = (ni.beats == ni.burst) ? MasterNi::St::Idle
-                                                   : MasterNi::St::CollectWrite;
-                } else {
+                    take_write_beat(ni);
+                } else if (!open_) {
                     for (u16 i = 0; i < ni.burst; ++i)
                         ni.rx.push_back(RxBeat{kPoison, true});
                     ni.st = MasterNi::St::AwaitResp;
@@ -212,19 +255,12 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
             head.hdr.src_node = ni.node;
             head.hdr.dest_node = slave_node_[*slave_idx];
             head.hdr.is_resp = false;
-            head.hdr.inject = now_;
-            head.hdr.created = now_; // closed loop: creation == injection
-            ni.inject = now_;
-            ni.created = now_;
+            // Open loop restamps inject when the packet leaves pending.
+            head.hdr.created = head.hdr.inject = ni.created = now_;
             if (fault_on_) {
-                // The transaction enters the fault domain: retain the
-                // packet for replay, arm the retry timer, open the
-                // accountability window (docs/faults.md).
+                // The transaction enters the fault domain: arm the retry
+                // timer, open the accountability window (docs/faults.md).
                 head.hdr.seq = ++ni.seq;
-                head.serial = next_serial_++;
-                ni.pkt_copy.clear();
-                ni.pkt_copy.push_back(head);
-                ni.tx_csum = csum_init();
                 ni.attempts = 0;
                 ni.first_inject = now_;
                 ni.deadline = now_ + cfg_.fault.retry_timeout;
@@ -235,47 +271,15 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
                 ++pending_txns_;
                 ++stats_.reliability.injected;
             }
-            ni.tx.push_back(head);
-            ++flits_active_;
+            push_request(ni, head);
             ++stats_.packets_sent;
-            ch.s_cmd_accept() = true;
-            ch.touch_s();
             if (ocp::is_write(ni.cmd)) {
-                Flit beat;
-                beat.kind = Flit::Kind::Payload;
-                beat.payload = ch.m_data();
-                if (fault_on_) {
-                    beat.serial = next_serial_++;
-                    ni.tx_csum = csum_step(ni.tx_csum, beat.payload);
-                    ni.pkt_copy.push_back(beat);
-                }
-                ni.tx.push_back(beat);
-                ++flits_active_;
-                ni.beats = 1;
-                if (ni.beats == ni.burst) {
-                    Flit tail = make_tail(ni.created, ni.inject);
-                    if (fault_on_) {
-                        tail.serial = next_serial_++;
-                        tail.payload = ni.tx_csum;
-                        ni.pkt_copy.push_back(tail);
-                    }
-                    ni.tx.push_back(tail);
-                    ++flits_active_;
-                    ni.st = fault_on_ ? MasterNi::St::AwaitAck
-                                      : MasterNi::St::Idle;
-                } else {
-                    ni.st = MasterNi::St::CollectWrite;
-                }
+                take_write_beat(ni);
             } else {
-                Flit tail = make_tail(ni.created, ni.inject);
-                if (fault_on_) {
-                    tail.serial = next_serial_++;
-                    tail.payload = ni.tx_csum;
-                    ni.pkt_copy.push_back(tail);
-                }
-                ni.tx.push_back(tail);
-                ++flits_active_;
-                ni.st = MasterNi::St::AwaitResp;
+                push_request(ni, make_flit(Flit::Kind::Tail));
+                // Open-loop reads stay Idle: the response is absorbed at
+                // delivery, never replayed over OCP.
+                if (!open_) ni.st = MasterNi::St::AwaitResp;
             }
             break;
         }
@@ -283,42 +287,7 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
             if (!ocp::is_write(ch.m_cmd())) break; // master must hold the burst
             ch.s_cmd_accept() = true;
             ch.touch_s();
-            if (!ni.err) {
-                Flit beat;
-                beat.kind = Flit::Kind::Payload;
-                beat.payload = ch.m_data();
-                if (fault_on_) {
-                    beat.serial = next_serial_++;
-                    ni.tx_csum = csum_step(ni.tx_csum, beat.payload);
-                    ni.pkt_copy.push_back(beat);
-                }
-                if (open_) {
-                    ni.pending.push_back(beat);
-                } else {
-                    ni.tx.push_back(beat);
-                    ++flits_active_;
-                }
-            }
-            ++ni.beats;
-            if (ni.beats == ni.burst) {
-                if (!ni.err) {
-                    Flit tail = make_tail(ni.created, ni.inject);
-                    if (fault_on_) {
-                        tail.serial = next_serial_++;
-                        tail.payload = ni.tx_csum;
-                        ni.pkt_copy.push_back(tail);
-                    }
-                    if (open_) {
-                        ni.pending.push_back(tail);
-                        open_seal_packet(ni);
-                    } else {
-                        ni.tx.push_back(tail);
-                        ++flits_active_;
-                    }
-                }
-                ni.st = (fault_on_ && !ni.err) ? MasterNi::St::AwaitAck
-                                               : MasterNi::St::Idle;
-            }
+            take_write_beat(ni);
             any_activity_ = true;
             break;
         }
@@ -365,78 +334,6 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
     if (open_) open_drain_pending(ni);
 }
 
-void XpipesNetwork::open_accept(MasterNi& ni) {
-    const ocp::ChannelRef ch = ni.ch;
-    if (ni.pending_tails >= open_pending_limit_) {
-        // Pending queue full: stall the source — the only backpressure an
-        // open-loop source ever sees (docs/traffic.md).
-        stats_.master_wait_cycles[static_cast<std::size_t>(
-            &ni - masters_.data())] += 1;
-        return;
-    }
-    ni.cmd = ch.m_cmd();
-    ni.burst = ocp::is_burst(ni.cmd)
-                   ? std::max<u16>(1, std::min<u16>(ch.m_burst(), ocp::kMaxBurstLen))
-                   : u16{1};
-    ni.beats = 0;
-    const auto slave_idx = map_.decode(ch.m_addr());
-    ni.err = !slave_idx;
-    any_activity_ = true;
-    ch.s_cmd_accept() = true;
-    ch.touch_s();
-    if (ni.err) {
-        ++stats_.decode_errors;
-        // Open-loop masters never wait for read data, so there is nothing
-        // to synthesize; a decode-error write still has its remaining
-        // beats collected (and discarded) by CollectWrite.
-        if (ocp::is_write(ni.cmd)) {
-            ni.beats = 1;
-            ni.st = (ni.beats == ni.burst) ? MasterNi::St::Idle
-                                           : MasterNi::St::CollectWrite;
-        }
-        return;
-    }
-    Flit head;
-    head.kind = Flit::Kind::Head;
-    head.hdr.cmd = ni.cmd;
-    head.hdr.addr = ch.m_addr();
-    head.hdr.burst = ni.burst;
-    head.hdr.src_node = ni.node;
-    head.hdr.dest_node = slave_node_[*slave_idx];
-    head.hdr.is_resp = false;
-    head.hdr.created = now_;
-    head.hdr.inject = now_; // provisional: restamped when the packet drains
-    ni.created = now_;
-    ni.inject = now_;
-    ni.pending.push_back(head);
-    ++stats_.packets_sent;
-    if (ocp::is_write(ni.cmd)) {
-        Flit beat;
-        beat.kind = Flit::Kind::Payload;
-        beat.payload = ch.m_data();
-        ni.pending.push_back(beat);
-        ni.beats = 1;
-        if (ni.beats == ni.burst) {
-            ni.pending.push_back(make_tail(ni.created, ni.inject));
-            open_seal_packet(ni);
-        } else {
-            ni.st = MasterNi::St::CollectWrite;
-        }
-    } else {
-        // Reads queue Head + Tail and the NI stays Idle: the response is
-        // absorbed at delivery, never replayed over OCP.
-        ni.pending.push_back(make_tail(ni.created, ni.inject));
-        open_seal_packet(ni);
-    }
-}
-
-void XpipesNetwork::open_seal_packet(MasterNi& ni) {
-    ++ni.pending_tails;
-    ++open_backlog_;
-    if (ni.pending_tails > stats_.pending_peak)
-        stats_.pending_peak = ni.pending_tails;
-}
-
 void XpipesNetwork::open_drain_pending(MasterNi& ni) {
     if (ni.pending_tails == 0 || !ni.tx.empty()) return;
     if (open_max_out_ > 0 && ni.outstanding >= open_max_out_) return;
@@ -459,6 +356,15 @@ void XpipesNetwork::open_drain_pending(MasterNi& ni) {
 }
 
 void XpipesNetwork::record_delivery(const Flit& tail) {
+    if (open_) stats_.last_delivery = now_;
+    // Err-carrying responses are counted, not sampled: an error turnaround
+    // is not a service time and would skew p50/p99 (docs/traffic.md).
+    // Request tails never carry err.
+    if (tail.err) {
+        ++stats_.resp_err_packets;
+        return;
+    }
+    if (!cfg_.collect_latency) return;
     stats_.packet_latency.record(now_ - tail.hdr.created);
     if (open_) {
         // Per-packet decomposition, recorded back-to-back so sample i in
@@ -517,6 +423,37 @@ void XpipesNetwork::retry_or_give_up(MasterNi& ni) {
     ni.deadline = now_ + (cfg_.fault.retry_timeout << shift);
     ni.resp_taken = false;
     ni.ack_ok = false;
+}
+
+inline void XpipesNetwork::push_response(SlaveNi& ni, Flit flit) {
+    switch (flit.kind) {
+        case Flit::Kind::Head:
+            // Response packets are measured per packet: restamp with their
+            // own creation cycle (the request's delivery sample was already
+            // taken when its Tail reached this NI). Responses never queue at
+            // a source, so created == inject and their source-queueing
+            // latency is 0 in open mode.
+            ni.hdr.created = ni.hdr.inject = now_;
+            ni.resp_err = false;
+            flit.hdr = ni.hdr;
+            flit.hdr.is_resp = true;
+            flit.hdr.dest_node = ni.hdr.src_node;
+            flit.hdr.src_node = ni.node;
+            ++stats_.packets_sent;
+            break;
+        case Flit::Kind::Payload:
+            ni.resp_err = ni.resp_err || flit.err;
+            break;
+        case Flit::Kind::Tail:
+            // The tail summarises the packet: err marks an Err-carrying
+            // response (kept out of the latency percentiles at the far NI).
+            flit.hdr.created = flit.hdr.inject = ni.hdr.created;
+            flit.err = ni.resp_err;
+            break;
+    }
+    if (fault_on_) stamp_fault(flit, ni.resp_csum);
+    ni.tx.push_back(flit);
+    ++flits_active_;
 }
 
 void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
@@ -592,56 +529,15 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             if (ch.s_resp() == ocp::Resp::None) break;
             ch.m_resp_accept() = true;
             ch.touch_m();
-            if (ni.beats_resp == 0) {
-                // Response packets are measured per packet: restamp with
-                // their own creation cycle (the request's delivery sample
-                // was already taken when its Tail reached this NI).
-                // Responses never queue at a source, so created == inject
-                // and their source-queueing latency is 0 in open mode.
-                ni.hdr.inject = now_;
-                ni.hdr.created = now_;
-                ni.resp_err = false;
-                Flit head;
-                head.kind = Flit::Kind::Head;
-                head.hdr = ni.hdr;
-                head.hdr.is_resp = true;
-                head.hdr.dest_node = ni.hdr.src_node;
-                head.hdr.src_node = ni.node;
-                if (fault_on_) {
-                    head.serial = next_serial_++;
-                    ni.resp_csum = csum_init();
-                }
-                ni.tx.push_back(head);
-                ++flits_active_;
-                ++stats_.packets_sent;
-            }
+            if (ni.beats_resp == 0) push_response(ni, make_flit(Flit::Kind::Head));
             // An Err beat travels as a poisoned payload with the error flag
             // set, so the far NI can replay it as Resp::Err instead of
             // laundering it into ordinary data.
-            Flit beat;
-            beat.kind = Flit::Kind::Payload;
-            beat.err = (ch.s_resp() == ocp::Resp::Err);
-            beat.payload = beat.err ? kPoison : ch.s_data();
-            if (beat.err) ni.resp_err = true;
-            if (fault_on_) {
-                beat.serial = next_serial_++;
-                ni.resp_csum = csum_step(ni.resp_csum, beat.payload);
-            }
-            ni.tx.push_back(beat);
-            ++flits_active_;
-            ++ni.beats_resp;
-            if (ni.beats_resp == ni.hdr.burst) {
-                // The tail summarises the packet: err marks an Err-carrying
-                // response (kept out of the latency percentiles at the far
-                // NI), payload carries the checksum in fault mode.
-                Flit tail = make_tail(ni.hdr.created, ni.hdr.inject);
-                tail.err = ni.resp_err;
-                if (fault_on_) {
-                    tail.serial = next_serial_++;
-                    tail.payload = ni.resp_csum;
-                }
-                ni.tx.push_back(tail);
-                ++flits_active_;
+            const bool err = ch.s_resp() == ocp::Resp::Err;
+            push_response(ni, make_flit(Flit::Kind::Payload,
+                                        err ? kPoison : ch.s_data(), err));
+            if (++ni.beats_resp == ni.hdr.burst) {
+                push_response(ni, make_flit(Flit::Kind::Tail));
                 ni.st = SlaveNi::St::Idle;
             }
             break;
@@ -653,22 +549,8 @@ void XpipesNetwork::push_ack(SlaveNi& ni) {
     // Write acknowledgement: a Head + Tail response-plane packet echoing
     // the request's seq. Only exists in fault mode (writes stop being
     // posted end-to-end — the documented cost of reliable delivery).
-    Flit head;
-    head.kind = Flit::Kind::Head;
-    head.hdr = ni.hdr;
-    head.hdr.is_resp = true;
-    head.hdr.dest_node = ni.hdr.src_node;
-    head.hdr.src_node = ni.node;
-    head.hdr.inject = now_;
-    head.serial = next_serial_++;
-    ni.tx.push_back(head);
-    ++flits_active_;
-    ++stats_.packets_sent;
-    Flit tail = make_tail(now_, now_);
-    tail.serial = next_serial_++;
-    tail.payload = csum_init(); // checksum over zero payload beats
-    ni.tx.push_back(tail);
-    ++flits_active_;
+    push_response(ni, make_flit(Flit::Kind::Head));
+    push_response(ni, make_flit(Flit::Kind::Tail));
 }
 
 void XpipesNetwork::enqueue_router(std::size_t r) {
@@ -936,87 +818,97 @@ inline void XpipesNetwork::commit_channel(std::size_t r, int dp, int out,
     }
 }
 
-void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
-    switch (flit.kind) {
-        case Flit::Kind::Head: {
-            // Accept only the response the NI is actually waiting for:
-            // right state, matching seq, transaction not yet satisfied.
-            // Everything else (duplicate acks, replays overtaken by their
-            // original) is swallowed whole.
-            const bool awaiting = (ni.st == MasterNi::St::AwaitResp ||
-                                   ni.st == MasterNi::St::AwaitAck) &&
-                                  !ni.err && !ni.synth_err && !ni.resp_taken;
-            const bool want = awaiting && flit.hdr.seq == ni.seq;
-            ni.rx_discard = !want;
-            if (!want) ++stats_.reliability.stale_discarded;
-            ni.rx_stage.clear();
-            ni.rx_csum = csum_init();
-            break;
-        }
-        case Flit::Kind::Payload:
-            if (ni.rx_discard) break;
-            ni.rx_stage.push_back(RxBeat{flit.payload, flit.err});
-            ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
-            break;
-        case Flit::Kind::Tail: {
-            if (ni.rx_discard) {
-                ni.rx_discard = false;
-                break;
-            }
-            if (ni.rx_csum != flit.payload) {
-                // Read data corrupted in flight: reject the packet and
-                // pull the retry deadline in — the replay starts on the
-                // next NI evaluation instead of waiting out the timeout.
-                ++stats_.reliability.checksum_fails;
+inline void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
+    if (fault_on_) {
+        // Recovery (docs/faults.md): beats are staged and only released to
+        // rx once the tail checksum validates (store-and-forward at the NI).
+        switch (flit.kind) {
+            case Flit::Kind::Head: {
+                // Accept only the response the NI is actually waiting for:
+                // right state, matching seq, transaction not yet satisfied.
+                // Everything else (duplicate acks, replays overtaken by
+                // their original) is swallowed whole.
+                const bool awaiting = (ni.st == MasterNi::St::AwaitResp ||
+                                       ni.st == MasterNi::St::AwaitAck) &&
+                                      !ni.err && !ni.synth_err &&
+                                      !ni.resp_taken;
+                const bool want = awaiting && flit.hdr.seq == ni.seq;
+                ni.rx_discard = !want;
+                if (!want) ++stats_.reliability.stale_discarded;
                 ni.rx_stage.clear();
-                ni.deadline = now_;
+                ni.rx_csum = csum_init();
+                return;
+            }
+            case Flit::Kind::Payload:
+                if (ni.rx_discard) return;
+                ni.rx_stage.push_back(RxBeat{flit.payload, flit.err});
+                ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
+                return;
+            case Flit::Kind::Tail:
+                if (ni.rx_discard) {
+                    ni.rx_discard = false;
+                    return;
+                }
+                if (ni.rx_csum != flit.payload) {
+                    // Read data corrupted in flight: reject the packet and
+                    // pull the retry deadline in — the replay starts on the
+                    // next NI evaluation instead of waiting out the timeout.
+                    ++stats_.reliability.checksum_fails;
+                    ni.rx_stage.clear();
+                    ni.deadline = now_;
+                    return;
+                }
+                ni.resp_taken = true;
+                if (ocp::is_write(ni.cmd)) {
+                    ni.ack_ok = true; // Head+Tail ack packet
+                } else {
+                    for (const RxBeat& b : ni.rx_stage) ni.rx.push_back(b);
+                }
+                ni.rx_stage.clear();
+                ni.cur_err = flit.err;
                 break;
-            }
-            ++stats_.resp_packets_delivered;
-            ni.resp_taken = true;
-            if (ocp::is_write(ni.cmd)) {
-                ni.ack_ok = true; // Head+Tail ack packet
-            } else {
-                for (const RxBeat& b : ni.rx_stage) ni.rx.push_back(b);
-            }
-            ni.rx_stage.clear();
-            ni.cur_err = flit.err;
-            if (flit.err) ++stats_.resp_err_packets;
-            else if (cfg_.collect_latency)
-                record_delivery(flit);
-            break;
         }
+    } else if (flit.kind == Flit::Kind::Payload) {
+        // Open-loop NIs absorb response data: the transaction completed at
+        // the source when the fabric accepted it, so rx stays empty and
+        // ejection never backpressures.
+        if (!open_) ni.rx.push_back(RxBeat{flit.payload, flit.err});
+        return;
     }
+    if (flit.kind != Flit::Kind::Tail) return;
+    ++stats_.resp_packets_delivered;
+    if (open_ && ni.outstanding > 0) --ni.outstanding;
+    record_delivery(flit);
 }
 
-void XpipesNetwork::deliver_to_slave(SlaveNi& ni, const Flit& flit) {
-    switch (flit.kind) {
-        case Flit::Kind::Head:
-            ni.rx_pkt_flits = 1;
-            ni.rx_csum = csum_init();
-            ni.rx.push_back(flit);
-            break;
-        case Flit::Kind::Payload:
-            ++ni.rx_pkt_flits;
-            ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
-            ni.rx.push_back(flit);
-            break;
-        case Flit::Kind::Tail:
-            if (ni.rx_csum != flit.payload) {
-                // Write data corrupted in flight: reject the whole packet
-                // before it touches the slave; the master's timeout
-                // replays it.
-                ++stats_.reliability.checksum_fails;
-                ni.rx.resize(ni.rx.size() - ni.rx_pkt_flits);
+inline void XpipesNetwork::deliver_to_slave(SlaveNi& ni, const Flit& flit) {
+    if (fault_on_) {
+        switch (flit.kind) {
+            case Flit::Kind::Head:
+                ni.rx_pkt_flits = 1;
+                ni.rx_csum = csum_init();
                 break;
-            }
-            ni.rx.push_back(flit);
-            ++ni.tails_in_rx;
-            ++stats_.req_packets_delivered;
-            if (cfg_.collect_latency)
-                record_delivery(flit);
-            break;
+            case Flit::Kind::Payload:
+                ++ni.rx_pkt_flits;
+                ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
+                break;
+            case Flit::Kind::Tail:
+                if (ni.rx_csum != flit.payload) {
+                    // Write data corrupted in flight: reject the whole
+                    // packet before it touches the slave; the master's
+                    // timeout replays it.
+                    ++stats_.reliability.checksum_fails;
+                    ni.rx.resize(ni.rx.size() - ni.rx_pkt_flits);
+                    return;
+                }
+                break;
+        }
     }
+    ni.rx.push_back(flit);
+    if (flit.kind != Flit::Kind::Tail) return;
+    ++ni.tails_in_rx;
+    ++stats_.req_packets_delivered;
+    record_delivery(flit);
 }
 
 void XpipesNetwork::eval_routers() {
@@ -1056,43 +948,12 @@ void XpipesNetwork::eval_routers() {
         }
         if (mv.to_ni) {
             --flits_active_;
-            if (mv.ni_is_master) {
-                MasterNi& ni = masters_[static_cast<std::size_t>(mv.ni_index)];
-                if (fault_on_) {
-                    deliver_to_master(ni, flit);
-                } else if (flit.kind == Flit::Kind::Payload) {
-                    // Open-loop NIs absorb response data: the transaction
-                    // completed at the source when the fabric accepted it,
-                    // so rx stays empty and ejection never backpressures.
-                    if (!open_) ni.rx.push_back(RxBeat{flit.payload, flit.err});
-                } else if (flit.kind == Flit::Kind::Tail) {
-                    ++stats_.resp_packets_delivered;
-                    if (open_) {
-                        if (ni.outstanding > 0) --ni.outstanding;
-                        stats_.last_delivery = now_;
-                    }
-                    // Err-carrying responses are counted, not sampled: an
-                    // error turnaround is not a service time and would
-                    // skew p50/p99 (docs/traffic.md).
-                    if (flit.err) ++stats_.resp_err_packets;
-                    else if (cfg_.collect_latency)
-                        record_delivery(flit);
-                }
-            } else {
-                SlaveNi& ni = slaves_[static_cast<std::size_t>(mv.ni_index)];
-                if (fault_on_) {
-                    deliver_to_slave(ni, flit);
-                } else {
-                    ni.rx.push_back(flit);
-                    if (flit.kind == Flit::Kind::Tail) {
-                        ++ni.tails_in_rx;
-                        ++stats_.req_packets_delivered;
-                        if (open_) stats_.last_delivery = now_;
-                        if (cfg_.collect_latency)
-                            record_delivery(flit);
-                    }
-                }
-            }
+            if (mv.ni_is_master)
+                deliver_to_master(masters_[static_cast<std::size_t>(mv.ni_index)],
+                                  flit);
+            else
+                deliver_to_slave(slaves_[static_cast<std::size_t>(mv.ni_index)],
+                                 flit);
         } else {
             fifo_write(mv.dst_router, mv.dst_slot, flit);
         }

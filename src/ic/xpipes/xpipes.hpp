@@ -336,7 +336,6 @@ private:
         u16 beats = 0;     ///< accepted write beats
         u16 resp_sent = 0; ///< response beats forwarded to the master
         bool err = false;  ///< decode failure: synthesize ERR beats
-        Cycle inject = 0;  ///< injection stamp of the packet in flight
         Cycle created = 0; ///< creation stamp of the packet in flight
         std::deque<Flit> tx;   ///< flits awaiting injection (plane 0)
         std::deque<RxBeat> rx; ///< response beats received
@@ -423,13 +422,14 @@ private:
         u32 corrupt_mask = 0;
     };
 
-    /// Tail flit carrying its packet's creation and injection stamps
-    /// (latency sampling at delivery).
-    [[nodiscard]] static Flit make_tail(Cycle created, Cycle inject) noexcept {
+    /// A flit of `kind` with its data word and Err flag; the NI push
+    /// helpers fill in the header and the fault stamps.
+    [[nodiscard]] static Flit make_flit(Flit::Kind kind, u32 payload = 0,
+                                        bool err = false) noexcept {
         Flit f;
-        f.kind = Flit::Kind::Tail;
-        f.hdr.created = created;
-        f.hdr.inject = inject;
+        f.kind = kind;
+        f.err = err;
+        f.payload = payload;
         return f;
     }
 
@@ -482,20 +482,40 @@ private:
     /// slot's occupied bit when the FIFO drains.
     Flit fifo_take(std::size_t r, std::size_t si);
 
+    // --- NI packet path: one per side, closed loop, open loop and fault
+    // recovery alike ---
     void eval_master_ni(MasterNi& ni);
     void eval_slave_ni(SlaveNi& ni);
-    // --- open-loop source helpers (only called when open_) ---
-    /// Accepts one OCP command beat into the NI's pending queue at the
-    /// offered rate (or stalls the source when the queue is full).
-    void open_accept(MasterNi& ni);
-    /// Seals the packet being built in `pending` (its Tail was just pushed).
-    void open_seal_packet(MasterNi& ni);
+    /// Fault mode: gives `flit` a fresh serial and steps the packet's
+    /// running checksum `csum` (reset on a Head, stored in the Tail).
+    void stamp_fault(Flit& flit, u32& csum);
+    /// Appends one request flit at a master NI: a Tail takes the packet's
+    /// creation stamp; fault mode stamps it and keeps the replay copy. The
+    /// flit goes to tx (closed loop) or to `pending` (open loop, where a
+    /// Tail completes a pending packet).
+    void push_request(MasterNi& ni, Flit flit);
+    /// Takes the write beat on the NI's channel (dropped for a decode
+    /// error) and closes the packet on the burst's last beat.
+    void take_write_beat(MasterNi& ni);
+    /// Appends one response flit at a slave NI: a Head is addressed back to
+    /// the requester of `ni.hdr` and stamped now; a Tail carries the
+    /// packet's stamps and Err summary; fault mode stamps every flit.
+    void push_response(SlaveNi& ni, Flit flit);
+    /// Queues the slave NI's write acknowledgement packet (Head + Tail).
+    void push_ack(SlaveNi& ni);
     /// Hands the oldest complete pending packet to tx (restamping inject to
-    /// now) when tx is empty and the outstanding bound allows.
+    /// now) when tx is empty and the outstanding bound allows (open loop).
     void open_drain_pending(MasterNi& ni);
-    /// Tail-delivery latency sampling shared by both NI sides: end-to-end
-    /// always; plus the source-queueing / in-network decomposition and the
-    /// last-delivery stamp in open-loop mode.
+    /// Response flit delivered to a master NI (apply phase). Fault mode
+    /// first filters stale responses and validates the checksum, staging
+    /// the beats until the Tail; open loop absorbs the data.
+    void deliver_to_master(MasterNi& ni, const Flit& flit);
+    /// Request flit delivered to a slave NI (apply phase). Fault mode
+    /// drops a packet whose checksum fails.
+    void deliver_to_slave(SlaveNi& ni, const Flit& flit);
+    /// A packet's Tail reached its destination NI: the Err count or the
+    /// latency sample (end-to-end; plus the source-queueing / in-network
+    /// decomposition and the last-delivery stamp in open-loop mode).
     void record_delivery(const Flit& tail);
     void eval_routers();
     /// Dense reference allocator (router_gating = false): every input slot,
@@ -512,25 +532,18 @@ private:
     /// Adds `r` to the active worklist unless already stamped this epoch.
     void enqueue_router(std::size_t r);
 
-    // --- fault-mode helpers (no-ops / never called when fault_on_ is
-    // false; docs/faults.md documents the protocol) ---
+    // --- fault-mode helpers (only called when fault_on_;
+    // docs/faults.md documents the protocol) ---
     /// Per-port fault pre-pass for nonempty input slot `si` of router `r`:
     /// draws the fault decision for its FIFO-head flit, emits drop moves,
     /// counts down stalls, and marks the port blocked.
     void collect_port_fault(std::size_t r, std::size_t si);
-    /// Stale-filtering + checksum-validating response reassembly at a
-    /// master NI (apply-phase flit delivery).
-    void deliver_to_master(MasterNi& ni, const Flit& flit);
-    /// Checksum-validating request delivery at a slave NI (apply phase).
-    void deliver_to_slave(SlaveNi& ni, const Flit& flit);
     /// Replays the retained packet with fresh serials and doubled timeout,
     /// or — attempts exhausted — resolves the transaction as lost.
     void retry_or_give_up(MasterNi& ni);
     /// Transaction resolved at the master NI: delivered / err_delivered /
     /// recovered accounting, releases the retained copy.
     void complete_txn(MasterNi& ni);
-    /// Queues the slave NI's write acknowledgement packet (Head + Tail).
-    void push_ack(SlaveNi& ni);
 
     XpipesConfig cfg_;
     /// Routing + adjacency provider (docs/topology.md); fixed per network.
