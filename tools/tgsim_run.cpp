@@ -7,6 +7,7 @@
 // interconnect, verifies the results, prints the performance summary, and
 // (with --trace-dir) writes one .trc file per core for later translation.
 #include <cstdio>
+#include <filesystem>
 
 #include "cli.hpp"
 
@@ -46,8 +47,12 @@ int main(int argc, char** argv) {
         args.has("size") ? args.get_u32("size") : cli::default_size(app);
     const platform::IcKind ic = cli::get_ic(args);
     const auto workload = cli::make_workload(app, cores, size);
-    if (args.has("trace-dir") && args.get("trace-dir").empty())
+    const std::string trace_dir = args.get("trace-dir");
+    if (args.has("trace-dir") && trace_dir.empty())
         cli::usage_error("trace-dir", "needs a directory");
+    // Checked before the run, so a typo does not cost the whole simulation.
+    if (args.has("trace-dir") && !std::filesystem::is_directory(trace_dir))
+        cli::usage_error("trace-dir", "'" + trace_dir + "' is not a directory");
 
     platform::PlatformConfig cfg;
     cfg.n_cores = static_cast<u32>(workload->cores.size());
@@ -85,11 +90,10 @@ int main(int argc, char** argv) {
                     p.interconnect().contention_cycles()));
 
     if (args.has("trace-dir")) {
-        const std::string dir = args.get("trace-dir");
         for (const auto& trace : p.traces()) {
             const std::string path =
-                dir + "/core" + std::to_string(trace.core_id) + ".trc";
-            tg::save(trace, path);
+                trace_dir + "/core" + std::to_string(trace.core_id) + ".trc";
+            cli::write_text_file(path, tg::to_text(trace));
             std::printf("wrote %s (%zu events)\n", path.c_str(),
                         trace.events.size());
         }
