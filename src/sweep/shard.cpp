@@ -768,6 +768,19 @@ std::optional<ParsedReport> merge_reports(std::vector<ParsedReport> shards,
         seen_shard[k] = true;
     }
 
+    // n_candidates is read from the reports: check the rows can cover it
+    // before sizing anything by it.
+    std::size_t n_rows = 0;
+    for (const ParsedReport& s : shards) n_rows += s.rows.size();
+    if (n_rows < m0.n_candidates) {
+        char msg[96];
+        std::snprintf(msg, sizeof msg,
+                      "missing candidates: the shards hold %zu rows for a"
+                      " grid of %u",
+                      n_rows, m0.n_candidates);
+        set_error(error, msg);
+        return std::nullopt;
+    }
     ParsedReport out;
     out.meta = m0;
     out.meta.shard = ShardSpec{}; // the merge IS the unsharded report

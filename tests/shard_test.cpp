@@ -294,6 +294,14 @@ TEST_F(ShardMergeReject, MissingCandidate) {
     expect_reject(std::move(s), "missing candidate");
 }
 
+// A header claiming more candidates than the shards carry rows is rejected
+// before anything is sized by it.
+TEST_F(ShardMergeReject, CandidateCountBeyondRows) {
+    auto s = shards();
+    for (ParsedReport& r : s) r.meta.n_candidates = 0xFFFFFFFFu;
+    expect_reject(std::move(s), "missing candidate");
+}
+
 TEST_F(ShardMergeReject, OutOfRangeIndex) {
     auto s = shards();
     s[0].rows.back().index = 90; // 90 % 3 == 0: passes ownership, not range
