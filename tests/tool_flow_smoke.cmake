@@ -10,7 +10,20 @@
 #
 # PART=flags checks that every tool answers --help with exit 0 and an
 # undeclared flag with exit 1.
+#
+# PART=shard runs a small funnel sweep whole and as three shard processes
+# (one after another), merges the shards with tgsim_merge, and requires the
+# merged report to be byte-identical to the unsharded one.
+#
+# PART=resume runs a checkpointed sweep, cuts its journal the way a
+# mid-write kill leaves it (six whole lines, then a torn one), resumes from
+# the cut journal and requires the byte-identical report. Reusing a journal
+# without --resume must be refused.
+#
+# Each part works in its own directory under WORK, so the parts can run in
+# parallel.
 
+set(WORK "${WORK}/${PART}")
 set(tools tgsim_run tgsim_replay tgsim_translate tgsim_tgasm tgsim_tgdis
           tgsim_sweep tgsim_patterns tgsim_merge)
 
@@ -30,10 +43,30 @@ function(run_tool want expect tool)
   endif()
 endfunction()
 
-if(PART STREQUAL "chain")
+# Fails unless files `a` and `b` are byte-identical.
+function(expect_same a b)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${a} and ${b} differ")
+  endif()
+endfunction()
+
+if(NOT PART STREQUAL "flags")
   file(REMOVE_RECURSE "${WORK}")
   file(MAKE_DIRECTORY "${WORK}")
+endif()
+
+if(PART STREQUAL "chain")
   set(bench --app=mp_matrix --cores=2 --size=6)
+  # A missing trace directory is refused up front, naming it.
+  execute_process(COMMAND "${BIN}/tgsim_run" ${bench}
+                          --trace-dir=${WORK}/missing
+                  RESULT_VARIABLE rc ERROR_VARIABLE err)
+  string(FIND "${err}" "${WORK}/missing" at)
+  if(NOT rc EQUAL 1 OR at EQUAL -1)
+    message(FATAL_ERROR "tgsim_run --trace-dir=<missing>: exit ${rc}\n${err}")
+  endif()
   run_tool(0 "checks: PASS" tgsim_run ${bench} --trace-dir=${WORK})
   run_tool(0 "-> ${WORK}/core1.tgp" tgsim_translate
            ${WORK}/core0.trc ${WORK}/core1.trc ${bench} --out-dir=${WORK})
@@ -49,6 +82,44 @@ elseif(PART STREQUAL "flags")
     run_tool(0 "usage: " ${tool} --help)
     run_tool(1 "" ${tool} --no-such-flag)
   endforeach()
+elseif(PART STREQUAL "shard")
+  set(common --pattern=transpose --grid=4x4 --packets=200
+             --rates=0.01,0.02,0.04 --mesh=5x4,6x3 --fifo=2,4
+             --tier=funnel --funnel-top=4)
+  run_tool(0 "" tgsim_sweep ${common} --jobs=4 --deterministic
+           --json=${WORK}/single.json)
+  foreach(k 0 1 2)
+    run_tool(0 "" tgsim_sweep ${common} --jobs=2 --shard=${k}/3
+             --json=${WORK}/shard_${k}.json)
+  endforeach()
+  run_tool(0 "" tgsim_merge --json=${WORK}/merged.json ${WORK}/shard_0.json
+           ${WORK}/shard_1.json ${WORK}/shard_2.json)
+  expect_same("${WORK}/single.json" "${WORK}/merged.json")
+elseif(PART STREQUAL "resume")
+  set(common --pattern=transpose --grid=4x4 --packets=200
+             --rates=0.01,0.02,0.04 --mesh=5x4,6x3 --fifo=2,4 --jobs=4
+             --deterministic)
+  run_tool(0 "" tgsim_sweep ${common} --checkpoint=${WORK}/ck.jsonl
+           --json=${WORK}/full.json)
+  # Keep six whole lines and 40 bytes of the seventh.
+  file(READ "${WORK}/ck.jsonl" journal)
+  set(cut 0)
+  foreach(line RANGE 1 6)
+    string(SUBSTRING "${journal}" ${cut} -1 rest)
+    string(FIND "${rest}" "\n" nl)
+    if(nl EQUAL -1)
+      message(FATAL_ERROR "journal has fewer than 7 lines")
+    endif()
+    math(EXPR cut "${cut} + ${nl} + 1")
+  endforeach()
+  math(EXPR cut "${cut} + 40")
+  string(SUBSTRING "${journal}" 0 ${cut} kept)
+  file(WRITE "${WORK}/cut.jsonl" "${kept}")
+  run_tool(0 "" tgsim_sweep ${common} --checkpoint=${WORK}/cut.jsonl --resume
+           --json=${WORK}/resumed.json)
+  expect_same("${WORK}/full.json" "${WORK}/resumed.json")
+  run_tool(1 "" tgsim_sweep ${common} --checkpoint=${WORK}/ck.jsonl
+           --json=${WORK}/overwrite.json)
 else()
-  message(FATAL_ERROR "PART must be chain or flags, not '${PART}'")
+  message(FATAL_ERROR "PART must be chain, flags, shard or resume, not '${PART}'")
 endif()
