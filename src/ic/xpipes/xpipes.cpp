@@ -529,7 +529,8 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             if (ch.s_resp() == ocp::Resp::None) break;
             ch.m_resp_accept() = true;
             ch.touch_m();
-            if (ni.beats_resp == 0) push_response(ni, make_flit(Flit::Kind::Head));
+            if (ni.beats_resp == 0)
+                push_response(ni, make_flit(Flit::Kind::Head));
             // An Err beat travels as a poisoned payload with the error flag
             // set, so the far NI can replay it as Resp::Err instead of
             // laundering it into ordinary data.
@@ -948,12 +949,11 @@ void XpipesNetwork::eval_routers() {
         }
         if (mv.to_ni) {
             --flits_active_;
+            const auto ni = static_cast<std::size_t>(mv.ni_index);
             if (mv.ni_is_master)
-                deliver_to_master(masters_[static_cast<std::size_t>(mv.ni_index)],
-                                  flit);
+                deliver_to_master(masters_[ni], flit);
             else
-                deliver_to_slave(slaves_[static_cast<std::size_t>(mv.ni_index)],
-                                 flit);
+                deliver_to_slave(slaves_[ni], flit);
         } else {
             fifo_write(mv.dst_router, mv.dst_slot, flit);
         }

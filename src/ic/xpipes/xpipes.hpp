@@ -486,9 +486,6 @@ private:
     // recovery alike ---
     void eval_master_ni(MasterNi& ni);
     void eval_slave_ni(SlaveNi& ni);
-    /// Fault mode: gives `flit` a fresh serial and steps the packet's
-    /// running checksum `csum` (reset on a Head, stored in the Tail).
-    void stamp_fault(Flit& flit, u32& csum);
     /// Appends one request flit at a master NI: a Tail takes the packet's
     /// creation stamp; fault mode stamps it and keeps the replay copy. The
     /// flit goes to tx (closed loop) or to `pending` (open loop, where a
@@ -501,8 +498,6 @@ private:
     /// the requester of `ni.hdr` and stamped now; a Tail carries the
     /// packet's stamps and Err summary; fault mode stamps every flit.
     void push_response(SlaveNi& ni, Flit flit);
-    /// Queues the slave NI's write acknowledgement packet (Head + Tail).
-    void push_ack(SlaveNi& ni);
     /// Hands the oldest complete pending packet to tx (restamping inject to
     /// now) when tx is empty and the outstanding bound allows (open loop).
     void open_drain_pending(MasterNi& ni);
@@ -538,12 +533,17 @@ private:
     /// draws the fault decision for its FIFO-head flit, emits drop moves,
     /// counts down stalls, and marks the port blocked.
     void collect_port_fault(std::size_t r, std::size_t si);
+    /// Gives `flit` a fresh serial and steps its packet's running checksum
+    /// `csum` (reset on a Head, stored in the Tail).
+    void stamp_fault(Flit& flit, u32& csum);
     /// Replays the retained packet with fresh serials and doubled timeout,
     /// or — attempts exhausted — resolves the transaction as lost.
     void retry_or_give_up(MasterNi& ni);
     /// Transaction resolved at the master NI: delivered / err_delivered /
     /// recovered accounting, releases the retained copy.
     void complete_txn(MasterNi& ni);
+    /// Queues the slave NI's write acknowledgement packet (Head + Tail).
+    void push_ack(SlaveNi& ni);
 
     XpipesConfig cfg_;
     /// Routing + adjacency provider (docs/topology.md); fixed per network.

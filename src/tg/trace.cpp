@@ -137,12 +137,6 @@ std::string pretty(const Trace& trace, std::size_t max_events) {
     return os.str();
 }
 
-void save(const Trace& trace, const std::string& path) {
-    std::ofstream out{path};
-    if (!out) throw std::runtime_error{"trace: cannot open " + path};
-    out << to_text(trace);
-}
-
 Trace load(const std::string& path) {
     std::ifstream in{path};
     if (!in) throw std::runtime_error{"trace: cannot open " + path};

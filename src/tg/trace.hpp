@@ -52,8 +52,7 @@ struct Trace {
 /// Paper-style rendering (Fig. 3(a)): "RD 0x000000ff @210ns" etc.
 [[nodiscard]] std::string pretty(const Trace& trace, std::size_t max_events = 0);
 
-/// File helpers.
-void save(const Trace& trace, const std::string& path);
+/// File helper.
 [[nodiscard]] Trace load(const std::string& path);
 
 } // namespace tgsim::tg
