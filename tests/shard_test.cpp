@@ -2,12 +2,21 @@
 // the k/N spec parser, shard-union == unsharded-run byte identity for the
 // cycle AND funnel tiers, merge_reports' cross-shard invariant checks, the
 // checkpoint journal's durability contract (torn final line tolerated,
-// corrupt interior rejected, torn tail sealed on reopen), and resume
-// re-evaluating exactly the unjournaled candidates.
+// corrupt interior rejected, torn tail sealed on reopen), resume
+// re-evaluating exactly the unjournaled candidates, and the streaming
+// report/journal reader: random-row round trips, key order, line-numbered
+// errors, bounded reservations and a deterministic fuzz loop over the seed
+// corpus in tests/data/reports/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -625,6 +634,334 @@ TEST(RowParse, RejectsNonRowInput) {
     EXPECT_FALSE(parse_result_row("not json", &out, &err));
     EXPECT_FALSE(parse_result_row("[1, 2]", &out, &err));
     EXPECT_FALSE(parse_result_row("{\"name\": \"x\"}", &out, &err)); // fields
+}
+
+TEST(RowParse, AHandWrittenAnalyticFalseStillRequiresItsBlock) {
+    // The analytic block's switch is its own first key: "analytic": false
+    // still opens the block, so predicted_saturation stays required.
+    SweepResult r;
+    r.analytic = true;
+    r.predicted_saturation = 0.25;
+    std::string line;
+    append_result_row(line, r);
+    const std::string on = "\"analytic\": true";
+    line.replace(line.find(on), on.size(), "\"analytic\": false");
+    SweepResult out;
+    std::string err;
+    ASSERT_TRUE(parse_result_row(line, &out, &err)) << err;
+    EXPECT_FALSE(out.analytic);
+    EXPECT_EQ(out.predicted_saturation, 0.25);
+    EXPECT_FALSE(
+        parse_result_row(drop_key(line, "predicted_saturation"), &out, &err));
+    EXPECT_NE(err.find("field 'predicted_saturation' missing"), std::string::npos)
+        << err;
+}
+
+// --- the streaming reader ---------------------------------------------------
+
+constexpr std::size_t kRandomRows = 20'000;
+
+/// A random string over what a row can carry: printable ASCII including
+/// the characters JSON escapes, control bytes (NUL too) and multi-byte
+/// UTF-8.
+std::string random_text(std::mt19937_64& rng) {
+    static constexpr std::string_view kPieces[] = {
+        "a", "Z", "7", " ", "\"", "\\", "/", ",", ":", "{", "}", "[", "]",
+        "\n", "\r", "\t", "\b", "\f", std::string_view{"\0", 1}, "\x01",
+        "\x1f", "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9d\x84\x9e"};
+    std::string out;
+    for (u64 n = rng() % 24; n > 0; --n)
+        out += kPieces[rng() % std::size(kPieces)];
+    return out;
+}
+
+template <RowFmt F, typename T>
+void random_value(T& v, std::mt19937_64& rng) {
+    if constexpr (F == RowFmt::Str) {
+        v = random_text(rng);
+    } else if constexpr (F == RowFmt::U32) {
+        v = static_cast<u32>(rng());
+    } else if constexpr (F == RowFmt::U64) {
+        v = rng();
+    } else if constexpr (F == RowFmt::Bool) {
+        v = rng() % 2 == 0;
+    } else if constexpr (F == RowFmt::Failure) {
+        v = static_cast<FailureKind>(rng() % 4);
+    } else { // a finite double of either sign, magnitude up to 2^250
+        const auto mantissa = static_cast<double>(rng() >> 11);
+        const int exp = static_cast<int>(rng() % 311) - 60 - 53;
+        v = std::ldexp(rng() % 2 == 0 ? mantissa : -mantissa, exp);
+    }
+}
+
+/// Every field random; `blocks` bit b - 1 switches block b on.
+SweepResult random_row(std::mt19937_64& rng, u32 blocks) {
+    SweepResult r;
+#define TGSIM_ROW_RANDOM(block, fmt, member) \
+    random_value<RowFmt::fmt>(r.member, rng);
+    TGSIM_SWEEP_ROW(TGSIM_ROW_RANDOM, TGSIM_ROW_SKIP)
+#undef TGSIM_ROW_RANDOM
+    for (std::size_t b = 1; b < kRowBlocks; ++b)
+        r.*kRowBlockSwitch[b] = ((blocks >> (b - 1)) & 1u) != 0;
+    return r;
+}
+
+std::string row_text(const SweepResult& r) {
+    std::string out;
+    append_result_row(out, r);
+    return out;
+}
+
+/// 20,000 seeded random rows, cycling through all 32 block combinations,
+/// under a header that carries every optional key.
+ParsedReport random_report() {
+    std::mt19937_64 rng{20'000};
+    ParsedReport out;
+    out.meta.app = "random rows " + random_text(rng);
+    out.meta.n_cores = 16;
+    out.meta.jobs = 3;
+    out.meta.max_cycles = rng();
+    out.meta.tier = Tier::Funnel;
+    out.meta.seed = rng();
+    out.meta.n_candidates = 3 * kRandomRows;
+    out.meta.funnel_top = 16;
+    out.meta.shard = {1, 3};
+    for (std::size_t i = 0; i < kRandomRows; ++i)
+        out.rows.push_back(random_row(rng, static_cast<u32>(i % 32)));
+    return out;
+}
+
+/// "" when `got` equals `want`, else where they first differ: gtest would
+/// print both multi-megabyte texts in full.
+std::string difference(const std::string& got, const std::string& want) {
+    if (got == want) return "";
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+        got.begin());
+    return "first difference at byte " + std::to_string(at) + ": got '" +
+           got.substr(at, 60) + "', want '" + want.substr(at, 60) + "'";
+}
+
+TEST(ReportReader, RandomRowsRoundTripThroughEveryPath) {
+    const ParsedReport want = random_report();
+    const std::string text = json_report(want.rows, want.meta);
+    std::string err;
+
+    const auto from_text = parse_report_text(text, &err);
+    ASSERT_TRUE(from_text.has_value()) << err;
+    EXPECT_EQ(difference(json_report(from_text->rows, from_text->meta), text),
+              "");
+
+    // The file reader streams through a 64 KiB buffer: a 10 MB report puts
+    // strings, escapes, numbers and literals across its refills.
+    const std::string path = temp_path("random_report.json");
+    write_file(path, text);
+    const auto from_file = parse_report_file(path, &err);
+    ASSERT_TRUE(from_file.has_value()) << err;
+    EXPECT_EQ(difference(json_report(from_file->rows, from_file->meta), text),
+              "");
+
+    const std::string journal_path = temp_path("random_journal.jsonl");
+    std::remove(journal_path.c_str());
+    JournalWriter w;
+    ASSERT_TRUE(w.open(journal_path, want.meta, 1u << 30, &err)) << err;
+    for (const SweepResult& r : want.rows) w.append(r);
+    ASSERT_TRUE(w.close());
+    const auto journal = load_journal(journal_path, &err);
+    ASSERT_TRUE(journal.has_value()) << err;
+    EXPECT_EQ(difference(json_report(journal->rows, journal->meta), text), "");
+}
+
+/// The "key": value pairs of an emitted row, split at the commas outside
+/// strings.
+std::vector<std::string> row_pairs(const std::string& line) {
+    std::vector<std::string> out(1);
+    bool in_string = false;
+    bool escaped = false;
+    for (std::size_t i = 1; i + 1 < line.size(); ++i) { // inside the braces
+        const char c = line[i];
+        if (in_string) {
+            if (escaped) escaped = false;
+            else if (c == '\\') escaped = true;
+            else if (c == '"') in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+        } else if (c == ',') {
+            out.emplace_back();
+            continue;
+        }
+        if (c != ' ' || in_string || !out.back().empty()) out.back() += c;
+    }
+    return out;
+}
+
+TEST(ReportReader, ShuffledAndUnknownKeysParseToTheSameRow) {
+    static const std::string kUnknown[] = {
+        R"("x": [1, {"y": null}])",
+        R"("zz": {"a": [true, false, "s\n\u00e9\\"], "b": -1.5e3, "c": {}})",
+        R"("ok_not": [])",
+        R"("": "")",
+        "\"nested\": [[[[{\"a\": [\"\\u0041\", {}]}]]]]",
+    };
+    const ParsedReport report = random_report();
+    std::mt19937_64 rng{7};
+    std::string err;
+    for (const SweepResult& r : report.rows) {
+        const std::string line = row_text(r);
+        std::vector<std::string> pairs = row_pairs(line);
+        std::shuffle(pairs.begin(), pairs.end(), rng);
+        for (u64 n = rng() % 3; n > 0; --n)
+            pairs.insert(pairs.begin() +
+                             static_cast<std::ptrdiff_t>(rng() % (pairs.size() + 1)),
+                         kUnknown[rng() % std::size(kUnknown)]);
+        std::string shuffled = "{";
+        for (std::size_t i = 0; i < pairs.size(); ++i)
+            shuffled += (i == 0 ? "" : ",\n ") + pairs[i];
+        shuffled += "}";
+        SweepResult parsed;
+        ASSERT_TRUE(parse_result_row(shuffled, &parsed, &err))
+            << err << "\n" << shuffled;
+        ASSERT_EQ(row_text(parsed), line) << shuffled;
+    }
+}
+
+std::string corpus(const char* name) {
+    return read_file(std::string{TGSIM_SOURCE_DIR} + "/tests/data/reports/" +
+                     name);
+}
+
+TEST(ReportReader, ErrorsNameTheLine) {
+    // Lines 1-3 are "{", the header and "candidates"; row 1 is line 5.
+    std::string text = corpus("funnel_report.json");
+    std::size_t at = 0;
+    for (int line = 1; line < 5; ++line) at = text.find('\n', at) + 1;
+    at = text.find("\"cycles\": ", at) + std::string{"\"cycles\": "}.size();
+    text.insert(at, "\"x\"");
+    std::string err;
+    EXPECT_FALSE(parse_report_text(text, &err).has_value());
+    EXPECT_NE(err.find("bad candidate row 1: field 'cycles' missing or not a"
+                       " number at line 5"),
+              std::string::npos)
+        << err;
+
+    std::string journal = corpus("fault_journal_torn.jsonl");
+    at = journal.find('\n', journal.find('\n') + 1) + 1; // start of line 3
+    journal.insert(at, "]");
+    const std::string path = temp_path("corrupt_line3.jsonl");
+    write_file(path, journal);
+    EXPECT_FALSE(load_journal(path, &err).has_value());
+    EXPECT_NE(err.find("corrupt journal line 3: expected '{' at line 3"),
+              std::string::npos)
+        << err;
+}
+
+// A header may claim any candidate count: the rows reserved are capped by
+// what the input can hold, so one row under n_candidates 2^32 - 1 parses
+// (sizing by the header would ask for ~2 TB), and merge then refuses it.
+TEST(ReportReader, LyingCandidateCountReservesOnlyWhatTheInputHolds) {
+    SweepMeta meta;
+    meta.app = "lying header";
+    meta.n_candidates = 0xFFFFFFFFu;
+    SweepResult row;
+    row.name = "the only row";
+    const std::string text = json_report({row}, meta);
+    const std::string path = temp_path("lying_header.json");
+    write_file(path, text);
+    std::string err;
+    std::optional<ParsedReport> parsed;
+    ASSERT_NO_THROW(parsed = parse_report_file(path, &err));
+    ASSERT_TRUE(parsed.has_value()) << err;
+    ASSERT_EQ(parsed->rows.size(), 1u);
+    EXPECT_LT(parsed->rows.capacity(), 16u);
+    ASSERT_NO_THROW(parsed = parse_report_text(text, &err));
+    ASSERT_TRUE(parsed.has_value()) << err;
+    EXPECT_LT(parsed->rows.capacity(), 16u);
+
+    std::vector<ParsedReport> one;
+    one.push_back(std::move(*parsed));
+    EXPECT_FALSE(merge_reports(std::move(one), &err).has_value());
+    EXPECT_NE(err.find("missing candidates"), std::string::npos) << err;
+}
+
+TEST(ShardMerge, SingleShardMergeSortsRowsInPlace) {
+    const std::string text = corpus("funnel_report.json"); // canonical form
+    std::string err;
+    auto parsed = parse_report_text(text, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    std::reverse(parsed->rows.begin(), parsed->rows.end());
+    const SweepResult* rows = parsed->rows.data();
+    std::vector<ParsedReport> one;
+    one.push_back(std::move(*parsed));
+    auto merged = merge_reports(std::move(one), &err);
+    ASSERT_TRUE(merged.has_value()) << err;
+    EXPECT_EQ(merged->rows.data(), rows) << "merge copied the grid";
+    EXPECT_EQ(json_report(merged->rows, merged->meta), text);
+}
+
+// --- fuzzing the reader -----------------------------------------------------
+
+/// Feeds `input` to every reader entry point; each must return a value or
+/// an error naming the line.
+void expect_value_or_line_error(const std::string& input,
+                                const std::string& path) {
+    write_file(path, input);
+    std::string err;
+    const auto check = [&err](bool ok, const char* reader) {
+        if (!ok) {
+            EXPECT_NE(err.find(" at line "), std::string::npos)
+                << reader << ": " << err;
+        }
+        err.clear();
+    };
+    check(parse_report_text(input, &err).has_value(), "parse_report_text");
+    check(parse_report_file(path, &err).has_value(), "parse_report_file");
+    check(load_journal(path, &err).has_value(), "load_journal");
+    SweepResult row;
+    check(parse_result_row(input, &row, &err), "parse_result_row");
+}
+
+TEST(ReportReaderFuzz, AnyInputYieldsAReportOrALineNumberedError) {
+    const std::string seeds[] = {corpus("funnel_report.json"),
+                                 corpus("open_shard1of2_report.json"),
+                                 corpus("fault_journal_torn.jsonl")};
+    std::string err;
+    ASSERT_TRUE(parse_report_text(seeds[0], &err).has_value()) << err;
+    ASSERT_TRUE(parse_report_text(seeds[1], &err).has_value()) << err;
+    const std::string path = temp_path("fuzz_input");
+    write_file(path, seeds[2]);
+    const auto torn = load_journal(path, &err);
+    ASSERT_TRUE(torn.has_value()) << err;
+    EXPECT_EQ(torn->rows.size(), 3u); // the fourth row is the torn tail
+
+    // Seeded byte flips, truncations and insertions of syntax bytes.
+    constexpr std::string_view kSyntax = "{}[]\",:\\";
+    std::mt19937_64 rng{0xF022};
+    for (int i = 0; i < 3000 && !::testing::Test::HasFailure(); ++i) {
+        std::string input = seeds[i % std::size(seeds)];
+        for (u64 edits = 1 + rng() % 4; edits > 0; --edits) {
+            const std::size_t at = rng() % (input.size() + 1);
+            switch (rng() % 3) {
+                case 0:
+                    if (at < input.size())
+                        input[at] = static_cast<char>(
+                            input[at] ^ static_cast<char>(1u << (rng() % 8)));
+                    break;
+                case 1: input.resize(at); break;
+                default: input.insert(at, 1, kSyntax[rng() % kSyntax.size()]);
+            }
+        }
+        expect_value_or_line_error(input, path);
+    }
+
+    // Nesting far past the cap is refused, not recursed into.
+    for (const std::string unit : {"[", "{\"a\": "}) {
+        std::string deep;
+        for (int i = 0; i < 100'000; ++i) deep += unit;
+        expect_value_or_line_error(deep, path);
+        EXPECT_FALSE(parse_report_text("{\"x\": " + deep, &err).has_value());
+        EXPECT_NE(err.find("nesting too deep at line 1"), std::string::npos)
+            << err;
+    }
 }
 
 } // namespace
