@@ -20,6 +20,20 @@
 # the cut journal and requires the byte-identical report. Reusing a journal
 # without --resume must be refused.
 #
+# PART=topology runs the pattern tool on a torus and on a table-routed ring
+# (examples/graphs/ring18.graph), shards a sweep with a topology axis and
+# merges it byte-identically, and requires a merge of a torus shard with a
+# mesh shard to be refused: topology is campaign identity.
+#
+# PART=open runs an open-loop rate ladder and requires the hockey stick:
+# the post-knee in-network p50 latency at least 3x the zero-load p50 and a
+# growing source queue (docs/traffic.md). Open shards merge byte-
+# identically; an open shard and a closed shard must not merge.
+#
+# PART=fault shards a faulted sweep and merges it byte-identically, and
+# requires every injected transaction to be accounted for in each row:
+# injected == delivered + err_delivered + lost.
+#
 # Each part works in its own directory under WORK, so the parts can run in
 # parallel.
 
@@ -43,6 +57,38 @@ function(run_tool want expect tool)
   endif()
 endfunction()
 
+# Runs BIN/<tool> with the remaining arguments; fails unless it exits 1 and
+# names `expect` on stderr.
+function(expect_refusal expect tool)
+  execute_process(COMMAND "${BIN}/${tool}" ${ARGN}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err)
+  string(FIND "${err}" "${expect}" at)
+  if(NOT rc EQUAL 1 OR at EQUAL -1)
+    message(FATAL_ERROR "${tool} ${ARGN}: exit ${rc}, want 1 naming '${expect}'\n${err}")
+  endif()
+endfunction()
+
+# Runs tgsim_sweep with the remaining arguments whole (into
+# WORK/<name>_single.json) and as two shards, merges the shards, and fails
+# unless the merge is byte-identical to the whole run.
+function(expect_shard_merge name)
+  run_tool(0 "" tgsim_sweep ${ARGN} --jobs=4 --deterministic
+           --json=${WORK}/${name}_single.json)
+  foreach(k 0 1)
+    run_tool(0 "" tgsim_sweep ${ARGN} --jobs=2 --shard=${k}/2
+             --json=${WORK}/${name}_s${k}.json)
+  endforeach()
+  run_tool(0 "" tgsim_merge --json=${WORK}/${name}_merged.json
+           ${WORK}/${name}_s0.json ${WORK}/${name}_s1.json)
+  expect_same("${WORK}/${name}_single.json" "${WORK}/${name}_merged.json")
+endfunction()
+
+# Sets `out` to field `key` of candidate row `i` of the report in `json`.
+function(row_field out json i key)
+  string(JSON v GET "${json}" candidates ${i} ${key})
+  set(${out} "${v}" PARENT_SCOPE)
+endfunction()
+
 # Fails unless files `a` and `b` are byte-identical.
 function(expect_same a b)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
@@ -60,13 +106,8 @@ endif()
 if(PART STREQUAL "chain")
   set(bench --app=mp_matrix --cores=2 --size=6)
   # A missing trace directory is refused up front, naming it.
-  execute_process(COMMAND "${BIN}/tgsim_run" ${bench}
-                          --trace-dir=${WORK}/missing
-                  RESULT_VARIABLE rc ERROR_VARIABLE err)
-  string(FIND "${err}" "${WORK}/missing" at)
-  if(NOT rc EQUAL 1 OR at EQUAL -1)
-    message(FATAL_ERROR "tgsim_run --trace-dir=<missing>: exit ${rc}\n${err}")
-  endif()
+  expect_refusal("${WORK}/missing" tgsim_run ${bench}
+                 --trace-dir=${WORK}/missing)
   run_tool(0 "checks: PASS" tgsim_run ${bench} --trace-dir=${WORK})
   run_tool(0 "-> ${WORK}/core1.tgp" tgsim_translate
            ${WORK}/core0.trc ${WORK}/core1.trc ${bench} --out-dir=${WORK})
@@ -120,6 +161,84 @@ elseif(PART STREQUAL "resume")
   expect_same("${WORK}/full.json" "${WORK}/resumed.json")
   run_tool(1 "" tgsim_sweep ${common} --checkpoint=${WORK}/ck.jsonl
            --json=${WORK}/overwrite.json)
+elseif(PART STREQUAL "topology")
+  run_tool(0 "" tgsim_patterns --pattern=tornado --mesh=4x4 --topology=torus
+           --packets=200 --jobs=4 --json=${WORK}/torus.json)
+  run_tool(0 "" tgsim_patterns --pattern=transpose --mesh=4x4
+           --topology=file:${CMAKE_CURRENT_LIST_DIR}/../examples/graphs/ring18.graph
+           --rates=0.01,0.02,0.04 --packets=200 --jobs=4
+           --json=${WORK}/graph.json)
+  foreach(report torus graph)
+    file(READ "${WORK}/${report}.json" json)
+    string(JSON rows LENGTH "${json}" candidates)
+    if(rows EQUAL 0)
+      message(FATAL_ERROR "${report}.json has no candidate rows")
+    endif()
+  endforeach()
+  set(common --pattern=transpose --grid=4x4 --packets=200 --rates=0.01,0.02
+             --mesh=5x4)
+  expect_shard_merge(topo ${common} --topology=mesh,torus)
+  run_tool(0 "" tgsim_sweep ${common} --topology=torus --shard=0/2
+           --json=${WORK}/mix_torus.json)
+  run_tool(0 "" tgsim_sweep ${common} --shard=1/2 --json=${WORK}/mix_mesh.json)
+  expect_refusal("metadata mismatch" tgsim_merge --json=${WORK}/mix_bad.json
+                 ${WORK}/mix_torus.json ${WORK}/mix_mesh.json)
+elseif(PART STREQUAL "open")
+  run_tool(0 "" tgsim_patterns --pattern=uniform_random --mesh=4x4
+           --source=open --fifo=8 --rates=0.01,0.08,0.64,1.0 --packets=200
+           --jobs=4 --json=${WORK}/ladder.json)
+  file(READ "${WORK}/ladder.json" json)
+  string(JSON rows LENGTH "${json}" candidates)
+  math(EXPR last "${rows} - 1")
+  foreach(i RANGE ${last})
+    string(JSON limit ERROR_VARIABLE missing GET "${json}" candidates ${i}
+           pending_limit)
+    if(missing)
+      message(FATAL_ERROR "ladder row ${i} has no open block")
+    endif()
+  endforeach()
+  row_field(zero_p50 "${json}" 0 net_lat_p50)
+  row_field(knee_p50 "${json}" ${last} net_lat_p50)
+  row_field(zero_sq "${json}" 0 sq_lat_mean)
+  row_field(knee_sq "${json}" ${last} sq_lat_mean)
+  if(zero_p50 LESS 1)
+    set(zero_p50 1)
+  endif()
+  math(EXPR floor "3 * ${zero_p50}")
+  if(knee_p50 LESS floor)
+    message(FATAL_ERROR "no hockey stick: knee p50 ${knee_p50} < 3 x ${zero_p50}")
+  endif()
+  if(NOT knee_sq GREATER zero_sq)
+    message(FATAL_ERROR "pending queue flat: ${knee_sq} <= ${zero_sq}")
+  endif()
+  set(common --pattern=uniform_random --grid=4x4 --mesh=5x4 --fifo=8
+             --rates=0.01,0.08,0.64 --packets=200)
+  expect_shard_merge(open ${common} --source=open)
+  run_tool(0 "" tgsim_sweep ${common} --shard=1/2
+           --json=${WORK}/mix_closed.json)
+  expect_refusal("metadata mismatch" tgsim_merge --json=${WORK}/mix_bad.json
+                 ${WORK}/open_s0.json ${WORK}/mix_closed.json)
+elseif(PART STREQUAL "fault")
+  expect_shard_merge(fault --pattern=transpose --grid=4x4 --packets=200
+                     --rates=0.01,0.02 --mesh=5x4 --fifo=4
+                     --fault-rate=0.02,0.05 --fault-seed=7)
+  file(READ "${WORK}/fault_single.json" json)
+  string(JSON rows LENGTH "${json}" candidates)
+  if(rows EQUAL 0)
+    message(FATAL_ERROR "no fault rows")
+  endif()
+  math(EXPR last "${rows} - 1")
+  foreach(i RANGE ${last})
+    foreach(key fault_injected fault_delivered fault_err_delivered fault_lost)
+      row_field(${key} "${json}" ${i} ${key})
+    endforeach()
+    math(EXPR accounted
+         "${fault_delivered} + ${fault_err_delivered} + ${fault_lost}")
+    if(NOT fault_injected EQUAL accounted)
+      message(FATAL_ERROR "row ${i}: ${fault_injected} injected, ${accounted} accounted for")
+    endif()
+  endforeach()
 else()
-  message(FATAL_ERROR "PART must be chain, flags, shard or resume, not '${PART}'")
+  message(FATAL_ERROR
+          "PART must be chain, flags, shard, resume, topology, open or fault, not '${PART}'")
 endif()
