@@ -79,12 +79,13 @@ apps::Workload fig2b_workload(u32 hold_iters) {
 void print_trace(const tg::Trace& t, const char* who) {
     std::printf("-- %s --\n", who);
     for (const auto& ev : t.events) {
+        const auto data = t.beats_of(ev);
         const unsigned long long a = ev.t_assert * kCyclePeriodNs;
         if (ocp::is_read(ev.cmd)) {
             std::printf("  %-3s 0x%08X @%lluns  -> Resp 0x%08X @%lluns"
                         "  (wait %llu cyc)\n",
                         ocp::is_burst(ev.cmd) ? "BRD" : "RD", ev.addr, a,
-                        ev.data.empty() ? 0 : ev.data.back(),
+                        data.empty() ? 0 : data.back(),
                         static_cast<unsigned long long>(ev.t_resp_last *
                                                         kCyclePeriodNs),
                         static_cast<unsigned long long>(ev.t_resp_last -
@@ -93,7 +94,7 @@ void print_trace(const tg::Trace& t, const char* who) {
             std::printf("  %-3s 0x%08X 0x%08X @%lluns -> accepted @%lluns"
                         "  (wait %llu cyc)\n",
                         ocp::is_burst(ev.cmd) ? "BWR" : "WR", ev.addr,
-                        ev.data.empty() ? 0 : ev.data.front(), a,
+                        data.empty() ? 0 : data.front(), a,
                         static_cast<unsigned long long>(ev.t_accept *
                                                         kCyclePeriodNs),
                         static_cast<unsigned long long>(ev.t_accept -
@@ -113,10 +114,11 @@ void fig2b_on(platform::IcKind ic) {
                 static_cast<unsigned long long>(run.result.cycles));
     for (u32 m = 0; m < 2; ++m) {
         u64 fails = 0, wins = 0;
-        for (const auto& ev : run.traces[m].events) {
+        const tg::Trace& t = run.traces[m];
+        for (const auto& ev : t.events) {
             if (ev.cmd != ocp::Cmd::Read || ev.addr != platform::sem_addr(0))
                 continue;
-            if (!ev.data.empty() && ev.data.back() != 0)
+            if (ev.beat_count != 0 && t.beats_of(ev).back() != 0)
                 ++wins;
             else
                 ++fails;

@@ -4,6 +4,7 @@
 // (translation, assembly, text round-trip).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <string_view>
 
 #include "apps/apps.hpp"
@@ -217,7 +218,6 @@ tg::Trace sample_trace() {
         tg::TraceEvent ev;
         ev.cmd = (i % 3 == 0) ? ocp::Cmd::Write : ocp::Cmd::Read;
         ev.addr = 0x20000000u + 4 * (i % 64);
-        ev.data = {i};
         ev.t_assert = cyc;
         ev.t_accept = cyc + 2;
         if (ocp::is_read(ev.cmd)) {
@@ -226,7 +226,7 @@ tg::Trace sample_trace() {
         } else {
             cyc = ev.t_accept + 5;
         }
-        t.events.push_back(std::move(ev));
+        t.append(ev, std::array{i});
     }
     t.end_cycle = cyc + 10;
     return t;

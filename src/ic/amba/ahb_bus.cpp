@@ -9,7 +9,7 @@ std::size_t AhbBus::connect_master(ocp::ChannelRef ch, int /*node*/) {
 }
 
 std::size_t AhbBus::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
-                                  int /*node*/) {
+                                  int /*node*/, bool /*read_side_effects*/) {
     const std::size_t idx = map_.add_range(base, size);
     slaves_.push_back(ch);
     stats_.slave_transactions.push_back(0);

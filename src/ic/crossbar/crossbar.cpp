@@ -13,7 +13,7 @@ std::size_t Crossbar::connect_master(ocp::ChannelRef ch, int /*node*/) {
 }
 
 std::size_t Crossbar::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
-                                    int /*node*/) {
+                                    int /*node*/, bool /*read_side_effects*/) {
     const std::size_t idx = map_.add_range(base, size);
     slaves_.push_back(SlavePort{});
     slaves_.back().ch = ch;

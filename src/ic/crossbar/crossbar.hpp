@@ -29,7 +29,7 @@ public:
 
     std::size_t connect_master(ocp::ChannelRef ch, int node = -1) override;
     std::size_t connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
-                              int node = -1) override;
+                              int node = -1, bool read_side_effects = false) override;
 
     void eval() override;
     void update() override {}

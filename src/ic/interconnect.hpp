@@ -23,9 +23,12 @@ public:
     virtual std::size_t connect_master(ocp::ChannelRef ch, int node) = 0;
 
     /// Attaches a slave-side channel decoded at [base, base+size).
+    /// `read_side_effects` marks a slave whose reads change its state
+    /// (mem::SlaveDevice::read_side_effects()): a fabric that replays
+    /// requests must then answer a replayed read without reading again.
     /// Returns the slave port index.
     virtual std::size_t connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
-                                      int node) = 0;
+                                      int node, bool read_side_effects = false) = 0;
 
     /// Cycles during which at least one transaction was in flight.
     [[nodiscard]] virtual u64 busy_cycles() const = 0;

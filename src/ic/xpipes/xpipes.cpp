@@ -101,7 +101,7 @@ std::size_t XpipesNetwork::connect_master(ocp::ChannelRef ch, int node) {
 }
 
 std::size_t XpipesNetwork::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
-                                         int node) {
+                                         int node, bool read_side_effects) {
     if (node < 0 || static_cast<u32>(node) >= node_count())
         throw std::invalid_argument{"XpipesNetwork: slave node out of range"};
     if (slave_at_node_[static_cast<std::size_t>(node)] >= 0)
@@ -111,6 +111,7 @@ std::size_t XpipesNetwork::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
     ni.ch = ch;
     ni.node = static_cast<u16>(node);
     if (fault_on_) ni.last_seq.assign(node_count(), 0xFFFFFFFFu);
+    if (fault_on_ && read_side_effects) ni.last_resp.resize(node_count());
     slaves_.push_back(std::move(ni));
     slave_at_node_[static_cast<std::size_t>(node)] =
         static_cast<int>(slaves_.size() - 1);
@@ -479,13 +480,20 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             if (fault_on_) {
                 // Replay dedupe: a duplicate write (its first copy was
                 // applied but the ack got lost) must not be re-applied to
-                // the slave — just re-acknowledge. Duplicate reads are
-                // idempotent and simply re-served.
+                // the slave — just re-acknowledge. A duplicate read of a
+                // slave whose reads have side effects (a test-and-set
+                // semaphore) is answered from the copy of the first
+                // response; reads of plain memory are re-served.
                 const auto src = static_cast<std::size_t>(ni.hdr.src_node);
                 if (ni.last_seq[src] == ni.hdr.seq) {
                     ++stats_.reliability.dup_requests;
                     if (ocp::is_write(ni.hdr.cmd)) {
                         push_ack(ni);
+                        any_activity_ = true;
+                        break;
+                    }
+                    if (!ni.last_resp.empty()) {
+                        replay_response(ni, ni.last_resp[src]);
                         any_activity_ = true;
                         break;
                     }
@@ -535,8 +543,18 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             // set, so the far NI can replay it as Resp::Err instead of
             // laundering it into ordinary data.
             const bool err = ch.s_resp() == ocp::Resp::Err;
-            push_response(ni, make_flit(Flit::Kind::Payload,
-                                        err ? kPoison : ch.s_data(), err));
+            const u32 data = err ? kPoison : ch.s_data();
+            push_response(ni, make_flit(Flit::Kind::Payload, data, err));
+            if (!ni.last_resp.empty()) {
+                SlaveNi::SavedResp& copy =
+                    ni.last_resp[static_cast<std::size_t>(ni.hdr.src_node)];
+                if (ni.beats_resp == 0) {
+                    copy.beats.clear();
+                    copy.err_mask = 0;
+                }
+                if (err) copy.err_mask |= u64{1} << ni.beats_resp;
+                copy.beats.push_back(data);
+            }
             if (++ni.beats_resp == ni.hdr.burst) {
                 push_response(ni, make_flit(Flit::Kind::Tail));
                 ni.st = SlaveNi::St::Idle;
@@ -544,6 +562,14 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             break;
         }
     }
+}
+
+void XpipesNetwork::replay_response(SlaveNi& ni, const SlaveNi::SavedResp& copy) {
+    push_response(ni, make_flit(Flit::Kind::Head));
+    for (std::size_t k = 0; k < copy.beats.size(); ++k)
+        push_response(ni, make_flit(Flit::Kind::Payload, copy.beats[k],
+                                    ((copy.err_mask >> k) & 1u) != 0));
+    push_response(ni, make_flit(Flit::Kind::Tail));
 }
 
 void XpipesNetwork::push_ack(SlaveNi& ni) {

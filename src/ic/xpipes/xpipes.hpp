@@ -150,7 +150,7 @@ public:
     std::size_t connect_master(ocp::ChannelRef ch, int node) override;
     /// One slave NI per node.
     std::size_t connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
-                              int node) override;
+                              int node, bool read_side_effects = false) override;
 
     void eval() override;
     void update() override { ++now_; }
@@ -396,6 +396,16 @@ private:
         /// Last sequence number served per requester node (replay dedupe);
         /// 0xFFFFFFFF = none yet.
         std::vector<u32> last_seq;
+        /// A read response as first sent: its beats and which were Err.
+        struct SavedResp {
+            std::vector<u32> beats;
+            u64 err_mask = 0; ///< bit k: beat k was Err
+        };
+        static_assert(ocp::kMaxBurstLen <= 64, "err_mask holds one bit per beat");
+        /// Per requester node, the last read response: kept only for a
+        /// slave whose reads have side effects, which answers a replayed
+        /// read from it instead of reading again. Empty otherwise.
+        std::vector<SavedResp> last_resp;
     };
 
     /// A committed flit transfer, collected against pre-move FIFO sizes and
@@ -544,6 +554,8 @@ private:
     void complete_txn(MasterNi& ni);
     /// Queues the slave NI's write acknowledgement packet (Head + Tail).
     void push_ack(SlaveNi& ni);
+    /// Sends `copy` again as the response to a replayed read.
+    void replay_response(SlaveNi& ni, const SlaveNi::SavedResp& copy);
 
     XpipesConfig cfg_;
     /// Routing + adjacency provider (docs/topology.md); fixed per network.

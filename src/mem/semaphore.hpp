@@ -37,6 +37,9 @@ public:
     /// Number of reads that returned zero (failed polls).
     [[nodiscard]] u64 failed_polls() const noexcept { return failed_polls_; }
 
+    /// Every read is a test-and-set.
+    [[nodiscard]] bool read_side_effects() const noexcept override { return true; }
+
 protected:
     u32 read_word(u32 addr) override;
     void write_word(u32 addr, u32 data) override;

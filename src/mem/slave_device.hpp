@@ -53,6 +53,12 @@ public:
     [[nodiscard]] u64 writes_served() const noexcept { return writes_; }
     [[nodiscard]] const SlaveTiming& timing() const noexcept { return timing_; }
 
+    /// True when a read changes the device's state (a test-and-set
+    /// semaphore), so reading twice is not the same as reading once. A
+    /// fabric that replays lost requests must then not re-execute a read
+    /// (ic::Interconnect::connect_slave).
+    [[nodiscard]] virtual bool read_side_effects() const noexcept { return false; }
+
 protected:
     /// Returns the word at `addr` (byte address, word aligned); may have side
     /// effects (called exactly once per read beat).

@@ -1,5 +1,8 @@
 #include "ocp/monitor.hpp"
 
+#include <limits>
+#include <stdexcept>
+
 namespace tgsim::ocp {
 
 void ChannelMonitor::eval() {
@@ -11,21 +14,22 @@ void ChannelMonitor::eval() {
     if (!active_ && ch_.m_cmd() != Cmd::Idle) {
         active_ = true;
         awaiting_resp_ = false;
-        beats_seen_ = 0;
-        cur_ = TransactionRecord{};
+        cur_ = tg::TraceEvent{};
         cur_.cmd = ch_.m_cmd();
         cur_.addr = ch_.m_addr();
-        cur_.burst_len = is_burst(ch_.m_cmd()) ? ch_.m_burst() : u16{1};
+        cur_.burst = is_burst(ch_.m_cmd()) ? ch_.m_burst() : u16{1};
         cur_.t_assert = now;
+        if (log_.beats.size() > std::numeric_limits<u32>::max())
+            throw std::length_error{"ChannelMonitor: trace beat store full"};
+        cur_.beat_off = static_cast<u32>(log_.beats.size());
     }
     if (!active_) return;
 
     // Request phase: watch accepted beats.
     if (!awaiting_resp_ && ch_.s_cmd_accept() && ch_.m_cmd() != Cmd::Idle) {
         if (is_write(cur_.cmd)) {
-            cur_.data.push_back(ch_.m_data());
-            ++beats_seen_;
-            if (beats_seen_ == cur_.burst_len) {
+            beat(ch_.m_data());
+            if (cur_.beat_count == cur_.burst) {
                 cur_.t_accept = now;
                 emit(); // posted write completes at last accepted beat
                 return;
@@ -33,28 +37,29 @@ void ChannelMonitor::eval() {
         } else {
             cur_.t_accept = now;
             awaiting_resp_ = true;
-            beats_seen_ = 0;
         }
     }
 
     // Response phase (reads): watch consumed response beats.
     if (awaiting_resp_ && ch_.s_resp() != Resp::None && ch_.m_resp_accept()) {
-        if (beats_seen_ == 0) cur_.t_resp_first = now;
-        cur_.data.push_back(ch_.s_data());
-        ++beats_seen_;
-        if (beats_seen_ == cur_.burst_len || ch_.s_resp_last()) {
+        if (cur_.beat_count == 0) cur_.t_resp_first = now;
+        beat(ch_.s_data());
+        if (cur_.beat_count == cur_.burst || ch_.s_resp_last()) {
             cur_.t_resp_last = now;
             emit();
         }
     }
 }
 
+void ChannelMonitor::beat(u32 data) {
+    log_.beats.push_back(data);
+    ++cur_.beat_count;
+}
+
 void ChannelMonitor::emit() {
-    ++count_;
-    if (sink_) sink_(cur_);
+    log_.events.push_back(cur_);
     active_ = false;
     awaiting_resp_ = false;
-    beats_seen_ = 0;
 }
 
 } // namespace tgsim::ocp

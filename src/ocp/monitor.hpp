@@ -1,39 +1,27 @@
 // OCP channel monitor: reconstructs whole transactions from the wire-level
 // handshake. This is the attach point for the paper's trace collection — the
-// monitor watches one master interface and reports each completed transaction
-// (command, address, data beats, assert/accept/response timestamps).
+// monitor watches one master interface and appends each completed
+// transaction (command, address, data beats, assert/accept/response
+// timestamps) straight into a tg::Trace.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "ocp/channel.hpp"
 #include "sim/kernel.hpp"
+#include "tg/trace.hpp"
 
 namespace tgsim::ocp {
 
-/// One completed OCP transaction as observed on a channel.
-struct TransactionRecord {
-    Cmd cmd = Cmd::Idle;
-    u32 addr = 0;
-    u16 burst_len = 1;
-    Cycle t_assert = 0;     ///< first cycle the command was driven
-    Cycle t_accept = 0;     ///< cycle the (last) request beat was accepted
-    Cycle t_resp_first = 0; ///< first response beat (reads; 0 for writes)
-    Cycle t_resp_last = 0;  ///< last response beat (reads; 0 for writes)
-    std::vector<u32> data;  ///< write beats as driven / read beats as returned
-};
-
-/// Watches a Channel every cycle (observer stage) and emits a
-/// TransactionRecord through the sink callback when a transaction completes.
-/// Writes complete at their final accepted beat; reads at their final
-/// response beat.
+/// Watches a Channel every cycle (observer stage) and appends each completed
+/// transaction to `log`. Writes complete at their final accepted beat; reads
+/// at their final response beat. Beats go straight into the log's flat beat
+/// store, so capture allocates nothing per transaction.
 class ChannelMonitor final : public sim::Clocked {
 public:
-    using Sink = std::function<void(const TransactionRecord&)>;
-
-    ChannelMonitor(const sim::Kernel& kernel, ChannelRef channel, Sink sink)
-        : kernel_(kernel), ch_(channel), sink_(std::move(sink)) {}
+    /// `log` must outlive the monitor.
+    ChannelMonitor(const sim::Kernel& kernel, ChannelRef channel, tg::Trace& log)
+        : kernel_(kernel), ch_(channel), log_(log) {}
 
     void eval() override;
     void update() override {}
@@ -47,22 +35,21 @@ public:
     }
 
     /// Total transactions observed.
-    [[nodiscard]] u64 transactions() const noexcept { return count_; }
+    [[nodiscard]] u64 transactions() const noexcept { return log_.events.size(); }
     /// Cycles in which the request group was non-idle (utilisation proxy).
     [[nodiscard]] u64 busy_cycles() const noexcept { return busy_cycles_; }
 
 private:
+    void beat(u32 data);
     void emit();
 
     const sim::Kernel& kernel_;
     const ChannelRef ch_;
-    Sink sink_;
+    tg::Trace& log_;
 
-    bool active_ = false;          ///< a transaction is being assembled
-    bool awaiting_resp_ = false;   ///< read accepted, collecting responses
-    u16 beats_seen_ = 0;           ///< accepted write beats / read resp beats
-    TransactionRecord cur_;
-    u64 count_ = 0;
+    bool active_ = false;        ///< a transaction is being assembled
+    bool awaiting_resp_ = false; ///< read accepted, collecting responses
+    tg::TraceEvent cur_;         ///< beat_count counts the beats seen so far
     u64 busy_cycles_ = 0;
 };
 

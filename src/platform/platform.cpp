@@ -63,7 +63,7 @@ void Platform::build_fabric() {
     sems_ = std::make_unique<mem::SemaphoreDevice>(
         slave_ch[n + 1], cfg_.sem_timing, kSemBase, kSemCount, "sems");
     ic_->connect_slave(slave_ch[n + 1], kSemBase, 4 * kSemCount,
-                       static_cast<int>(n + 1));
+                       static_cast<int>(n + 1), sems_->read_side_effects());
 
     // Master ports.
     for (u32 i = 0; i < n; ++i)
@@ -199,12 +199,8 @@ void Platform::attach_monitors() {
     traces_.resize(cfg_.n_cores);
     for (u32 i = 0; i < cfg_.n_cores; ++i) {
         traces_[i].core_id = i;
-        tg::Trace* sink = &traces_[i];
         monitors_.push_back(std::make_unique<ocp::ChannelMonitor>(
-            kernel_, master_ch_[i],
-            [sink](const ocp::TransactionRecord& rec) {
-                sink->events.push_back(tg::from_record(rec));
-            }));
+            kernel_, master_ch_[i], traces_[i]));
         kernel_.add(*monitors_.back(), sim::kStageObserver,
                     "mon" + std::to_string(i));
     }

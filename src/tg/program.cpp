@@ -1,9 +1,15 @@
 #include "tg/program.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
+
+#include "ocp/channel.hpp"
+#include "tg/text_number.hpp"
 
 namespace tgsim::tg {
 
@@ -44,19 +50,6 @@ std::string clean(const std::string& raw) {
     return s.substr(first, last - first + 1);
 }
 
-u8 parse_reg(const std::string& tok) {
-    if (tok.size() < 2 || (tok[0] != 'r' && tok[0] != 'R'))
-        throw std::invalid_argument{"tgp: bad register '" + tok + "'"};
-    const int n = std::stoi(tok.substr(1));
-    if (n < 0 || n >= kTgNumRegs)
-        throw std::invalid_argument{"tgp: register out of range '" + tok + "'"};
-    return static_cast<u8>(n);
-}
-
-u32 parse_u32(const std::string& tok) {
-    return static_cast<u32>(std::stoul(tok, nullptr, 0));
-}
-
 TgCmp parse_cmp(const std::string& tok) {
     if (tok == "==") return TgCmp::Eq;
     if (tok == "!=") return TgCmp::Ne;
@@ -64,7 +57,31 @@ TgCmp parse_cmp(const std::string& tok) {
     if (tok == ">=u") return TgCmp::Geu;
     if (tok == "<s") return TgCmp::Lts;
     if (tok == ">=s") return TgCmp::Ges;
-    throw std::invalid_argument{"tgp: bad comparison '" + tok + "'"};
+    throw std::invalid_argument{"bad comparison '" + tok + "'"};
+}
+
+/// A 32-bit number: decimal, 0x-hex or 0-octal.
+u32 parse_u32(const std::string& tok) {
+    const auto v = parse_unsigned(tok, true, std::numeric_limits<u32>::max());
+    if (!v) throw std::invalid_argument{"bad number '" + tok + "'"};
+    return static_cast<u32>(*v);
+}
+
+u8 parse_reg(const std::string& tok) {
+    if (tok.size() < 2 || (tok[0] != 'r' && tok[0] != 'R'))
+        throw std::invalid_argument{"bad register '" + tok + "'"};
+    const auto n = parse_unsigned(std::string_view{tok}.substr(1), false, kTgNumRegs - 1);
+    if (!n) throw std::invalid_argument{"register out of range '" + tok + "'"};
+    return static_cast<u8>(*n);
+}
+
+/// A burst beat count the image and the OCP channel can both carry.
+u32 parse_burst(const std::string& tok) {
+    const u32 n = parse_u32(tok);
+    if (n < 1 || n > ocp::kMaxBurstLen)
+        throw std::invalid_argument{"burst count " + tok + " outside [1, " +
+                                    std::to_string(ocp::kMaxBurstLen) + "]"};
+    return n;
 }
 
 /// Splits "Op(arg, arg, ...)" into op name and raw args.
@@ -84,26 +101,232 @@ Call parse_call(const std::string& line) {
     c.name = clean(line.substr(0, open));
     const auto close = line.find(')', open);
     if (close == std::string::npos)
-        throw std::invalid_argument{"tgp: missing ')': " + line};
+        throw std::invalid_argument{"missing ')'"};
     std::string inner = line.substr(open + 1, close - open - 1);
     c.suffix = clean(line.substr(close + 1));
     std::string cur;
-    int depth = 0;
     for (const char ch : inner) {
-        if (ch == ',' && depth == 0) {
+        if (ch == ',') {
             c.args.push_back(clean(cur));
             cur.clear();
         } else {
-            if (ch == '{') ++depth;
-            if (ch == '}') --depth;
             cur += ch;
         }
     }
-    if (!clean(cur).empty()) c.args.push_back(clean(cur));
+    if (!c.args.empty() || !clean(cur).empty()) c.args.push_back(clean(cur));
     return c;
 }
 
+/// Splits `s` on whitespace; throws unless there are exactly `n` tokens.
+std::vector<std::string> words(const std::string& s, std::size_t n,
+                               const char* what) {
+    std::istringstream is{s};
+    std::vector<std::string> out;
+    for (std::string w; is >> w;) out.push_back(std::move(w));
+    if (out.size() != n) throw std::invalid_argument{std::string{"bad "} + what};
+    return out;
+}
+
+/// Reads .tgp text line by line; every error names the line.
+class ProgramReader {
+public:
+    explicit ProgramReader(const std::string& text) : is_(text) {}
+
+    TgProgram read() {
+        std::string raw;
+        bool in_body = false;
+        bool ended = false;
+        while (std::getline(is_, raw)) {
+            ++line_no_;
+            const std::string line = clean(raw);
+            if (line.empty()) continue;
+            try {
+                if (ended) throw std::invalid_argument{"content after END"};
+                if (!in_body)
+                    in_body = header(line);
+                else if (line == "END")
+                    ended = true;
+                else
+                    body(line);
+            } catch (const std::invalid_argument& e) {
+                fail(line_no_, e.what());
+            }
+        }
+        if (!ended) throw std::invalid_argument{"tgp: missing END"};
+        for (const Ref& r : refs_) {
+            const auto it = bound_labels_.find(r.label);
+            if (it == bound_labels_.end())
+                fail(r.line, "undefined label " + r.label);
+            prog_.instrs[r.instr].target = it->second;
+            prog_.labels[it->second] = r.label;
+        }
+        for (const auto& [name, index] : bound_labels_)
+            if (index == prog_.instrs.size())
+                fail(line_no_, "label " + name + " binds no instruction");
+        return std::move(prog_);
+    }
+
+private:
+    struct Ref {
+        std::size_t instr = 0;
+        std::string label;
+        std::size_t line = 0;
+    };
+
+    [[noreturn]] static void fail(std::size_t line, const std::string& what) {
+        throw std::invalid_argument{"tgp: line " + std::to_string(line) + ": " +
+                                    what};
+    }
+
+    /// A line before BEGIN; returns true at BEGIN.
+    bool header(const std::string& line) {
+        if (line.rfind("MASTER[", 0) == 0) {
+            const auto close = line.find(']');
+            const auto comma = line.find(',');
+            if (close != line.size() - 1 || comma == std::string::npos || comma > close)
+                throw std::invalid_argument{"bad MASTER line"};
+            prog_.core_id = parse_u32(line.substr(7, comma - 7));
+            prog_.thread_id = parse_u32(line.substr(comma + 1, close - comma - 1));
+            return false;
+        }
+        if (line.rfind("REGISTER", 0) == 0) {
+            const auto w = words(line, 3, "REGISTER line");
+            if (w[0] != "REGISTER") throw std::invalid_argument{"bad REGISTER line"};
+            prog_.reg_init[parse_reg(w[1])] = parse_u32(w[2]);
+            return false;
+        }
+        if (line == "BEGIN") return true;
+        throw std::invalid_argument{"unexpected line '" + line + "'"};
+    }
+
+    void body(const std::string& line) {
+        if (line.back() == ':') {
+            const std::string name = clean(line.substr(0, line.size() - 1));
+            if (!bound_labels_.emplace(name, static_cast<u32>(prog_.instrs.size())).second)
+                throw std::invalid_argument{"duplicate label " + name};
+            return;
+        }
+        const Call c = parse_call(line);
+        const auto args = [&](std::size_t n) {
+            if (c.args.size() != n)
+                throw std::invalid_argument{c.name + " takes " + std::to_string(n) +
+                                            " operand(s)"};
+        };
+        const bool branch = c.name == "If" || c.name == "IfImm";
+        if (!c.suffix.empty() && !branch && c.name != "BurstWrite")
+            throw std::invalid_argument{"unexpected '" + c.suffix + "'"};
+        TgInstr in;
+        if (c.name == "Read") {
+            args(1);
+            in.op = TgOp::Read;
+            in.a = parse_reg(c.args[0]);
+        } else if (c.name == "Write") {
+            args(2);
+            in.op = TgOp::Write;
+            in.a = parse_reg(c.args[0]);
+            in.b = parse_reg(c.args[1]);
+        } else if (c.name == "BurstRead") {
+            args(2);
+            in.op = TgOp::BurstRead;
+            in.a = parse_reg(c.args[0]);
+            in.imm = parse_burst(c.args[1]);
+        } else if (c.name == "BurstWrite") {
+            args(2);
+            in.op = TgOp::BurstWrite;
+            in.a = parse_reg(c.args[0]);
+            in.imm = parse_burst(c.args[1]);
+            in.beat_off = static_cast<u32>(prog_.beats.size());
+            // beats are in the suffix: "{ 0x.., 0x.. }"
+            if (c.suffix.size() < 2 || c.suffix.front() != '{' || c.suffix.back() != '}')
+                throw std::invalid_argument{"BurstWrite missing beats"};
+            std::istringstream bs{c.suffix.substr(1, c.suffix.size() - 2)};
+            u32 n = 0;
+            for (std::string tok; std::getline(bs, tok, ','); ++n) {
+                if (n == in.imm)
+                    throw std::invalid_argument{"BurstWrite beat count mismatch"};
+                prog_.beats.push_back(parse_u32(clean(tok)));
+            }
+            if (n != in.imm)
+                throw std::invalid_argument{"BurstWrite beat count mismatch"};
+        } else if (branch) {
+            // args[0] = "rX <cmp> rhs" ; suffix = "then <label>"
+            args(1);
+            const auto cond = words(c.args[0], 3, "condition");
+            in.op = (c.name == "If") ? TgOp::If : TgOp::IfImm;
+            in.a = parse_reg(cond[0]);
+            in.cmp = parse_cmp(cond[1]);
+            if (in.op == TgOp::If)
+                in.b = parse_reg(cond[2]);
+            else
+                in.imm = parse_u32(cond[2]);
+            const auto then = words(c.suffix, 2, "If: want 'then <label>'");
+            if (then[0] != "then")
+                throw std::invalid_argument{"If missing 'then <label>'"};
+            refs_.push_back(Ref{prog_.instrs.size(), then[1], line_no_});
+        } else if (c.name == "Jump") {
+            args(1);
+            in.op = TgOp::Jump;
+            refs_.push_back(Ref{prog_.instrs.size(), c.args[0], line_no_});
+        } else if (c.name == "SetRegister") {
+            args(2);
+            in.op = TgOp::SetRegister;
+            in.a = parse_reg(c.args[0]);
+            in.imm = parse_u32(c.args[1]);
+        } else if (c.name == "Idle" || c.name == "IdleUntil") {
+            args(1);
+            in.op = c.name == "Idle" ? TgOp::Idle : TgOp::IdleUntil;
+            in.imm = parse_u32(c.args[0]);
+        } else if (c.name == "Halt") {
+            args(0);
+            in.op = TgOp::Halt;
+        } else {
+            throw std::invalid_argument{"unknown instruction '" + c.name + "'"};
+        }
+        prog_.instrs.push_back(in);
+    }
+
+    std::istringstream is_;
+    std::size_t line_no_ = 0;
+    TgProgram prog_;
+    std::unordered_map<std::string, u32> bound_labels_;
+    std::vector<Ref> refs_;
+};
+
 } // namespace
+
+std::span<const u32> TgProgram::beats_of(const TgInstr& in) const {
+    if (in.beat_off > beats.size() || in.imm > beats.size() - in.beat_off)
+        throw std::invalid_argument{"BurstWrite beats outside the program's beat store"};
+    return {beats.data() + in.beat_off, in.imm};
+}
+
+void TgProgram::push_burst_write(u8 areg, std::span<const u32> data) {
+    if (beats.size() > std::numeric_limits<u32>::max() - data.size())
+        throw std::length_error{"TgProgram: too many beats"};
+    TgInstr in;
+    in.op = TgOp::BurstWrite;
+    in.a = areg;
+    in.imm = static_cast<u32>(data.size());
+    in.beat_off = static_cast<u32>(beats.size());
+    beats.insert(beats.end(), data.begin(), data.end());
+    instrs.push_back(in);
+}
+
+bool TgProgram::operator==(const TgProgram& o) const {
+    if (core_id != o.core_id || thread_id != o.thread_id ||
+        reg_init != o.reg_init || instrs.size() != o.instrs.size())
+        return false;
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        TgInstr a = instrs[i];
+        TgInstr b = o.instrs[i];
+        if (a.op == TgOp::BurstWrite && b.op == TgOp::BurstWrite &&
+            !std::ranges::equal(beats_of(a), o.beats_of(b)))
+            return false;
+        a.beat_off = b.beat_off = 0;
+        if (a != b) return false;
+    }
+    return true;
+}
 
 std::string to_text(const TgProgram& prog) {
     std::ostringstream os;
@@ -135,9 +358,10 @@ std::string to_text(const TgProgram& prog) {
                 break;
             case TgOp::BurstWrite: {
                 os << "BurstWrite(" << reg_name(in.a) << ", " << in.imm << ") {";
-                for (std::size_t k = 0; k < in.burst_data.size(); ++k) {
+                const std::span<const u32> data = prog.beats_of(in);
+                for (std::size_t k = 0; k < data.size(); ++k) {
                     if (k != 0) os << ", ";
-                    os << hex32(in.burst_data[k]);
+                    os << hex32(data[k]);
                 }
                 os << "}";
                 break;
@@ -173,132 +397,7 @@ std::string to_text(const TgProgram& prog) {
 }
 
 TgProgram program_from_text(const std::string& text) {
-    TgProgram prog;
-    std::istringstream is{text};
-    std::string raw;
-    bool in_body = false;
-    bool ended = false;
-    std::unordered_map<std::string, u32> bound_labels;
-    struct Ref {
-        std::size_t instr = 0;
-        std::string label;
-    };
-    std::vector<Ref> refs;
-
-    while (std::getline(is, raw)) {
-        const std::string line = clean(raw);
-        if (line.empty()) continue;
-        if (!in_body) {
-            if (line.rfind("MASTER[", 0) == 0) {
-                const auto close = line.find(']');
-                if (close == std::string::npos)
-                    throw std::invalid_argument{"tgp: bad MASTER line"};
-                const std::string inner = line.substr(7, close - 7);
-                const auto comma = inner.find(',');
-                if (comma == std::string::npos)
-                    throw std::invalid_argument{"tgp: bad MASTER line"};
-                prog.core_id = parse_u32(inner.substr(0, comma));
-                prog.thread_id = parse_u32(inner.substr(comma + 1));
-            } else if (line.rfind("REGISTER", 0) == 0) {
-                std::istringstream ls{line};
-                std::string kw, reg, val;
-                ls >> kw >> reg >> val;
-                prog.reg_init[parse_reg(reg)] = parse_u32(val);
-            } else if (line == "BEGIN") {
-                in_body = true;
-            } else {
-                throw std::invalid_argument{"tgp: unexpected line '" + line + "'"};
-            }
-            continue;
-        }
-        if (line == "END") {
-            ended = true;
-            break;
-        }
-        if (line.back() == ':') {
-            const std::string name = clean(line.substr(0, line.size() - 1));
-            if (!bound_labels.emplace(name, static_cast<u32>(prog.instrs.size())).second)
-                throw std::invalid_argument{"tgp: duplicate label " + name};
-            continue;
-        }
-        const Call c = parse_call(line);
-        TgInstr in;
-        if (c.name == "Read") {
-            in.op = TgOp::Read;
-            in.a = parse_reg(c.args.at(0));
-        } else if (c.name == "Write") {
-            in.op = TgOp::Write;
-            in.a = parse_reg(c.args.at(0));
-            in.b = parse_reg(c.args.at(1));
-        } else if (c.name == "BurstRead") {
-            in.op = TgOp::BurstRead;
-            in.a = parse_reg(c.args.at(0));
-            in.imm = parse_u32(c.args.at(1));
-        } else if (c.name == "BurstWrite") {
-            in.op = TgOp::BurstWrite;
-            in.a = parse_reg(c.args.at(0));
-            in.imm = parse_u32(c.args.at(1));
-            // beats are in the suffix: "{ 0x.., 0x.. }"
-            const auto ob = c.suffix.find('{');
-            const auto cb = c.suffix.find('}');
-            if (ob == std::string::npos || cb == std::string::npos)
-                throw std::invalid_argument{"tgp: BurstWrite missing beats"};
-            std::string beats = c.suffix.substr(ob + 1, cb - ob - 1);
-            std::istringstream bs{beats};
-            std::string tok;
-            while (std::getline(bs, tok, ',')) {
-                const std::string t = clean(tok);
-                if (!t.empty()) in.burst_data.push_back(parse_u32(t));
-            }
-            if (in.burst_data.size() != in.imm)
-                throw std::invalid_argument{"tgp: BurstWrite beat count mismatch"};
-        } else if (c.name == "If" || c.name == "IfImm") {
-            // args[0] = "rX <cmp> rhs" ; suffix = "then <label>"
-            std::istringstream as{c.args.at(0)};
-            std::string lhs, cmp, rhs;
-            as >> lhs >> cmp >> rhs;
-            in.op = (c.name == "If") ? TgOp::If : TgOp::IfImm;
-            in.a = parse_reg(lhs);
-            in.cmp = parse_cmp(cmp);
-            if (in.op == TgOp::If)
-                in.b = parse_reg(rhs);
-            else
-                in.imm = parse_u32(rhs);
-            std::istringstream ss{c.suffix};
-            std::string then, label;
-            ss >> then >> label;
-            if (then != "then" || label.empty())
-                throw std::invalid_argument{"tgp: If missing 'then <label>'"};
-            refs.push_back(Ref{prog.instrs.size(), label});
-        } else if (c.name == "Jump") {
-            in.op = TgOp::Jump;
-            refs.push_back(Ref{prog.instrs.size(), c.args.at(0)});
-        } else if (c.name == "SetRegister") {
-            in.op = TgOp::SetRegister;
-            in.a = parse_reg(c.args.at(0));
-            in.imm = parse_u32(c.args.at(1));
-        } else if (c.name == "Idle") {
-            in.op = TgOp::Idle;
-            in.imm = parse_u32(c.args.at(0));
-        } else if (c.name == "IdleUntil") {
-            in.op = TgOp::IdleUntil;
-            in.imm = parse_u32(c.args.at(0));
-        } else if (c.name == "Halt") {
-            in.op = TgOp::Halt;
-        } else {
-            throw std::invalid_argument{"tgp: unknown instruction '" + c.name + "'"};
-        }
-        prog.instrs.push_back(std::move(in));
-    }
-    if (!ended) throw std::invalid_argument{"tgp: missing END"};
-    for (const Ref& r : refs) {
-        const auto it = bound_labels.find(r.label);
-        if (it == bound_labels.end())
-            throw std::invalid_argument{"tgp: undefined label " + r.label};
-        prog.instrs[r.instr].target = it->second;
-        prog.labels[it->second] = r.label;
-    }
-    return prog;
+    return ProgramReader{text}.read();
 }
 
 std::size_t encoded_word_count(const TgProgram& prog) {
@@ -320,6 +419,19 @@ std::vector<u32> assemble(const TgProgram& prog) {
     u32 pos = 0;
     for (const TgInstr& in : prog.instrs) {
         offsets.push_back(pos);
+        const auto fail = [&](const std::string& what) {
+            throw std::invalid_argument{"assemble: " + what + " at instruction " +
+                                        std::to_string(offsets.size() - 1)};
+        };
+        const bool branch =
+            in.op == TgOp::If || in.op == TgOp::IfImm || in.op == TgOp::Jump;
+        if (in.a >= kTgNumRegs || in.b >= kTgNumRegs) fail("register past r15");
+        if ((in.op == TgOp::BurstRead || in.op == TgOp::BurstWrite) &&
+            (in.imm < 1 || in.imm > ocp::kMaxBurstLen))
+            fail("burst count " + std::to_string(in.imm) + " outside [1, " +
+                 std::to_string(ocp::kMaxBurstLen) + "]");
+        if (branch && in.target >= prog.instrs.size()) fail("branch target out of range");
+        if (in.op != TgOp::Jump && branch && in.cmp > TgCmp::Ges) fail("unknown comparison");
         switch (in.op) {
             case TgOp::Read:
             case TgOp::Write:
@@ -328,8 +440,7 @@ std::vector<u32> assemble(const TgProgram& prog) {
                 pos += 1;
                 break;
             case TgOp::BurstWrite:
-                if (in.burst_data.size() != in.imm)
-                    throw std::invalid_argument{"assemble: BurstWrite beat mismatch"};
+                (void)prog.beats_of(in); // throws when the beats are missing
                 pos += 1 + in.imm;
                 break;
             case TgOp::If:
@@ -342,17 +453,15 @@ std::vector<u32> assemble(const TgProgram& prog) {
             case TgOp::IfImm:
                 pos += 3;
                 break;
+            default:
+                fail("unknown opcode");
         }
     }
     // Second pass: emit.
     std::vector<u32> image;
     image.reserve(pos);
     for (const TgInstr& in : prog.instrs) {
-        const auto target_words = [&](u32 idx) {
-            if (idx >= offsets.size())
-                throw std::out_of_range{"assemble: branch target out of range"};
-            return offsets[idx];
-        };
+        const auto target_words = [&](u32 idx) { return offsets[idx]; };
         switch (in.op) {
             case TgOp::Read:
                 image.push_back(encode_w0(in.op, in.a));
@@ -365,7 +474,7 @@ std::vector<u32> assemble(const TgProgram& prog) {
                 break;
             case TgOp::BurstWrite:
                 image.push_back(encode_w0(in.op, in.a, 0, TgCmp::Eq, in.imm));
-                for (const u32 beat : in.burst_data) image.push_back(beat);
+                for (const u32 beat : prog.beats_of(in)) image.push_back(beat);
                 break;
             case TgOp::If:
                 image.push_back(encode_w0(in.op, in.a, in.b, in.cmp));
@@ -437,6 +546,12 @@ TgProgram disassemble(const std::vector<u32>& image) {
         const u32 words = encoded_words(w0);
         if (words > image.size() - pos)
             throw std::invalid_argument{"disassemble: truncated image"};
+        if ((w0.op == TgOp::BurstRead || w0.op == TgOp::BurstWrite) &&
+            (w0.imm12 < 1 || w0.imm12 > ocp::kMaxBurstLen))
+            throw std::invalid_argument{"disassemble: burst count " +
+                                        std::to_string(w0.imm12) + " outside [1, " +
+                                        std::to_string(ocp::kMaxBurstLen) +
+                                        "] at word " + std::to_string(pos)};
         switch (w0.op) {
             case TgOp::Read:
             case TgOp::Write:
@@ -447,8 +562,9 @@ TgProgram disassemble(const std::vector<u32>& image) {
                 break;
             case TgOp::BurstWrite:
                 in.imm = w0.imm12;
-                for (u32 k = 0; k < w0.imm12; ++k)
-                    in.burst_data.push_back(image[pos + 1 + k]);
+                in.beat_off = static_cast<u32>(prog.beats.size());
+                prog.beats.insert(prog.beats.end(), image.begin() + pos + 1,
+                                  image.begin() + pos + 1 + w0.imm12);
                 break;
             case TgOp::If:
                 target_instrs.push_back(prog.instrs.size());

@@ -1,23 +1,41 @@
 #include "tg/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "ocp/channel.hpp"
+#include "tg/text_number.hpp"
 
 namespace tgsim::tg {
 
-TraceEvent from_record(const ocp::TransactionRecord& rec) {
-    TraceEvent ev;
-    ev.cmd = rec.cmd;
-    ev.addr = rec.addr;
-    ev.burst = rec.burst_len;
-    ev.t_assert = rec.t_assert;
-    ev.t_accept = rec.t_accept;
-    ev.t_resp_first = rec.t_resp_first;
-    ev.t_resp_last = rec.t_resp_last;
-    ev.data = rec.data;
-    return ev;
+void Trace::append(TraceEvent ev, std::span<const u32> data) {
+    if (beats.size() + data.size() > std::numeric_limits<u32>::max() ||
+        data.size() > std::numeric_limits<u16>::max())
+        throw std::length_error{"trace: too many beats"};
+    ev.beat_off = static_cast<u32>(beats.size());
+    ev.beat_count = static_cast<u16>(data.size());
+    beats.insert(beats.end(), data.begin(), data.end());
+    events.push_back(ev);
+}
+
+bool Trace::operator==(const Trace& o) const {
+    if (core_id != o.core_id || thread_id != o.thread_id ||
+        end_cycle != o.end_cycle || events.size() != o.events.size())
+        return false;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const TraceEvent& a = events[i];
+        const TraceEvent& b = o.events[i];
+        if (a.cmd != b.cmd || a.addr != b.addr || a.burst != b.burst ||
+            a.t_assert != b.t_assert || a.t_accept != b.t_accept ||
+            a.t_resp_first != b.t_resp_first || a.t_resp_last != b.t_resp_last ||
+            !std::ranges::equal(beats_of(a), o.beats_of(b)))
+            return false;
+    }
+    return true;
 }
 
 std::string to_text(const Trace& trace) {
@@ -31,9 +49,10 @@ std::string to_text(const Trace& trace) {
         os << buf << " burst=" << ev.burst << " assert=" << ev.t_assert
            << " accept=" << ev.t_accept << " resp=" << ev.t_resp_first << ':'
            << ev.t_resp_last << " data=[";
-        for (std::size_t i = 0; i < ev.data.size(); ++i) {
+        const std::span<const u32> data = trace.beats_of(ev);
+        for (std::size_t i = 0; i < data.size(); ++i) {
             if (i != 0) os << ',';
-            std::snprintf(buf, sizeof buf, "0x%08X", ev.data[i]);
+            std::snprintf(buf, sizeof buf, "0x%08X", data[i]);
             os << buf;
         }
         os << "]\n";
@@ -42,68 +61,143 @@ std::string to_text(const Trace& trace) {
     return os.str();
 }
 
-Trace trace_from_text(const std::string& text) {
-    Trace trace;
-    std::istringstream is{text};
-    std::string line;
-    bool got_end = false;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == ';') continue;
-        std::istringstream ls{line};
-        std::string kw;
-        ls >> kw;
-        if (kw == "CORE") {
-            std::string thread_kw;
-            ls >> trace.core_id >> thread_kw >> trace.thread_id;
-        } else if (kw == "EVT") {
-            TraceEvent ev;
-            std::string cmd, addr, field;
-            ls >> cmd >> addr;
-            if (cmd == "RD") ev.cmd = ocp::Cmd::Read;
-            else if (cmd == "WR") ev.cmd = ocp::Cmd::Write;
-            else if (cmd == "BRD") ev.cmd = ocp::Cmd::BurstRead;
-            else if (cmd == "BWR") ev.cmd = ocp::Cmd::BurstWrite;
-            else throw std::invalid_argument{"trc: bad cmd " + cmd};
-            ev.addr = static_cast<u32>(std::stoul(addr, nullptr, 0));
-            while (ls >> field) {
-                const auto eq = field.find('=');
-                if (eq == std::string::npos)
-                    throw std::invalid_argument{"trc: bad field " + field};
-                const std::string key = field.substr(0, eq);
-                const std::string val = field.substr(eq + 1);
-                if (key == "burst") {
-                    ev.burst = static_cast<u16>(std::stoul(val));
-                } else if (key == "assert") {
-                    ev.t_assert = std::stoull(val);
-                } else if (key == "accept") {
-                    ev.t_accept = std::stoull(val);
-                } else if (key == "resp") {
-                    const auto colon = val.find(':');
-                    ev.t_resp_first = std::stoull(val.substr(0, colon));
-                    ev.t_resp_last = std::stoull(val.substr(colon + 1));
-                } else if (key == "data") {
-                    if (val.size() < 2 || val.front() != '[' || val.back() != ']')
-                        throw std::invalid_argument{"trc: bad data list"};
-                    std::istringstream ds{val.substr(1, val.size() - 2)};
-                    std::string tok;
-                    while (std::getline(ds, tok, ','))
-                        if (!tok.empty())
-                            ev.data.push_back(
-                                static_cast<u32>(std::stoul(tok, nullptr, 0)));
-                } else {
-                    throw std::invalid_argument{"trc: unknown field " + key};
-                }
+namespace {
+
+/// Reads .trc text line by line; every error names the line.
+class TraceReader {
+public:
+    explicit TraceReader(const std::string& text) : is_(text) {}
+
+    Trace read() {
+        std::string line;
+        bool got_end = false;
+        while (std::getline(is_, line)) {
+            ++line_no_;
+            if (line.empty() || line[0] == ';') continue;
+            if (got_end) fail("content after END");
+            std::istringstream ls{line};
+            std::string kw;
+            ls >> kw;
+            if (kw == "CORE") {
+                std::string core, thread_kw, thread;
+                ls >> core >> thread_kw >> thread;
+                if (thread_kw != "THREAD") fail("bad CORE line");
+                trace_.core_id = number<u32>(core, false, "core id");
+                trace_.thread_id = number<u32>(thread, false, "thread id");
+                expect_end_of(ls);
+            } else if (kw == "EVT") {
+                event(ls);
+            } else if (kw == "END") {
+                std::string end;
+                ls >> end;
+                trace_.end_cycle = number<Cycle>(end, false, "END cycle");
+                expect_end_of(ls);
+                got_end = true;
+            } else {
+                fail("unexpected line: " + line);
             }
-            trace.events.push_back(std::move(ev));
-        } else if (kw == "END") {
-            ls >> trace.end_cycle;
-            got_end = true;
-        } else {
-            throw std::invalid_argument{"trc: unexpected line: " + line};
+        }
+        if (!got_end) throw std::invalid_argument{"trc: missing END"};
+        return std::move(trace_);
+    }
+
+private:
+    [[noreturn]] void fail(const std::string& what) const {
+        throw std::invalid_argument{"trc: line " + std::to_string(line_no_) +
+                                    ": " + what};
+    }
+
+    template <class T>
+    T number(std::string_view tok, bool base0, const char* what) const {
+        const auto v = parse_unsigned(tok, base0, std::numeric_limits<T>::max());
+        if (!v) fail(std::string{"bad "} + what + " '" + std::string{tok} + "'");
+        return static_cast<T>(*v);
+    }
+
+    void expect_end_of(std::istringstream& ls) const {
+        std::string extra;
+        if (ls >> extra) fail("unexpected '" + extra + "'");
+    }
+
+    void event(std::istringstream& ls) {
+        TraceEvent ev;
+        std::string cmd, addr, field;
+        ls >> cmd >> addr;
+        if (cmd == "RD") ev.cmd = ocp::Cmd::Read;
+        else if (cmd == "WR") ev.cmd = ocp::Cmd::Write;
+        else if (cmd == "BRD") ev.cmd = ocp::Cmd::BurstRead;
+        else if (cmd == "BWR") ev.cmd = ocp::Cmd::BurstWrite;
+        else fail("bad cmd '" + cmd + "'");
+        ev.addr = number<u32>(addr, true, "address");
+        ev.beat_off = static_cast<u32>(trace_.beats.size());
+        bool have_data = false;
+        while (ls >> field) {
+            const auto eq = field.find('=');
+            if (eq == std::string::npos) fail("bad field '" + field + "'");
+            const std::string_view key = std::string_view{field}.substr(0, eq);
+            const std::string_view val = std::string_view{field}.substr(eq + 1);
+            if (key == "burst") {
+                ev.burst = number<u16>(val, false, "burst");
+            } else if (key == "assert") {
+                ev.t_assert = number<Cycle>(val, false, "assert cycle");
+            } else if (key == "accept") {
+                ev.t_accept = number<Cycle>(val, false, "accept cycle");
+            } else if (key == "resp") {
+                const auto colon = val.find(':');
+                if (colon == std::string_view::npos)
+                    fail("bad resp '" + std::string{val} + "', want FIRST:LAST");
+                ev.t_resp_first = number<Cycle>(val.substr(0, colon), false, "resp cycle");
+                ev.t_resp_last = number<Cycle>(val.substr(colon + 1), false, "resp cycle");
+            } else if (key == "data") {
+                if (have_data) fail("repeated data list");
+                have_data = true;
+                beats(val);
+            } else {
+                fail("unknown field '" + std::string{key} + "'");
+            }
+        }
+        if (ev.burst < 1 || ev.burst > ocp::kMaxBurstLen)
+            fail("burst " + std::to_string(ev.burst) + " outside [1, " +
+                 std::to_string(ocp::kMaxBurstLen) + "]");
+        const std::size_t n = trace_.beats.size() - ev.beat_off;
+        // A read may end early on SRespLast; a write drives every beat.
+        if (ocp::is_write(ev.cmd) ? n != ev.burst : n > ev.burst)
+            fail(std::to_string(n) + " data beats for burst=" +
+                 std::to_string(ev.burst) + " " + cmd);
+        if (trace_.beats.size() > std::numeric_limits<u32>::max())
+            fail("too many beats");
+        ev.beat_count = static_cast<u16>(n);
+        trace_.events.push_back(ev);
+    }
+
+    /// Appends the beats of a "[b0,b1,...]" list; more than kMaxBurstLen is
+    /// an error however the burst field reads.
+    void beats(std::string_view val) {
+        if (val.size() < 2 || val.front() != '[' || val.back() != ']')
+            fail("bad data list");
+        val = val.substr(1, val.size() - 2);
+        if (val.empty()) return;
+        std::size_t n = 0;
+        while (true) {
+            const auto comma = val.find(',');
+            if (++n > ocp::kMaxBurstLen) fail("more than " +
+                                              std::to_string(ocp::kMaxBurstLen) +
+                                              " data beats");
+            trace_.beats.push_back(number<u32>(val.substr(0, comma), true, "beat"));
+            if (comma == std::string_view::npos) return;
+            val.remove_prefix(comma + 1);
         }
     }
-    if (!got_end) throw std::invalid_argument{"trc: missing END"};
-    return trace;
+
+    std::istringstream is_;
+    std::size_t line_no_ = 0;
+    Trace trace_;
+};
+
+} // namespace
+
+Trace trace_from_text(const std::string& text) {
+    return TraceReader{text}.read();
 }
 
 std::string pretty(const Trace& trace, std::size_t max_events) {
@@ -114,6 +208,7 @@ std::string pretty(const Trace& trace, std::size_t max_events) {
     if (max_events != 0 && max_events < n) n = max_events;
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent& ev = trace.events[i];
+        const std::span<const u32> data = trace.beats_of(ev);
         const char* nm = ocp::is_read(ev.cmd)
                              ? (ocp::is_burst(ev.cmd) ? "BRD" : "RD")
                              : (ocp::is_burst(ev.cmd) ? "BWR" : "WR");
@@ -122,12 +217,12 @@ std::string pretty(const Trace& trace, std::size_t max_events) {
                           static_cast<unsigned long long>(ev.t_assert * kCyclePeriodNs));
             os << buf << '\n';
             std::snprintf(buf, sizeof buf, "Resp Data 0x%08X @%lluns",
-                          ev.data.empty() ? 0u : ev.data.back(),
+                          data.empty() ? 0u : data.back(),
                           static_cast<unsigned long long>(ev.t_resp_last * kCyclePeriodNs));
             os << buf << '\n';
         } else {
             std::snprintf(buf, sizeof buf, "%s 0x%08X 0x%08X @%lluns", nm, ev.addr,
-                          ev.data.empty() ? 0u : ev.data.front(),
+                          data.empty() ? 0u : data.front(),
                           static_cast<unsigned long long>(ev.t_assert * kCyclePeriodNs));
             os << buf << '\n';
         }
@@ -135,14 +230,6 @@ std::string pretty(const Trace& trace, std::size_t max_events) {
     if (max_events != 0 && trace.events.size() > max_events) os << "..\n";
     os << "; end @" << trace.end_cycle * kCyclePeriodNs << "ns\n";
     return os.str();
-}
-
-Trace load(const std::string& path) {
-    std::ifstream in{path};
-    if (!in) throw std::runtime_error{"trace: cannot open " + path};
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return trace_from_text(ss.str());
 }
 
 } // namespace tgsim::tg

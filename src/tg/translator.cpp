@@ -103,33 +103,27 @@ private:
     void emit_event(const TraceEvent& ev) {
         u32 setups = set_reg(kAddrReg, ev.addr, cur_addr_);
         if (ev.cmd == ocp::Cmd::Write)
-            setups += set_reg(kDataReg, ev.data.empty() ? 0u : ev.data[0],
+            setups += set_reg(kDataReg, ev.beat_count == 0 ? 0u : trace_.beats_of(ev)[0],
                               cur_data_);
         emit_wait(ev.t_assert, setups, 0);
 
-        TgInstr in;
-        in.a = kAddrReg;
+        auto& prog = result_.program;
         switch (ev.cmd) {
             case ocp::Cmd::Read:
-                in.op = TgOp::Read;
+                prog.instrs.push_back({.op = TgOp::Read, .a = kAddrReg});
                 break;
             case ocp::Cmd::Write:
-                in.op = TgOp::Write;
-                in.b = kDataReg;
+                prog.instrs.push_back({.op = TgOp::Write, .a = kAddrReg, .b = kDataReg});
                 break;
             case ocp::Cmd::BurstRead:
-                in.op = TgOp::BurstRead;
-                in.imm = ev.burst;
+                prog.instrs.push_back({.op = TgOp::BurstRead, .a = kAddrReg, .imm = ev.burst});
                 break;
             case ocp::Cmd::BurstWrite:
-                in.op = TgOp::BurstWrite;
-                in.imm = ev.burst;
-                in.burst_data = ev.data;
+                prog.push_burst_write(kAddrReg, trace_.beats_of(ev));
                 break;
             default:
                 return; // Idle commands never appear in traces
         }
-        result_.program.instrs.push_back(std::move(in));
         prev_unblock_ = static_cast<i64>(ev.unblock());
         extra_post_ = 0;
     }
@@ -140,7 +134,7 @@ private:
         // the last one should not.
         for (std::size_t i = first; i <= last; ++i) {
             const auto& ev = events[i];
-            const u32 value = ev.data.empty() ? 0u : ev.data.back();
+            const u32 value = ev.beat_count == 0 ? 0u : trace_.beats_of(ev).back();
             const bool retry = compare(spec.retry_cmp, value, spec.retry_value);
             if ((i < last) != retry) ++result_.data_warnings;
         }

@@ -394,5 +394,20 @@ TEST(CliImageDeath, MalformedImageNamesToolAndFile) {
                 "tgsim-tgdis: .*cli_test_truncated.bin: disassemble: truncated image");
 }
 
+TEST(CliTextDeath, MalformedProgramNamesToolAndFile) {
+    // An out-of-range operand used to escape as std::out_of_range and abort.
+    const std::string path = write_bytes("cli_test_bad.tgp",
+                                         "MASTER[0,0]\nBEGIN\n  Read()\nEND\n");
+    EXPECT_EXIT((void)cli::load_program("tgsim-tgasm", path), testing::ExitedWithCode(1),
+                "tgsim-tgasm: .*cli_test_bad.tgp: tgp: line 3: Read takes 1 operand");
+}
+
+TEST(CliTextDeath, MalformedTraceNamesToolAndFile) {
+    const std::string path =
+        write_bytes("cli_test_bad.trc", "CORE 0 THREAD 0\nEVT RD 0x0 assert=99999999999999999999\n");
+    EXPECT_EXIT((void)cli::load_trace("tgsim-translate", path), testing::ExitedWithCode(1),
+                "tgsim-translate: .*cli_test_bad.trc: trc: line 2: bad assert cycle");
+}
+
 } // namespace
 } // namespace tgsim

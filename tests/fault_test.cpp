@@ -594,5 +594,44 @@ TEST(FaultSweep, MetaDiffNamesTheOffendingField) {
     EXPECT_FALSE(sweep::meta_compatible(a, b));
 }
 
+// --- semaphores under faults: a replayed read must not re-take the lock ---
+
+/// MP matrix (4 CPU cores, n=16) on an auto-sized torus with payload
+/// corruption and packet drops.
+platform::RunResult run_mp_matrix_faulted(u64 fault_seed, bool* checks_ok,
+                                          std::string* msg,
+                                          stats::ReliabilityStats* rel) {
+    const apps::Workload w = apps::make_mp_matrix({4, 16});
+    platform::PlatformConfig cfg;
+    cfg.n_cores = 4;
+    cfg.ic = platform::IcKind::Xpipes;
+    cfg.xpipes.topology = ic::TopologyKind::Torus;
+    cfg.xpipes.fault = rates(0.002, 0.001, 0.0, fault_seed);
+    platform::Platform p{cfg};
+    p.load_workload(w);
+    const platform::RunResult r = p.run(3'000'000);
+    *checks_ok = p.run_checks(w, msg);
+    const auto* mesh = dynamic_cast<const ic::XpipesNetwork*>(&p.interconnect());
+    *rel = mesh->stats().reliability;
+    return r;
+}
+
+TEST(FaultRecovery, ReplayedSemaphoreReadDoesNotRetakeTheLock) {
+    // Fault seeds 1 and 5 lose a semaphore read's response. The slave NI
+    // used to re-execute the replayed read: the test-and-set bank answered
+    // 0 the second time, and the core polled forever a lock nobody held.
+    for (const u64 seed : {1u, 5u}) {
+        bool ok = false;
+        std::string msg;
+        stats::ReliabilityStats rel;
+        const platform::RunResult r = run_mp_matrix_faulted(seed, &ok, &msg, &rel);
+        EXPECT_TRUE(r.completed) << "fault seed " << seed;
+        EXPECT_LT(r.cycles, 100'000u) << "fault seed " << seed;
+        EXPECT_TRUE(ok) << "fault seed " << seed << ": " << msg;
+        EXPECT_GT(rel.dup_requests, 0u) << "fault seed " << seed;
+        EXPECT_EQ(rel.lost, 0u) << "fault seed " << seed;
+    }
+}
+
 } // namespace
 } // namespace tgsim::test

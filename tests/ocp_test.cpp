@@ -1,6 +1,8 @@
 // Unit tests for OCP types, channel wire bundle and the transaction monitor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/memory.hpp"
 #include "ocp/monitor.hpp"
 #include "test_util.hpp"
@@ -154,10 +156,9 @@ struct MonitorRig {
     ocp::Channel ch;
     TestMaster master{kernel, ch};
     mem::MemorySlave slave{ch, mem::SlaveTiming{1, 1, 1}, 0x0, 0x1000};
-    std::vector<ocp::TransactionRecord> records;
-    ocp::ChannelMonitor monitor{
-        kernel, ch,
-        [this](const ocp::TransactionRecord& r) { records.push_back(r); }};
+    tg::Trace trace;
+    const std::vector<tg::TraceEvent>& records = trace.events;
+    ocp::ChannelMonitor monitor{kernel, ch, trace};
 
     MonitorRig() {
         kernel.add(master, sim::kStageMaster);
@@ -179,10 +180,10 @@ TEST(Monitor, ReconstructsSingleRead) {
     const auto& r = rig.records[0];
     EXPECT_EQ(r.cmd, ocp::Cmd::Read);
     EXPECT_EQ(r.addr, 0x40u);
-    EXPECT_EQ(r.burst_len, 1u);
+    EXPECT_EQ(r.burst, 1u);
     EXPECT_EQ(r.t_assert, 2u);
-    ASSERT_EQ(r.data.size(), 1u);
-    EXPECT_EQ(r.data[0], 0xCAFEBABEu);
+    ASSERT_EQ(r.beat_count, 1u);
+    EXPECT_EQ(rig.trace.beats_of(r)[0], 0xCAFEBABEu);
     EXPECT_EQ(r.t_resp_first, r.t_resp_last);
     EXPECT_GT(r.t_resp_last, r.t_accept);
 }
@@ -194,8 +195,8 @@ TEST(Monitor, ReconstructsSingleWriteAtAccept) {
     ASSERT_EQ(rig.records.size(), 1u);
     const auto& r = rig.records[0];
     EXPECT_EQ(r.cmd, ocp::Cmd::Write);
-    ASSERT_EQ(r.data.size(), 1u);
-    EXPECT_EQ(r.data[0], 77u);
+    ASSERT_EQ(r.beat_count, 1u);
+    EXPECT_EQ(rig.trace.beats_of(r)[0], 77u);
     EXPECT_EQ(r.t_resp_last, 0u); // writes complete at accept
 }
 
@@ -206,9 +207,9 @@ TEST(Monitor, ReconstructsBurstReadBeats) {
     rig.run_to_idle();
     ASSERT_EQ(rig.records.size(), 1u);
     const auto& r = rig.records[0];
-    EXPECT_EQ(r.burst_len, 4u);
-    ASSERT_EQ(r.data.size(), 4u);
-    EXPECT_EQ(r.data[3], 13u);
+    EXPECT_EQ(r.burst, 4u);
+    ASSERT_EQ(r.beat_count, 4u);
+    EXPECT_EQ(rig.trace.beats_of(r)[3], 13u);
 }
 
 TEST(Monitor, ReconstructsBurstWriteBeats) {
@@ -216,7 +217,9 @@ TEST(Monitor, ReconstructsBurstWriteBeats) {
     rig.master.push({ocp::Cmd::BurstWrite, 0x20, 3, {5, 6, 7}, 0});
     rig.run_to_idle();
     ASSERT_EQ(rig.records.size(), 1u);
-    EXPECT_EQ(rig.records[0].data, (std::vector<u32>{5, 6, 7}));
+    EXPECT_TRUE(std::ranges::equal(rig.trace.beats_of(rig.records[0]),
+                                   std::vector<u32>{5, 6, 7}));
+    EXPECT_EQ(rig.trace.beats, (std::vector<u32>{5, 6, 7})); // flat, no copy
 }
 
 TEST(Monitor, SeparatesBackToBackTransactions) {

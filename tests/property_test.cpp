@@ -2,6 +2,7 @@
 // TG program pipeline, the caches, and the interconnects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -43,12 +44,11 @@ TgProgram random_program(u64 seed) {
                 in.imm = 1 + static_cast<u32>(rng.below(16));
                 break;
             case 3: {
-                in.op = TgOp::BurstWrite;
-                in.a = static_cast<u8>(rng.below(kTgNumRegs));
-                in.imm = 1 + static_cast<u32>(rng.below(8));
-                for (u32 k = 0; k < in.imm; ++k)
-                    in.burst_data.push_back(static_cast<u32>(rng.next()));
-                break;
+                const auto a = static_cast<u8>(rng.below(kTgNumRegs));
+                std::vector<u32> data(1 + rng.below(8));
+                for (u32& beat : data) beat = static_cast<u32>(rng.next());
+                p.push_burst_write(a, data);
+                continue;
             }
             case 4:
                 in.op = TgOp::SetRegister;
@@ -112,7 +112,11 @@ TEST_P(TgProgramProperty, BinaryRoundTripPreservesSemantics) {
         EXPECT_EQ(q.instrs[i].a, p.instrs[i].a) << i;
         EXPECT_EQ(q.instrs[i].b, p.instrs[i].b) << i;
         EXPECT_EQ(q.instrs[i].target, p.instrs[i].target) << i;
-        EXPECT_EQ(q.instrs[i].burst_data, p.instrs[i].burst_data) << i;
+        if (p.instrs[i].op == TgOp::BurstWrite) {
+            EXPECT_TRUE(std::ranges::equal(q.beats_of(q.instrs[i]),
+                                           p.beats_of(p.instrs[i])))
+                << i;
+        }
     }
     // Reassembly is byte-stable.
     EXPECT_EQ(assemble(q), image);
@@ -142,8 +146,9 @@ Trace random_trace(u64 seed) {
         const u32 beats = ocp::is_write(ev.cmd) || ocp::is_read(ev.cmd)
                               ? ev.burst
                               : 1;
+        std::vector<u32> data;
         for (u32 b = 0; b < beats; ++b)
-            ev.data.push_back(static_cast<u32>(rng.next()));
+            data.push_back(static_cast<u32>(rng.next()));
         ev.t_assert = cyc;
         ev.t_accept = cyc + 1 + rng.below(5);
         if (ocp::is_read(ev.cmd)) {
@@ -153,7 +158,7 @@ Trace random_trace(u64 seed) {
         } else {
             cyc = ev.t_accept + 2 + rng.below(30);
         }
-        t.events.push_back(std::move(ev));
+        t.append(ev, data);
     }
     t.end_cycle = cyc + 2 + rng.below(100);
     return t;
@@ -212,9 +217,7 @@ TEST_P(TranslatorProperty, TimeshiftReplayReproducesSyntheticTraceOnMatchingSlav
     TgCore core{ch};
     mem::MemorySlave mem{ch, mem::SlaveTiming{2, 1, 1}, 0x20000000, 0x2000};
     Trace replay;
-    ocp::ChannelMonitor mon{k, ch, [&](const ocp::TransactionRecord& r) {
-                                replay.events.push_back(from_record(r));
-                            }};
+    ocp::ChannelMonitor mon{k, ch, replay};
     k.add(core, sim::kStageMaster);
     k.add(mem, sim::kStageSlave);
     k.add(mon, sim::kStageObserver);
@@ -332,10 +335,12 @@ TEST_P(FabricSoak, FinalMemoryMatchesLastWritePerMaster) {
 
     for (u32 i = 0; i < 3; ++i) {
         std::unordered_map<u32, u32> last_write;
-        for (const auto& ev : p.traces()[i].events) {
+        const tg::Trace& t = p.traces()[i];
+        for (const auto& ev : t.events) {
             if (!ocp::is_write(ev.cmd)) continue;
-            for (u16 b = 0; b < ev.data.size(); ++b)
-                last_write[ev.addr + 4u * b] = ev.data[b];
+            const auto data = t.beats_of(ev);
+            for (u16 b = 0; b < data.size(); ++b)
+                last_write[ev.addr + 4u * b] = data[b];
         }
         EXPECT_FALSE(last_write.empty());
         for (const auto& [addr, value] : last_write)

@@ -50,10 +50,9 @@ struct MultiRig {
     sim::Kernel kernel;
     ocp::Channel ch;
     mem::MemorySlave mem{ch, mem::SlaveTiming{1, 1, 1}, 0x1000, 0x2000};
-    std::vector<ocp::TransactionRecord> records;
-    ocp::ChannelMonitor monitor{
-        kernel, ch,
-        [this](const ocp::TransactionRecord& r) { records.push_back(r); }};
+    Trace trace;
+    const std::vector<TraceEvent>& records = trace.events;
+    ocp::ChannelMonitor monitor{kernel, ch, trace};
     std::unique_ptr<TgMultiCore> core;
 
     explicit MultiRig(TgMultiConfig cfg) {
@@ -237,7 +236,8 @@ TEST(TgMultiCore, ReadsDeliverDataToOwningThread) {
     rig.core->add_thread(assemble(p), regs);
     ASSERT_TRUE(rig.run());
     ASSERT_EQ(rig.records.size(), 1u);
-    EXPECT_EQ(rig.records[0].data.at(0), 0xFACEu);
+    ASSERT_EQ(rig.records[0].beat_count, 1u);
+    EXPECT_EQ(rig.trace.beats_of(rig.records[0])[0], 0xFACEu);
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 // processor model, the stochastic baseline and the TG slave entities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "fuzz_util.hpp"
 #include "mem/memory.hpp"
 #include "mem/semaphore.hpp"
 #include "ocp/monitor.hpp"
@@ -79,7 +82,7 @@ TgProgram sample_program() {
     i5.op = TgOp::BurstWrite;
     i5.a = 1;
     i5.imm = 3;
-    i5.burst_data = {9, 8, 7};
+    p.beats = {9, 8, 7};
     TgInstr i6;
     i6.op = TgOp::BurstRead;
     i6.a = 1;
@@ -139,7 +142,10 @@ TEST(TgProgram, BinaryRoundTrip) {
         EXPECT_EQ(q.instrs[i].op, p.instrs[i].op) << "instr " << i;
         EXPECT_EQ(q.instrs[i].a, p.instrs[i].a) << "instr " << i;
         EXPECT_EQ(q.instrs[i].target, p.instrs[i].target) << "instr " << i;
-        EXPECT_EQ(q.instrs[i].burst_data, p.instrs[i].burst_data);
+        if (p.instrs[i].op == TgOp::BurstWrite) {
+            EXPECT_TRUE(std::ranges::equal(q.beats_of(q.instrs[i]),
+                                           p.beats_of(p.instrs[i])));
+        }
     }
 }
 
@@ -164,6 +170,153 @@ TEST(TgProgram, DisassembleRejectsUnknownOpcodeAndComparison) {
     // The compare field of a non-branch is ignored, as the core ignores it.
     const u32 read = encode_w0(TgOp::Read, 1, 0, static_cast<TgCmp>(9));
     EXPECT_EQ(disassemble({read}).instrs.size(), 1u);
+}
+
+/// The message of the std::invalid_argument that parsing `text` throws, or
+/// "" when it parses. Any other exception fails the calling test.
+std::string tgp_error(const std::string& text) {
+    try {
+        (void)program_from_text(text);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TgProgram, ParserRejectsOutOfRangeOperandsNamingTheLine) {
+    const auto body = [](const std::string& instr) {
+        return "MASTER[0,0]\nBEGIN\n  " + instr + "\n  Halt\nEND\n";
+    };
+    ASSERT_EQ(tgp_error(body("BurstRead(r1, 64)")), "");
+    const std::pair<std::string, std::string> bad[] = {
+        {"BurstRead(r1, 99999)", "burst count 99999 outside [1, 64]"},
+        {"BurstRead(r1, 0)", "burst count 0 outside [1, 64]"},
+        {"BurstWrite(r1, 65) {}", "burst count 65 outside [1, 64]"},
+        {"BurstWrite(r1, 2) {0x1}", "BurstWrite beat count mismatch"},
+        {"BurstWrite(r1, 1) {0x1, 0x2}", "BurstWrite beat count mismatch"},
+        {"BurstWrite(r1, 1)", "BurstWrite missing beats"},
+        {"Idle(99999999999)", "bad number '99999999999'"},
+        {"SetRegister(r1, -1)", "bad number '-1'"},
+        {"Read()", "Read takes 1 operand(s)"},
+        {"Read", "Read takes 1 operand(s)"},
+        {"Write(r1)", "Write takes 2 operand(s)"},
+        {"Write(r1, )", "bad register ''"},
+        {"Read(r99999999999)", "register out of range 'r99999999999'"},
+        {"Read(r1) junk", "unexpected 'junk'"},
+        {"If(r0 == r1) then", "bad If: want 'then <label>'"},
+        {"If(r0 ==) then x", "bad condition"},
+        {"Halt(r1)", "Halt takes 0 operand(s)"},
+    };
+    for (const auto& [instr, want] : bad) {
+        const std::string err = tgp_error(body(instr));
+        EXPECT_NE(err.find("tgp: line 3: " + want), std::string::npos)
+            << instr << " -> '" << err << "'";
+    }
+    // A label must bind an instruction: one before END would branch past
+    // the last instruction.
+    EXPECT_NE(tgp_error("MASTER[0,0]\nBEGIN\n  Jump(out)\nout:\nEND\n")
+                  .find("label out binds no instruction"),
+              std::string::npos);
+    EXPECT_NE(tgp_error("MASTER[0,0]\nBEGIN\n  Jump(nowhere)\n  Halt\nEND\n")
+                  .find("tgp: line 3: undefined label nowhere"),
+              std::string::npos);
+    EXPECT_NE(tgp_error("MASTER[0,x]\nBEGIN\nEND\n").find("tgp: line 1: bad number 'x'"),
+              std::string::npos);
+    EXPECT_NE(tgp_error(body("Halt") + "Halt\n").find("tgp: line 6: content after END"),
+              std::string::npos);
+}
+
+TEST(TgProgram, AssembleRejectsWhatTheImageCannotEncode) {
+    TgInstr halt;
+    halt.op = TgOp::Halt;
+    const auto one = [&](TgInstr in) {
+        TgProgram p;
+        p.instrs = {in, halt};
+        return p;
+    };
+    TgInstr br;
+    br.op = TgOp::BurstRead;
+    br.imm = 99999; // used to be masked to imm12: a 1695-beat burst
+    EXPECT_THROW((void)assemble(one(br)), std::invalid_argument);
+    br.imm = 0;
+    EXPECT_THROW((void)assemble(one(br)), std::invalid_argument);
+    TgInstr bw;
+    bw.op = TgOp::BurstWrite;
+    bw.imm = 3; // no beats behind it
+    EXPECT_THROW((void)assemble(one(bw)), std::invalid_argument);
+    TgInstr jmp;
+    jmp.op = TgOp::Jump;
+    jmp.target = 2; // past the Halt
+    EXPECT_THROW((void)assemble(one(jmp)), std::invalid_argument);
+    TgInstr rd;
+    rd.op = TgOp::Read;
+    rd.a = kTgNumRegs;
+    EXPECT_THROW((void)assemble(one(rd)), std::invalid_argument);
+}
+
+TEST(TgProgram, DisassembleRejectsBurstCountsTheChannelCannotCarry) {
+    EXPECT_EQ(disassemble({encode_w0(TgOp::BurstRead, 1, 0, TgCmp::Eq, 64)}).instrs.size(),
+              1u);
+    EXPECT_THROW((void)disassemble({encode_w0(TgOp::BurstRead, 1, 0, TgCmp::Eq, 0)}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)disassemble({encode_w0(TgOp::BurstRead, 1, 0, TgCmp::Eq, 65)}),
+                 std::invalid_argument);
+    std::vector<u32> bw(66, 0u);
+    bw[0] = encode_w0(TgOp::BurstWrite, 1, 0, TgCmp::Eq, 65);
+    EXPECT_THROW((void)disassemble(bw), std::invalid_argument);
+}
+
+TEST(TgProgram, BeatsLiveInOneFlatStoreComparedByContent) {
+    TgProgram a;
+    a.push_burst_write(1, std::vector<u32>{1, 2});
+    a.push_burst_write(2, std::vector<u32>{3});
+    EXPECT_EQ(a.beats, (std::vector<u32>{1, 2, 3}));
+    EXPECT_EQ(a.instrs[1].beat_off, 2u);
+    TgProgram b = a; // same beats, stored in the other order
+    b.beats = {3, 1, 2};
+    b.instrs[0].beat_off = 1;
+    b.instrs[1].beat_off = 0;
+    EXPECT_EQ(a, b);
+    b.beats[0] = 4;
+    EXPECT_NE(a, b);
+}
+
+// --- .tgp reader robustness: deterministic mutation loop ---
+
+TEST(TgProgramReaderFuzz, AnyInputYieldsAProgramOrInvalidArgument) {
+    // What tgsim-tgasm and tgsim-replay do with a file: every mutant must
+    // parse to a program that assembles and prints back to itself, or be
+    // rejected with std::invalid_argument naming the line -- never crash,
+    // hang or throw anything else.
+    const std::string seeds[] = {read_test_data("programs/mp_matrix_2x4_core0.tgp"),
+                                 read_test_data("programs/des_2x1_core0.tgp"),
+                                 read_test_data("programs/burst_write.tgp")};
+    for (const std::string& seed : seeds) ASSERT_EQ(tgp_error(seed), "");
+    std::mt19937_64 rng{0x76F2};
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 4000 && !::testing::Test::HasFailure(); ++i) {
+        std::string input = seeds[i % std::size(seeds)];
+        mutate(input, rng, "(){},:;\nrx09 =!<");
+        TgProgram prog;
+        try {
+            prog = program_from_text(input);
+        } catch (const std::invalid_argument& e) {
+            ++rejected;
+            const std::string_view what = e.what();
+            EXPECT_TRUE(what.starts_with("tgp: line ") || what == "tgp: missing END")
+                << what;
+            continue;
+        }
+        ++accepted;
+        const std::string text = to_text(prog);
+        ASSERT_EQ(program_from_text(text), prog) << "iteration " << i;
+        ASSERT_EQ(to_text(program_from_text(text)), text) << "iteration " << i;
+        EXPECT_NO_THROW((void)assemble(prog)) << "iteration " << i;
+    }
+    // The grammar is strict: most mutants fail, so the floors are low.
+    EXPECT_GT(accepted, 50u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 // --- disassembler robustness: deterministic mutation loop ---
@@ -256,10 +409,9 @@ struct TgRig {
     ocp::Channel ch;
     TgCore core{ch};
     mem::MemorySlave mem{ch, mem::SlaveTiming{1, 1, 1}, 0x1000, 0x1000};
-    std::vector<ocp::TransactionRecord> records;
-    ocp::ChannelMonitor monitor{
-        kernel, ch,
-        [this](const ocp::TransactionRecord& r) { records.push_back(r); }};
+    Trace trace;
+    const std::vector<TraceEvent>& records = trace.events;
+    ocp::ChannelMonitor monitor{kernel, ch, trace};
 
     TgRig() {
         kernel.add(core, sim::kStageMaster);
@@ -367,14 +519,10 @@ TEST(TgCore, BurstWriteStreamsInlineData) {
     TgRig rig;
     TgProgram p;
     p.reg_init[1] = 0x1100;
-    TgInstr bw;
-    bw.op = TgOp::BurstWrite;
-    bw.a = 1;
-    bw.imm = 4;
-    bw.burst_data = {11, 22, 33, 44};
+    p.push_burst_write(1, std::vector<u32>{11, 22, 33, 44});
     TgInstr halt;
     halt.op = TgOp::Halt;
-    p.instrs = {bw, halt};
+    p.instrs.push_back(halt);
     rig.run(p);
     for (u32 i = 0; i < 4; ++i) EXPECT_EQ(rig.mem.peek(0x1100 + 4 * i), 11 * (i + 1));
 }
@@ -520,8 +668,9 @@ TEST(StochasticTg, RespectsTargetRanges) {
     cfg.targets = {{0x1000, 0x40, 3}, {0x2000, 0x40, 1}};
     StochasticTg tg{ch, cfg};
     mem::MemorySlave mem{ch, mem::SlaveTiming{1, 1, 1}, 0x1000, 0x1100};
-    std::vector<ocp::TransactionRecord> recs;
-    ocp::ChannelMonitor mon{k, ch, [&](const auto& r) { recs.push_back(r); }};
+    Trace trace;
+    const std::vector<TraceEvent>& recs = trace.events;
+    ocp::ChannelMonitor mon{k, ch, trace};
     k.add(tg, sim::kStageMaster);
     k.add(mem, sim::kStageSlave);
     k.add(mon, sim::kStageObserver);

@@ -6,7 +6,9 @@
 # mp_matrix (cacheloop has no result checks to pass): tgsim_run traces it,
 # tgsim_translate turns the traces into TG programs, tgsim_tgasm assembles
 # them, tgsim_tgdis disassembles the images, and tgsim_replay runs the
-# disassembled programs with the benchmark's result checks.
+# disassembled programs with the benchmark's result checks. A malformed
+# .trc or .tgp must make tgsim_translate, tgsim_tgasm and tgsim_replay exit
+# 1 naming the file and line, not abort.
 #
 # PART=flags checks that every tool answers --help with exit 0 and an
 # undeclared flag with exit 1.
@@ -33,6 +35,11 @@
 # PART=fault shards a faulted sweep and merges it byte-identically, and
 # requires every injected transaction to be accounted for in each row:
 # injected == delivered + err_delivered + lost.
+#
+# PART=patterns runs a transpose saturation sweep through tgsim_patterns at
+# 4 workers; PART=funnel runs a two-phase (analytic screen, then cycle
+# simulation of the top candidates) tgsim_sweep at 4 workers. Both must
+# write a non-empty JSON report.
 #
 # Each part works in its own directory under WORK, so the parts can run in
 # parallel.
@@ -89,6 +96,17 @@ function(row_field out json i key)
   set(${out} "${v}" PARENT_SCOPE)
 endfunction()
 
+# Fails unless `path` exists and is not empty.
+function(expect_nonempty path)
+  if(NOT EXISTS "${path}")
+    message(FATAL_ERROR "${path} was not written")
+  endif()
+  file(SIZE "${path}" size)
+  if(size EQUAL 0)
+    message(FATAL_ERROR "${path} is empty")
+  endif()
+endfunction()
+
 # Fails unless files `a` and `b` are byte-identical.
 function(expect_same a b)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
@@ -118,6 +136,14 @@ if(PART STREQUAL "chain")
   endforeach()
   run_tool(0 "checks: PASS" tgsim_replay ${WORK}/dis0.tgp ${WORK}/dis1.tgp
            --app=mp_matrix --size=6 --ic=xpipes)
+  file(WRITE "${WORK}/bad.trc" "CORE 0 THREAD 0\nEVT BWR 0x0 burst=4 data=[0x1]\nEND 9\n")
+  expect_refusal("${WORK}/bad.trc: trc: line 2: 1 data beats for burst=4"
+                 tgsim_translate ${WORK}/bad.trc --out-dir=${WORK})
+  file(WRITE "${WORK}/bad.tgp" "MASTER[0,0]\nBEGIN\n  BurstRead(r1, 99999)\nEND\n")
+  foreach(tool tgsim_tgasm tgsim_replay)
+    expect_refusal("${WORK}/bad.tgp: tgp: line 3: burst count 99999"
+                   ${tool} ${WORK}/bad.tgp)
+  endforeach()
 elseif(PART STREQUAL "flags")
   foreach(tool ${tools})
     run_tool(0 "usage: " ${tool} --help)
@@ -238,7 +264,17 @@ elseif(PART STREQUAL "fault")
       message(FATAL_ERROR "row ${i}: ${fault_injected} injected, ${accounted} accounted for")
     endif()
   endforeach()
+elseif(PART STREQUAL "patterns")
+  run_tool(0 "" tgsim_patterns --pattern=transpose --mesh=4x4 --packets=400
+           --jobs=4 --json=${WORK}/patterns_smoke.json)
+  expect_nonempty("${WORK}/patterns_smoke.json")
+elseif(PART STREQUAL "funnel")
+  run_tool(0 "" tgsim_sweep --pattern=tornado --grid=4x4 --packets=400
+           --tier=funnel --funnel-top=4 --jobs=4 --mesh=auto,5x4 --fifo=2,4
+           --json=${WORK}/funnel_smoke.json)
+  expect_nonempty("${WORK}/funnel_smoke.json")
 else()
   message(FATAL_ERROR
-          "PART must be chain, flags, shard, resume, topology, open or fault, not '${PART}'")
+          "PART must be chain, flags, shard, resume, topology, open, fault, "
+          "patterns or funnel, not '${PART}'")
 endif()

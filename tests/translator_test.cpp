@@ -4,6 +4,9 @@
 // environment reproduces the trace timestamps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "fuzz_util.hpp"
 #include "mem/memory.hpp"
 #include "ocp/monitor.hpp"
 #include "test_util.hpp"
@@ -15,32 +18,41 @@ namespace {
 
 using namespace tgsim::tg;
 
-TraceEvent mk_write(u32 addr, u32 data, Cycle t_assert, Cycle t_accept) {
+/// An event with its beats, before it is appended to a Trace.
+struct Ev {
     TraceEvent ev;
-    ev.cmd = ocp::Cmd::Write;
-    ev.addr = addr;
-    ev.data = {data};
-    ev.t_assert = t_assert;
-    ev.t_accept = t_accept;
-    return ev;
+    std::vector<u32> data;
+};
+
+Ev mk_write(u32 addr, u32 data, Cycle t_assert, Cycle t_accept) {
+    Ev e;
+    e.ev.cmd = ocp::Cmd::Write;
+    e.ev.addr = addr;
+    e.data = {data};
+    e.ev.t_assert = t_assert;
+    e.ev.t_accept = t_accept;
+    return e;
 }
 
-TraceEvent mk_read(u32 addr, u32 data, Cycle t_assert, Cycle t_accept,
-                   Cycle t_resp) {
-    TraceEvent ev;
-    ev.cmd = ocp::Cmd::Read;
-    ev.addr = addr;
-    ev.data = {data};
-    ev.t_assert = t_assert;
-    ev.t_accept = t_accept;
-    ev.t_resp_first = t_resp;
-    ev.t_resp_last = t_resp;
-    return ev;
+Ev mk_read(u32 addr, u32 data, Cycle t_assert, Cycle t_accept, Cycle t_resp) {
+    Ev e;
+    e.ev.cmd = ocp::Cmd::Read;
+    e.ev.addr = addr;
+    e.data = {data};
+    e.ev.t_assert = t_assert;
+    e.ev.t_accept = t_accept;
+    e.ev.t_resp_first = t_resp;
+    e.ev.t_resp_last = t_resp;
+    return e;
+}
+
+void add(Trace& tr, std::initializer_list<Ev> evs) {
+    for (const Ev& e : evs) tr.append(e.ev, e.data);
 }
 
 TEST(Translator, FirstUseRegistersBecomeDirectives) {
     Trace tr;
-    tr.events = {mk_write(0x100, 7, 10, 11)};
+    add(tr, {mk_write(0x100, 7, 10, 11)});
     tr.end_cycle = 30;
     const auto res = translate(tr, {});
     const auto& p = res.program;
@@ -60,8 +72,8 @@ TEST(Translator, FirstUseRegistersBecomeDirectives) {
 
 TEST(Translator, RegisterCachingSkipsRedundantSetups) {
     Trace tr;
-    tr.events = {mk_write(0x100, 7, 10, 11), mk_write(0x100, 7, 30, 31),
-                 mk_write(0x104, 7, 50, 51)};
+    add(tr, {mk_write(0x100, 7, 10, 11), mk_write(0x100, 7, 30, 31),
+                 mk_write(0x104, 7, 50, 51)});
     tr.end_cycle = 80;
     const auto res = translate(tr, {});
     u32 setups = 0;
@@ -74,7 +86,7 @@ TEST(Translator, RegisterCachingSkipsRedundantSetups) {
 TEST(Translator, ThinkTimeAnchorsOnReadResponse) {
     Trace tr;
     // Read asserted at 10, response at 25; next write asserted at 40.
-    tr.events = {mk_read(0x100, 5, 10, 11, 25), mk_write(0x200, 1, 40, 41)};
+    add(tr, {mk_read(0x100, 5, 10, 11, 25), mk_write(0x200, 1, 40, 41)});
     tr.end_cycle = 60;
     const auto res = translate(tr, {});
     const auto& p = res.program;
@@ -94,7 +106,7 @@ TEST(Translator, NegativeIdleClampsAndCounts) {
     Trace tr;
     // Only 2 cycles of think time but the address changes (1 setup needed):
     // idle would be 2 - 1 - 2 = -1.
-    tr.events = {mk_read(0x100, 5, 10, 11, 25), mk_read(0x104, 5, 27, 28, 40)};
+    add(tr, {mk_read(0x100, 5, 10, 11, 25), mk_read(0x104, 5, 27, 28, 40)});
     tr.end_cycle = 60;
     const auto res = translate(tr, {});
     EXPECT_EQ(res.clamped_idles, 1u);
@@ -112,7 +124,6 @@ TEST(Translator, BurstEventsCarryBeatCountAndData) {
     br.cmd = ocp::Cmd::BurstRead;
     br.addr = 0x100;
     br.burst = 4;
-    br.data = {1, 2, 3, 4};
     br.t_assert = 10;
     br.t_accept = 11;
     br.t_resp_first = 14;
@@ -121,10 +132,9 @@ TEST(Translator, BurstEventsCarryBeatCountAndData) {
     bw.cmd = ocp::Cmd::BurstWrite;
     bw.addr = 0x200;
     bw.burst = 3;
-    bw.data = {7, 8, 9};
     bw.t_assert = 30;
     bw.t_accept = 36;
-    tr.events = {br, bw};
+    add(tr, {{br, {1, 2, 3, 4}}, {bw, {7, 8, 9}}});
     tr.end_cycle = 50;
     const auto res = translate(tr, {});
     const auto& p = res.program;
@@ -137,7 +147,7 @@ TEST(Translator, BurstEventsCarryBeatCountAndData) {
         if (in.op == TgOp::BurstWrite) {
             saw_bw = true;
             EXPECT_EQ(in.imm, 3u);
-            EXPECT_EQ(in.burst_data, (std::vector<u32>{7, 8, 9}));
+            EXPECT_TRUE(std::ranges::equal(p.beats_of(in), std::vector<u32>{7, 8, 9}));
         }
     }
     EXPECT_TRUE(saw_br);
@@ -151,7 +161,7 @@ Trace polling_trace(u32 polls) {
     Cycle t = 10;
     for (u32 i = 0; i < polls; ++i) {
         const bool last = (i + 1 == polls);
-        tr.events.push_back(mk_read(0x3000, last ? 1 : 0, t, t + 1, t + 6));
+        add(tr, {mk_read(0x3000, last ? 1 : 0, t, t + 1, t + 6)});
         t += 10;
     }
     tr.end_cycle = t + 20;
@@ -212,7 +222,7 @@ TEST(Translator, PollDataInconsistencyIsFlagged) {
     TranslateOptions opt;
     opt.polls = {sem_spec()};
     Trace tr = polling_trace(3);
-    tr.events[0].data = {1}; // a non-final poll "succeeded": spec mismatch
+    tr.beats[tr.events[0].beat_off] = 1; // a non-final poll "succeeded": spec mismatch
     const auto res = translate(tr, opt);
     EXPECT_GT(res.data_warnings, 0u);
 }
@@ -247,7 +257,7 @@ TEST(Translator, CloneModeUsesAbsoluteAnchors) {
 
 TEST(Translator, LoopForeverRewindsInsteadOfHalting) {
     Trace tr;
-    tr.events = {mk_write(0x100, 1, 10, 11)};
+    add(tr, {mk_write(0x100, 1, 10, 11)});
     tr.end_cycle = 20;
     TranslateOptions opt;
     opt.loop_forever = true;
@@ -280,9 +290,7 @@ TEST(Translator, ReplayReproducesTraceTimestampsExactly) {
         TgCore core{ch};
         mem::MemorySlave mem{ch, mem::SlaveTiming{2, 1, 1}, 0x1000, 0x1000};
         Trace trace;
-        ocp::ChannelMonitor mon{k, ch, [&](const ocp::TransactionRecord& r) {
-                                    trace.events.push_back(from_record(r));
-                                }};
+        ocp::ChannelMonitor mon{k, ch, trace};
         k.add(core, sim::kStageMaster);
         k.add(mem, sim::kStageSlave);
         k.add(mon, sim::kStageObserver);
@@ -329,7 +337,9 @@ TEST(Translator, ReplayReproducesTraceTimestampsExactly) {
         EXPECT_EQ(replayed.events[i].t_assert, original.events[i].t_assert) << i;
         EXPECT_EQ(replayed.events[i].addr, original.events[i].addr) << i;
         EXPECT_EQ(replayed.events[i].cmd, original.events[i].cmd) << i;
-        EXPECT_EQ(replayed.events[i].data, original.events[i].data) << i;
+        EXPECT_TRUE(std::ranges::equal(replayed.beats_of(replayed.events[i]),
+                                       original.beats_of(original.events[i])))
+            << i;
     }
     EXPECT_EQ(replayed.end_cycle, original.end_cycle);
 }
@@ -339,18 +349,17 @@ TEST(Translator, ReplayReproducesTraceTimestampsExactly) {
 TEST(TraceIo, TextRoundTrip) {
     Trace tr;
     tr.core_id = 3;
-    tr.events = {mk_read(0x1234, 0xAB, 10, 11, 20),
-                 mk_write(0x5678, 0xCD, 30, 33)};
+    add(tr, {mk_read(0x1234, 0xAB, 10, 11, 20),
+                 mk_write(0x5678, 0xCD, 30, 33)});
     TraceEvent burst;
     burst.cmd = ocp::Cmd::BurstRead;
     burst.addr = 0x40;
     burst.burst = 4;
-    burst.data = {1, 2, 3, 4};
     burst.t_assert = 50;
     burst.t_accept = 51;
     burst.t_resp_first = 55;
     burst.t_resp_last = 58;
-    tr.events.push_back(burst);
+    add(tr, {{burst, {1, 2, 3, 4}}});
     tr.end_cycle = 99;
     const Trace rt = trace_from_text(to_text(tr));
     EXPECT_EQ(rt, tr);
@@ -358,7 +367,7 @@ TEST(TraceIo, TextRoundTrip) {
 
 TEST(TraceIo, PrettyRendersPaperStyle) {
     Trace tr;
-    tr.events = {mk_read(0xFF, 0, 42, 43, 54)};
+    add(tr, {mk_read(0xFF, 0, 42, 43, 54)});
     tr.end_cycle = 64;
     const std::string s = pretty(tr);
     EXPECT_NE(s.find("RD 0x000000FF @210ns"), std::string::npos);
@@ -369,6 +378,96 @@ TEST(TraceIo, RejectsGarbage) {
     EXPECT_THROW((void)trace_from_text("EVT banana"), std::invalid_argument);
     EXPECT_THROW((void)trace_from_text("CORE 0 THREAD 0\n"),
                  std::invalid_argument); // missing END
+}
+
+/// The message of the std::invalid_argument that parsing `text` throws, or
+/// "" when it parses. Any other exception fails the calling test.
+std::string trc_error(const std::string& text) {
+    try {
+        (void)trace_from_text(text);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceIo, RejectsMalformedEventsNamingTheLine) {
+    const std::string head = "CORE 0 THREAD 0\n";
+    const std::string end = "\nEND 90\n";
+    const std::string times = " assert=1 accept=2 resp=4:7";
+    ASSERT_EQ(trc_error(head + "EVT BWR 0x10 burst=2" + times + " data=[0x1,0x2]" + end), "");
+    // A read may end early (SRespLast): fewer beats than its burst is fine.
+    const Trace short_read =
+        trace_from_text(head + "EVT BRD 0x10 burst=4" + times + " data=[0x1,0x2]" + end);
+    EXPECT_EQ(short_read.events.at(0).beat_count, 2u);
+
+    const std::pair<std::string, std::string> bad[] = {
+        {"EVT BRD 0x10 burst=65537" + times + " data=[]", "bad burst '65537'"},
+        {"EVT BRD 0x10 burst=0" + times + " data=[]", "burst 0 outside [1, 64]"},
+        {"EVT BRD 0x10 burst=65" + times + " data=[]", "burst 65 outside [1, 64]"},
+        {"EVT BWR 0x10 burst=4" + times + " data=[0x1]", "1 data beats for burst=4 BWR"},
+        {"EVT WR 0x10 burst=1" + times + " data=[]", "0 data beats for burst=1 WR"},
+        {"EVT BRD 0x10 burst=2" + times + " data=[0x1,0x2,0x3]", "3 data beats for burst=2"},
+        {"EVT RD 0x10 burst=1 assert=1 accept=2 resp=6 data=[]", "bad resp '6'"},
+        {"EVT RD 0x1FFFFFFFF burst=1" + times + " data=[]", "bad address '0x1FFFFFFFF'"},
+        {"EVT WR 0x10 burst=1" + times + " data=[0x1FFFFFFFF]", "bad beat '0x1FFFFFFFF'"},
+        {"EVT WR 0x10 burst=1" + times + " data=[0x1,]", "bad beat ''"},
+        {"EVT RD 0x10 burst=1 assert=-5 accept=2 resp=4:7 data=[]", "bad assert cycle '-5'"},
+        {"EVT RD 0x10 burst=1 assert=99999999999999999999999 accept=2 resp=4:7 data=[]",
+         "bad assert cycle"},
+        {"EVT RD 0x10 burst=1" + times + " data=[] data=[]", "repeated data list"},
+        {"EVT NOP 0x10", "bad cmd 'NOP'"},
+    };
+    for (const auto& [line, want] : bad) {
+        const std::string err = trc_error(head + line + end);
+        EXPECT_NE(err.find("trc: line 2: " + want), std::string::npos)
+            << line << " -> '" << err << "'";
+    }
+    EXPECT_NE(trc_error(head + "END abc\n").find("trc: line 2: bad END cycle 'abc'"),
+              std::string::npos);
+    EXPECT_NE(trc_error(head + "END 5 6\n").find("trc: line 2: unexpected '6'"),
+              std::string::npos);
+    EXPECT_NE(trc_error(head + "END 5\nEND 6\n").find("trc: line 3: content after END"),
+              std::string::npos);
+    EXPECT_NE(trc_error("CORE x THREAD 0" + end).find("trc: line 1: bad core id 'x'"),
+              std::string::npos);
+}
+
+// --- fuzzing the .trc reader --------------------------------------------------
+
+TEST(TraceReaderFuzz, AnyInputYieldsATraceOrInvalidArgument) {
+    // What tgsim-translate does with a file: every mutant must parse to a
+    // trace that prints back to itself and translates into a program that
+    // assembles, or be rejected with std::invalid_argument naming the line
+    // -- never crash, hang or throw anything else.
+    const std::string seeds[] = {read_test_data("traces/mp_matrix_2x4_core0.trc"),
+                                 read_test_data("traces/des_2x1_core0.trc")};
+    for (const std::string& seed : seeds) ASSERT_EQ(trc_error(seed), "");
+    TranslateOptions opt;
+    opt.polls = apps::make_mp_matrix({2, 4}).polls;
+    std::mt19937_64 rng{0x7AC3};
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 4000 && !::testing::Test::HasFailure(); ++i) {
+        std::string input = seeds[i % std::size(seeds)];
+        mutate(input, rng, "=[],:;x0F9- \n");
+        Trace t;
+        try {
+            t = trace_from_text(input);
+        } catch (const std::invalid_argument& e) {
+            ++rejected;
+            const std::string_view what = e.what();
+            EXPECT_TRUE(what.starts_with("trc: line ") || what == "trc: missing END")
+                << what;
+            continue;
+        }
+        ++accepted;
+        ASSERT_EQ(trace_from_text(to_text(t)), t) << "iteration " << i;
+        EXPECT_NO_THROW((void)assemble(translate(t, opt).program)) << "iteration " << i;
+    }
+    // The grammar is strict: most mutants fail, so the floors are low.
+    EXPECT_GT(accepted, 50u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 } // namespace

@@ -591,17 +591,6 @@ inline std::vector<u32> load_image(const std::string& path) {
     return image;
 }
 
-/// Loads and disassembles the TG image in `path`; a malformed image prints
-/// "TOOL: FILE: message" and exits 1.
-inline tg::TgProgram disassemble_image(const char* tool, const std::string& path) {
-    try {
-        return tg::disassemble(load_image(path));
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s: %s\n", tool, path.c_str(), e.what());
-        std::exit(1);
-    }
-}
-
 inline std::string read_text_file(const std::string& path) {
     std::ifstream in{path};
     if (!in) {
@@ -611,6 +600,36 @@ inline std::string read_text_file(const std::string& path) {
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/// Returns `load()`, which reads and parses the file at `path`; whatever it
+/// throws prints "TOOL: FILE: message" and exits 1 instead of aborting.
+template <class Load>
+auto load_or_exit(const char* tool, const std::string& path, Load&& load)
+    -> decltype(load()) {
+    try {
+        return load();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s: %s\n", tool, path.c_str(), e.what());
+        std::exit(1);
+    }
+}
+
+/// Loads and disassembles the TG image in `path` (errors exit 1).
+inline tg::TgProgram disassemble_image(const char* tool, const std::string& path) {
+    return load_or_exit(tool, path, [&] { return tg::disassemble(load_image(path)); });
+}
+
+/// Loads and parses the .tgp program in `path` (errors exit 1).
+inline tg::TgProgram load_program(const char* tool, const std::string& path) {
+    return load_or_exit(tool, path,
+                        [&] { return tg::program_from_text(read_text_file(path)); });
+}
+
+/// Loads and parses the .trc trace in `path` (errors exit 1).
+inline tg::Trace load_trace(const char* tool, const std::string& path) {
+    return load_or_exit(tool, path,
+                        [&] { return tg::trace_from_text(read_text_file(path)); });
 }
 
 inline void write_text_file(const std::string& path, const std::string& text) {

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
     std::vector<tg::TgProgram> programs;
     for (const std::string& path : args.positional())
-        programs.push_back(tg::program_from_text(cli::read_text_file(path)));
+        programs.push_back(cli::load_program("tgsim-replay", path));
 
     apps::Workload env;
     bool have_checks = false;

@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
         return 1;
     }
     const std::string in_path = args.positional()[0];
-    const tg::TgProgram prog = tg::program_from_text(cli::read_text_file(in_path));
-    const auto image = tg::assemble(prog);
+    const tg::TgProgram prog = cli::load_program("tgsim-tgasm", in_path);
+    const auto image =
+        cli::load_or_exit("tgsim-tgasm", in_path, [&] { return tg::assemble(prog); });
     std::string out_path = args.get("out");
     if (out_path.empty()) {
         out_path = in_path;

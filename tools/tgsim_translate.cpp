@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
     const std::string out_dir = args.get("out-dir");
     for (const std::string& path : args.positional()) {
-        const tg::Trace trace = tg::load(path);
+        const tg::Trace trace = cli::load_trace("tgsim-translate", path);
         const auto res = tg::translate(trace, opt);
         const std::string out =
             out_dir + "/core" + std::to_string(trace.core_id) + ".tgp";
