@@ -196,11 +196,10 @@ TableGraph::TableGraph(const GraphSpec& spec) : nodes_(spec.nodes) {
     // the neighbour with the smallest dist, ties toward the smallest
     // neighbour id. Consistent by construction (dist drops by 1 per hop),
     // so routes are loop-free and deterministic.
-    table_.assign(static_cast<std::size_t>(nodes_) * nodes_, -1);
     std::vector<u32> dist(nodes_);
     std::deque<u32> queue;
     constexpr u32 kUnreached = 0xFFFFFFFFu;
-    for (u32 dest = 0; dest < nodes_; ++dest) {
+    const auto bfs = [&](u32 dest) {
         std::fill(dist.begin(), dist.end(), kUnreached);
         dist[dest] = 0;
         queue.assign(1, dest);
@@ -213,10 +212,17 @@ TableGraph::TableGraph(const GraphSpec& spec) : nodes_(spec.nodes) {
                     queue.push_back(nbr);
                 }
         }
+    };
+    // Connectivity before the nodes² table: a file that declares 65535
+    // nodes and a handful of edges must be refused, not allocate 16 GiB.
+    bfs(0);
+    if (std::find(dist.begin(), dist.end(), kUnreached) != dist.end())
+        throw std::invalid_argument{"TableGraph: disconnected graph"};
+    table_.assign(static_cast<std::size_t>(nodes_) * nodes_, -1);
+    for (u32 dest = 0; dest < nodes_; ++dest) {
+        bfs(dest);
         for (u32 n = 0; n < nodes_; ++n) {
             if (n == dest) continue;
-            if (dist[n] == kUnreached)
-                throw std::invalid_argument{"TableGraph: disconnected graph"};
             int best_port = -1;
             u32 best_dist = kUnreached;
             for (u32 p = 0; p < adj_[n].size(); ++p) {

@@ -7,7 +7,8 @@ namespace tgsim::ocp {
 
 void ChannelMonitor::eval() {
     const Cycle now = kernel_.now();
-    if (ch_.m_cmd() != Cmd::Idle) ++busy_cycles_;
+    busy_ = ch_.m_cmd() != Cmd::Idle;
+    if (busy_) ++busy_cycles_;
 
     // Start of a new transaction: command wires go non-idle while we are not
     // already assembling one.

@@ -25,13 +25,23 @@ public:
 
     void eval() override;
     void update() override {}
+    /// Quiet between transactions while the request group is idle, and
+    /// inside one while the slave side neither accepts nor responds.
     [[nodiscard]] Cycle quiet_for() const override {
-        return (!active_ && ch_.m_cmd() == Cmd::Idle) ? sim::kQuietForever : 0;
+        const bool quiet = active_ ? !ch_.s_cmd_accept() && ch_.s_resp() == Resp::None
+                                   : ch_.m_cmd() == Cmd::Idle;
+        return quiet ? sim::kQuietForever : 0;
     }
-    /// Between transactions the monitor only reacts to the request group
-    /// going non-idle.
+    /// Counts the parked cycles into busy_cycles() when the request group
+    /// was non-idle at the last eval (it cannot change while parked).
+    void advance(Cycle cycles) override {
+        if (busy_) busy_cycles_ += cycles;
+    }
+    /// A new transaction starts on the request group; one in flight moves
+    /// on the slave side.
     void watch_inputs(std::vector<sim::WatchRange>& out) const override {
         out.push_back(ch_.m_gen_watch());
+        out.push_back(ch_.s_gen_watch());
     }
 
     /// Total transactions observed.
@@ -50,6 +60,7 @@ private:
     bool active_ = false;        ///< a transaction is being assembled
     bool awaiting_resp_ = false; ///< read accepted, collecting responses
     tg::TraceEvent cur_;         ///< beat_count counts the beats seen so far
+    bool busy_ = false;          ///< request group non-idle at the last eval
     u64 busy_cycles_ = 0;
 };
 

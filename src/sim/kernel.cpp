@@ -16,7 +16,7 @@ void Kernel::add(Clocked& component, int stage, std::string name) {
     // positions held by the wake heap; settle everything first.
     if (parked_count_ > 0) unpark_all();
     const auto id = static_cast<u32>(slots_.size());
-    slots_.push_back(Slot{&component, stage, id, false, std::move(name)});
+    slots_.push_back(Slot{&component, stage, id, false, false, std::move(name)});
     sorted_ = false;
 }
 
@@ -33,10 +33,12 @@ void Kernel::sort_slots() {
     ran_.resize(slots_.size());
     run_->pos.resize(slots_.size());
     run_->words.assign((slots_.size() + 63) / 64, u64{0});
+    same_cycle_.assign(run_->words.size(), u64{0});
     for (u32 p = 0; p < slots_.size(); ++p) {
         hot_[p].component = slots_[p].component;
         run_->pos[slots_[p].id] = p;
         set_bit(p);
+        set_same_cycle(p);
     }
     sorted_ = true;
 }
@@ -88,7 +90,12 @@ void Kernel::wake(u32 p) {
     h.parked = false;
     h.wake_at = kNoWake;
     --parked_count_;
+    if (same_cycle(p)) --parked_same_cycle_;
     set_bit(p);
+}
+
+void Kernel::set_same_cycle(u32 p) noexcept {
+    if (slots_[p].same_cycle) same_cycle_[p >> 6] |= u64{1} << (p & 63);
 }
 
 void Kernel::park(u32 p, Cycle q) {
@@ -101,13 +108,16 @@ void Kernel::park(u32 p, Cycle q) {
                 throw std::logic_error{"Kernel: watch range without wake lists ('" +
                                        s.name + "')"};
             for (u32 i = 0; i < r.count; ++i) r.wake[i].subscribe(run_, s.id);
+            s.same_cycle = s.same_cycle || r.in_update;
         }
         s.subscribed = true;
+        set_same_cycle(p);
     }
     Hot& h = hot_[p];
     h.parked = true;
     h.parked_since = now_;
     ++parked_count_;
+    if (same_cycle(p)) ++parked_same_cycle_;
     // Bumps from this cycle are already part of the state the component
     // judged itself quiet in; only later ones may wake it.
     run_->words[p >> 6] &= ~(u64{1} << (p & 63));
@@ -156,6 +166,23 @@ void Kernel::gated_tick() {
             hot[p].component->eval();
             ran[n_ran++] = p;
             bits = words[w] & ~((u64{2} << b) - 1);
+        }
+    }
+    // Same-cycle watchers a later stage bumped: their bit is behind the
+    // cursor, but they sample that stage's wires in update(), so they wake
+    // now. Their eval() is a no-op while quiet; it runs only to keep the
+    // eval-before-update order. Active ones with a set bit already ran.
+    if (parked_same_cycle_ > 0) {
+        const u64* const same = same_cycle_.data();
+        for (std::size_t w = 0; w < n_words; ++w) {
+            for (u64 bits = words[w] & same[w]; bits != 0; bits &= bits - 1) {
+                const auto p = static_cast<u32>(w * 64) +
+                               static_cast<u32>(std::countr_zero(bits));
+                if (!hot[p].parked) continue;
+                wake(p);
+                hot[p].component->eval();
+                ran[n_ran++] = p;
+            }
         }
     }
     for (u32 i = 0; i < n_ran; ++i) hot[ran[i]].component->update();

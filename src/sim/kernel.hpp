@@ -45,7 +45,11 @@
 //     eval(), so a bit set ahead of the cursor (by an earlier component this
 //     cycle) runs this cycle and one set behind it runs next cycle: the
 //     component observes the change on exactly the cycle it would have in
-//     the fully clocked schedule.
+//     the fully clocked schedule. A *same-cycle* watcher (a range marked
+//     WatchRange::in_update: a master waiting on the fabric, whose update()
+//     samples wires a later stage drives) is the exception: a bit set
+//     behind it wakes it after the walk, in the same cycle, with a late
+//     eval() (a no-op by its promise) and its update().
 //
 // On wake the kernel calls advance(k) with the number of skipped cycles, so
 // per-cycle accounting (idle counters, internal clocks) stays bit-identical
@@ -115,7 +119,10 @@ public:
     /// every counter in the ranges, so any later bump re-arms it. A range
     /// without wake lists is a std::logic_error at first park. Components
     /// that are input-insensitive while quiet (masters sleeping on a timer)
-    /// leave the list empty and wake by timer only. Called once, the first
+    /// leave the list empty and wake by timer only. A range marked
+    /// WatchRange::in_update makes the component a same-cycle watcher (see
+    /// the header comment); it promises its eval() reads no input while it
+    /// is quiet. Called once, the first
     /// time the component parks in a kernel — the watch set is fixed from
     /// then on, and the store must be wired before that (its wake lists
     /// keep the subscription).
@@ -194,6 +201,7 @@ private:
         int stage = 0;
         u32 id = 0; ///< registration index
         bool subscribed = false; ///< watch_inputs() wake lists joined
+        bool same_cycle = false; ///< a watch range is WatchRange::in_update
         std::string name;
     };
     /// Hot per-component state, parallel to slots_ (tick order).
@@ -211,12 +219,18 @@ private:
 
     /// One gated cycle: fires due timer wakes, evals the set run bits in
     /// tick order (waking parked components whose bit a watched counter
-    /// set), updates the evaluated set, then parks its quiet members.
+    /// set), wakes and evals the same-cycle watchers a later stage bumped,
+    /// updates the evaluated set, then parks its quiet members.
     void gated_tick();
     /// Parks the component at tick position p until `now_ + q` (or until a
     /// watched counter moves), subscribing it at its first park.
     void park(u32 p, Cycle q);
     void wake(u32 p);
+    /// Copies slot p's same-cycle flag into its bit of same_cycle_.
+    void set_same_cycle(u32 p) noexcept;
+    [[nodiscard]] bool same_cycle(u32 p) const noexcept {
+        return (same_cycle_[p >> 6] >> (p & 63)) & 1;
+    }
     void set_bit(u32 p) noexcept { run_->words[p >> 6] |= u64{1} << (p & 63); }
     [[nodiscard]] bool any_bit() const noexcept;
     /// Settles every parked component to now_ via advance() (they stay
@@ -239,9 +253,15 @@ private:
     /// Run bitset over tick positions plus the id -> position table, shared
     /// with the wake lists this kernel subscribed to.
     std::shared_ptr<RunBits> run_;
-    /// Scratch for the tick positions evaluated in a gated cycle, ascending
-    /// (each position at most once, so one entry per component suffices).
+    /// Scratch for the tick positions evaluated in a gated cycle: the walk's
+    /// in ascending order, then the same-cycle wakes (each position at most
+    /// once, so one entry per component suffices).
     std::vector<u32> ran_;
+    /// Bit p set: the component at tick position p is a same-cycle watcher
+    /// (Slot::same_cycle); parallel to the run bits.
+    std::vector<u64> same_cycle_;
+    /// Parked same-cycle watchers; the post-walk pass runs only when > 0.
+    std::size_t parked_same_cycle_ = 0;
     /// Scratch for the watch set a component names at its first park.
     std::vector<WatchRange> watch_;
     /// Min-heap of (wake time, tick position); entries are invalidated

@@ -88,10 +88,17 @@ private:
 /// subscriptions (Clocked::watch_inputs) are lists of these. A non-empty
 /// range without wake lists cannot wake anyone and is rejected at first
 /// park.
+///
+/// `in_update` marks a same-cycle watcher: one that samples these counters'
+/// wires in update(), after later stages drove them. A bump from a later
+/// stage then wakes it in the bump's own cycle (late eval, then update)
+/// instead of the next. A component that sets it promises that its eval()
+/// reads no input while it is quiet, so the late eval is a no-op.
 struct WatchRange {
     const u32* first = nullptr;
     u32 count = 0;
     const WakeList* wake = nullptr;
+    bool in_update = false;
 };
 
 } // namespace tgsim::sim

@@ -29,18 +29,25 @@ void TgCore::reset() {
     driven_beat_ = 0;
 }
 
-void TgCore::eval() {
+TgCore::DriveState TgCore::desired_drive() const noexcept {
     const bool drive_cmd =
         req_.active &&
         (!req_.accepted || (ocp::is_write(req_.cmd) && req_.wbeats_done < req_.burst));
     const bool await_resp = req_.active && ocp::is_read(req_.cmd);
-    const DriveState desired = drive_cmd    ? DriveState::Request
-                               : await_resp ? DriveState::RespWait
-                                            : DriveState::Idle;
-    if (desired == driven_ &&
-        (desired != DriveState::Request ||
-         (driven_gen_ == req_gen_ && driven_beat_ == req_.wbeats_done)))
-        return; // wires already hold the right values
+    return drive_cmd    ? DriveState::Request
+           : await_resp ? DriveState::RespWait
+                        : DriveState::Idle;
+}
+
+bool TgCore::wires_current(DriveState desired) const noexcept {
+    return desired == driven_ &&
+           (desired != DriveState::Request ||
+            (driven_gen_ == req_gen_ && driven_beat_ == req_.wbeats_done));
+}
+
+void TgCore::eval() {
+    const DriveState desired = desired_drive();
+    if (wires_current(desired)) return; // wires already hold the right values
     switch (desired) {
         case DriveState::Idle:
             ch_.clear_request();
@@ -72,6 +79,13 @@ void TgCore::eval() {
 }
 
 Cycle TgCore::quiet_for() const {
+    // Waiting on the fabric: quiet while the request (or the response wait)
+    // stays on the wires and nothing has come back. The channel's s_gen
+    // wakes the core in the cycle the fabric answers (watch_inputs).
+    if (state_ == State::MemWait) {
+        const bool answered = ch_.s_cmd_accept() || ch_.s_resp() != ocp::Resp::None;
+        return wires_current(desired_drive()) && !answered ? sim::kQuietForever : 0;
+    }
     if (driven_ != DriveState::Idle) return 0; // wires not settled
     if (state_ == State::Halted) return sim::kQuietForever;
     if (state_ == State::Idle) return idle_left_ - 1;
@@ -83,7 +97,17 @@ void TgCore::advance(Cycle cycles) {
     if (state_ == State::Idle) {
         idle_left_ -= cycles;
         stats_.idle_cycles += cycles;
+    } else if (state_ == State::MemWait) {
+        stats_.mem_wait_cycles += cycles;
     }
+}
+
+void TgCore::watch_inputs(std::vector<sim::WatchRange>& out) const {
+    // Only MemWait parks on an input; update() samples the slave side, which
+    // the interconnect drives after this core's eval.
+    sim::WatchRange r = ch_.s_gen_watch();
+    r.in_update = true;
+    out.push_back(r);
 }
 
 void TgCore::update() {

@@ -46,6 +46,8 @@ public:
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override;
     void advance(Cycle cycles) override;
+    /// The channel's s_gen, as a same-cycle watch: eval() reads no wire.
+    void watch_inputs(std::vector<sim::WatchRange>& out) const override;
 
     [[nodiscard]] bool done() const noexcept { return state_ == State::Halted; }
     [[nodiscard]] Cycle halt_cycle() const noexcept { return halt_cycle_; }
@@ -82,6 +84,10 @@ private:
 
     /// Wire-drive cache (see CpuCore): skip redundant re-drives.
     enum class DriveState : u8 { Idle, Request, RespWait };
+    /// What the wires should carry for the current request.
+    [[nodiscard]] DriveState desired_drive() const noexcept;
+    /// True when the wires already carry `desired` (eval() drives nothing).
+    [[nodiscard]] bool wires_current(DriveState desired) const noexcept;
     DriveState driven_ = DriveState::Idle;
     u32 req_gen_ = 0;
     u32 driven_gen_ = 0;

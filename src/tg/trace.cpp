@@ -200,6 +200,20 @@ Trace trace_from_text(const std::string& text) {
     return TraceReader{text}.read();
 }
 
+std::size_t event_line(const std::string& text, std::size_t index) {
+    std::istringstream is{text};
+    std::string line;
+    std::size_t line_no = 0;
+    while (std::getline(is, line)) {
+        ++line_no;
+        if (line.empty() || line[0] == ';') continue;
+        std::istringstream ls{line};
+        std::string kw;
+        if (ls >> kw && kw == "EVT" && index-- == 0) return line_no;
+    }
+    return 0;
+}
+
 std::string pretty(const Trace& trace, std::size_t max_events) {
     std::ostringstream os;
     char buf[96];

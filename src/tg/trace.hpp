@@ -68,6 +68,10 @@ struct Trace {
 /// the line on any malformed or out-of-range input.
 [[nodiscard]] Trace trace_from_text(const std::string& text);
 
+/// The 1-based line of the `index`-th event record (`EVT` line) in .trc
+/// text, counted the way trace_from_text reads it; 0 when there is none.
+[[nodiscard]] std::size_t event_line(const std::string& text, std::size_t index);
+
 /// Paper-style rendering (Fig. 3(a)): "RD 0x000000ff @210ns" etc.
 [[nodiscard]] std::string pretty(const Trace& trace, std::size_t max_events = 0);
 

@@ -136,7 +136,8 @@ private:
             const auto& ev = events[i];
             const u32 value = ev.beat_count == 0 ? 0u : trace_.beats_of(ev).back();
             const bool retry = compare(spec.retry_cmp, value, spec.retry_value);
-            if ((i < last) != retry) ++result_.data_warnings;
+            if ((i < last) != retry && result_.data_warnings++ == 0)
+                result_.first_warning = i;
         }
 
         u32 setups = set_reg(kAddrReg, events[first].addr, cur_addr_);

@@ -79,6 +79,9 @@ struct TranslateResult {
     u64 poll_loops = 0;      ///< loops emitted
     u64 clamped_idles = 0;   ///< think time smaller than setup overhead
     u64 data_warnings = 0;   ///< poll-run data inconsistent with the spec
+    /// Index in Trace::events of the first read behind data_warnings
+    /// (meaningful only when data_warnings > 0).
+    std::size_t first_warning = 0;
 };
 
 [[nodiscard]] TranslateResult translate(const Trace& trace,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "ic/xpipes/xpipes.hpp"
 #include "platform/platform.hpp"
 #include "test_util.hpp"
 #include "tg/stochastic.hpp"
@@ -42,15 +43,44 @@ struct Observation {
     std::vector<Cycle> halts;
     std::vector<std::vector<u32>> regs; ///< per master, full register file
     std::vector<std::string> traces;    ///< rendered .trc text, per master
+    /// Per TG master: every TgStats field, in declaration order.
+    std::vector<std::vector<u64>> tg_stats;
     std::vector<u64> slave_counts;      ///< reads/writes served, per slave
     u64 ic_busy = 0;
     u64 ic_contention = 0;
     u64 sem_acquisitions = 0;
     u64 sem_failed_polls = 0;
     u64 shared_crc = 0; ///< FNV over a shared-memory window
+    /// ×pipes fault accounting (zero elsewhere and without faults).
+    std::vector<u64> reliability;
 };
 
 u64 fnv_step(u64 h, u32 w) { return (h ^ w) * 0x100000001b3ull; }
+
+/// Fills the slave, interconnect, semaphore and shared-memory observables.
+void observe_fabric(platform::Platform& p, Observation& o) {
+    for (u32 i = 0; i < p.n_cores(); ++i) {
+        o.slave_counts.push_back(p.private_mem(i).reads_served());
+        o.slave_counts.push_back(p.private_mem(i).writes_served());
+    }
+    o.slave_counts.push_back(p.shared_mem().reads_served());
+    o.slave_counts.push_back(p.shared_mem().writes_served());
+    o.ic_busy = p.interconnect().busy_cycles();
+    o.ic_contention = p.interconnect().contention_cycles();
+    o.sem_acquisitions = p.semaphores().acquisitions();
+    o.sem_failed_polls = p.semaphores().failed_polls();
+    u64 h = 0xcbf29ce484222325ull;
+    for (u32 a = 0; a < 0x2000; a += 4)
+        h = fnv_step(h, p.peek(platform::kSharedBase + a));
+    o.shared_crc = h;
+    if (const auto* net = dynamic_cast<const ic::XpipesNetwork*>(&p.interconnect())) {
+        const stats::ReliabilityStats& r = net->stats().reliability;
+        o.reliability = {r.injected,        r.delivered,       r.err_delivered,
+                         r.recovered,       r.lost,            r.retries,
+                         r.flits_corrupted, r.packets_dropped, r.checksum_fails,
+                         r.stale_discarded, r.dup_requests};
+    }
+}
 
 Observation observe_cpu_run(const Workload& w, PlatformConfig cfg) {
     cfg.collect_traces = true;
@@ -65,20 +95,30 @@ Observation observe_cpu_run(const Workload& w, PlatformConfig cfg) {
         for (u8 r = 0; r < cpu::kNumRegs; ++r)
             regs.push_back(p.core(i).reg(static_cast<cpu::Reg>(r)));
         o.regs.push_back(std::move(regs));
-        o.slave_counts.push_back(p.private_mem(i).reads_served());
-        o.slave_counts.push_back(p.private_mem(i).writes_served());
     }
     for (const tg::Trace& t : p.traces()) o.traces.push_back(tg::to_text(t));
-    o.slave_counts.push_back(p.shared_mem().reads_served());
-    o.slave_counts.push_back(p.shared_mem().writes_served());
-    o.ic_busy = p.interconnect().busy_cycles();
-    o.ic_contention = p.interconnect().contention_cycles();
-    o.sem_acquisitions = p.semaphores().acquisitions();
-    o.sem_failed_polls = p.semaphores().failed_polls();
-    u64 h = 0xcbf29ce484222325ull;
-    for (u32 a = 0; a < 0x2000; a += 4)
-        h = fnv_step(h, p.peek(platform::kSharedBase + a));
-    o.shared_crc = h;
+    observe_fabric(p, o);
+    return o;
+}
+
+Observation observe_tg_run(const std::vector<tg::TgProgram>& programs,
+                           const Workload& w, const PlatformConfig& cfg) {
+    platform::Platform p{cfg};
+    p.load_tg_programs(programs, w);
+    Observation o;
+    o.result = p.run(test::kMaxCycles);
+    EXPECT_TRUE(o.result.completed);
+    for (u32 i = 0; i < cfg.n_cores; ++i) {
+        const tg::TgCore& tg = p.tg_core(i);
+        o.halts.push_back(tg.halt_cycle());
+        std::vector<u32> regs;
+        for (u8 r = 0; r < tg::kTgNumRegs; ++r) regs.push_back(tg.reg(r));
+        o.regs.push_back(std::move(regs));
+        const tg::TgStats& st = tg.stats();
+        o.tg_stats.push_back({st.instructions, st.ocp_reads, st.ocp_writes,
+                              st.idle_cycles, st.mem_wait_cycles, st.bus_errors});
+    }
+    observe_fabric(p, o);
     return o;
 }
 
@@ -92,12 +132,14 @@ void expect_identical(const Observation& a, const Observation& b,
     ASSERT_EQ(a.traces.size(), b.traces.size()) << what;
     for (std::size_t i = 0; i < a.traces.size(); ++i)
         EXPECT_EQ(a.traces[i], b.traces[i]) << what << " trace " << i;
+    EXPECT_EQ(a.tg_stats, b.tg_stats) << what;
     EXPECT_EQ(a.slave_counts, b.slave_counts) << what;
     EXPECT_EQ(a.ic_busy, b.ic_busy) << what;
     EXPECT_EQ(a.ic_contention, b.ic_contention) << what;
     EXPECT_EQ(a.sem_acquisitions, b.sem_acquisitions) << what;
     EXPECT_EQ(a.sem_failed_polls, b.sem_failed_polls) << what;
     EXPECT_EQ(a.shared_crc, b.shared_crc) << what;
+    EXPECT_EQ(a.reliability, b.reliability) << what;
 }
 
 // --- CPU reference runs (quickstart / noc_exploration shapes) ---------------
@@ -128,40 +170,66 @@ TEST(GatingEquivalence, CpuFlowAllInterconnects) {
 
 // --- TG replay runs ----------------------------------------------------------
 
+/// Reactive programs translated from a gated CPU run on `cfg`.
+std::vector<tg::TgProgram> translate_cpu_run(const Workload& w, PlatformConfig cfg) {
+    cfg.collect_traces = true;
+    platform::Platform ref{cfg};
+    ref.load_workload(w);
+    EXPECT_TRUE(ref.run(test::kMaxCycles).completed);
+    tg::TranslateOptions topt;
+    topt.polls = w.polls;
+    std::vector<tg::TgProgram> programs;
+    for (const tg::Trace& t : ref.traces())
+        programs.push_back(tg::translate(t, topt).program);
+    return programs;
+}
+
+// A TG waiting on the fabric parks in MemWait and is woken in the cycle the
+// interconnect answers; the masters here queue behind each other on every
+// fabric, so the replay exercises that wake on every request.
 TEST(GatingEquivalence, TgReplayMatchesAcrossSchedules) {
-    const Workload w = apps::make_mp_matrix({2, 12});
-    for (const IcKind ic : {IcKind::Amba, IcKind::Crossbar, IcKind::Xpipes}) {
-        PlatformConfig ref_cfg = cfg_for(2, ic, true);
-        ref_cfg.collect_traces = true;
-        platform::Platform ref{ref_cfg};
-        ref.load_workload(w);
-        ASSERT_TRUE(ref.run(test::kMaxCycles).completed);
-
-        tg::TranslateOptions topt;
-        topt.polls = w.polls;
-        std::vector<tg::TgProgram> programs;
-        for (const tg::Trace& t : ref.traces())
-            programs.push_back(tg::translate(t, topt).program);
-
-        platform::RunResult results[2];
-        std::vector<std::vector<u32>> regs[2];
-        for (int mode = 0; mode < 2; ++mode) {
-            platform::Platform p{cfg_for(2, ic, mode == 0)};
-            p.load_tg_programs(programs, w);
-            results[mode] = p.run(test::kMaxCycles);
-            ASSERT_TRUE(results[mode].completed);
-            for (u32 i = 0; i < 2; ++i) {
-                std::vector<u32> r;
-                for (u8 j = 0; j < tg::kTgNumRegs; ++j)
-                    r.push_back(p.tg_core(i).reg(j));
-                regs[mode].push_back(std::move(r));
-            }
+    struct Case {
+        Workload w;
+        u32 cores;
+    };
+    const Case cases[] = {
+        {apps::make_mp_matrix({2, 12}), 2},
+        {apps::make_mp_matrix({8, 16}), 8},
+        {apps::make_des({4, 2}), 4},
+    };
+    for (const Case& c : cases) {
+        for (const IcKind ic : {IcKind::Amba, IcKind::Crossbar, IcKind::Xpipes}) {
+            const std::string what =
+                c.w.name + "/" + std::to_string(c.cores) + "P/" +
+                std::string(platform::to_string(ic));
+            const auto programs = translate_cpu_run(c.w, cfg_for(c.cores, ic, true));
+            ASSERT_EQ(programs.size(), c.cores) << what;
+            const auto gated = observe_tg_run(programs, c.w, cfg_for(c.cores, ic, true));
+            const auto clocked =
+                observe_tg_run(programs, c.w, cfg_for(c.cores, ic, false));
+            EXPECT_GT(gated.tg_stats[0][4], 0u) << what << ": no MemWait cycles";
+            expect_identical(gated, clocked, what.c_str());
         }
-        EXPECT_EQ(results[0].cycles, results[1].cycles);
-        EXPECT_EQ(results[0].per_core, results[1].per_core);
-        EXPECT_EQ(results[0].total_instructions, results[1].total_instructions);
-        EXPECT_EQ(regs[0], regs[1]);
     }
+}
+
+TEST(GatingEquivalence, TgReplayOnAFaultedTorusMatches) {
+    const Workload w = apps::make_mp_matrix({4, 16});
+    const auto faulted = [](bool gating) {
+        PlatformConfig cfg = cfg_for(4, IcKind::Xpipes, gating);
+        cfg.xpipes.topology = ic::TopologyKind::Torus;
+        cfg.xpipes.fault.corrupt_rate = 0.002;
+        cfg.xpipes.fault.drop_rate = 0.001;
+        cfg.xpipes.fault.seed = 1;
+        return cfg;
+    };
+    const auto programs = translate_cpu_run(w, faulted(true));
+    const auto gated = observe_tg_run(programs, w, faulted(true));
+    const auto clocked = observe_tg_run(programs, w, faulted(false));
+    ASSERT_FALSE(gated.reliability.empty());
+    // Faults fired: some flits were corrupted or some packets dropped.
+    EXPECT_GT(gated.reliability[6] + gated.reliability[7], 0u);
+    expect_identical(gated, clocked, "mp_matrix/4P/torus+faults");
 }
 
 // --- stochastic soak (traffic_soak shape) -----------------------------------
@@ -360,24 +428,30 @@ TEST(GatingKernel, CheckIntervalDoesNotChangeCompletion) {
 
 // --- push wake: visibility and lifetime ---------------------------------------
 
-/// Parks whenever it can and logs the cycle of each eval(); woken only by a
-/// bump of its channel's m_gen.
+/// Parks whenever it can and logs the cycle of each eval() and update();
+/// woken only by a bump of its channel's m_gen. A same-cycle watcher marks
+/// its watch range WatchRange::in_update.
 class Watcher final : public sim::Clocked {
 public:
-    Watcher(const sim::Kernel& k, ocp::ChannelRef ch) : k_(&k), ch_(ch) {}
+    Watcher(const sim::Kernel& k, ocp::ChannelRef ch, bool same_cycle = false)
+        : k_(&k), ch_(ch), same_cycle_(same_cycle) {}
     void eval() override { evals.push_back(k_->now()); }
-    void update() override {}
+    void update() override { updates.push_back(k_->now()); }
     [[nodiscard]] Cycle quiet_for() const override { return sim::kQuietForever; }
     void watch_inputs(std::vector<sim::WatchRange>& out) const override {
-        out.push_back(ch_.m_gen_watch());
+        sim::WatchRange r = ch_.m_gen_watch();
+        r.in_update = same_cycle_;
+        out.push_back(r);
     }
     void rebind(const sim::Kernel& k) { k_ = &k; }
 
     std::vector<Cycle> evals;
+    std::vector<Cycle> updates;
 
 private:
     const sim::Kernel* k_;
     ocp::ChannelRef ch_;
+    bool same_cycle_;
 };
 
 /// Never parks; bumps its channel's m_gen during the eval of cycle `at`.
@@ -412,6 +486,71 @@ TEST(PushWake, EarlierStageWriteWakesSameCycleLaterStageNextCycle) {
         EXPECT_EQ(w.evals, (std::vector<Cycle>{0, seen})) << "stage " << stage;
         EXPECT_EQ(k.now(), 10u);
     }
+}
+
+TEST(PushWake, SameCycleWatcherUpdatesInTheBumpCycle) {
+    // A master (stage 0) whose update() samples wires the interconnect
+    // (stage 2) drives: a same-cycle watcher wakes in the bump's own cycle,
+    // with a late eval() and its update(); an unflagged one in the next.
+    for (const bool same_cycle : {true, false}) {
+        sim::Kernel k;
+        ocp::Channel ch;
+        Watcher w{k, ch, same_cycle};
+        Toucher t{k, ch, 5};
+        k.add(w, sim::kStageMaster);
+        k.add(t, sim::kStageInterconnect);
+        k.run(10);
+        const Cycle seen = same_cycle ? 5 : 6;
+        EXPECT_EQ(w.evals, (std::vector<Cycle>{0, seen})) << same_cycle;
+        EXPECT_EQ(w.updates, (std::vector<Cycle>{0, seen})) << same_cycle;
+        EXPECT_EQ(k.parked_count(), 1u) << same_cycle;
+        EXPECT_EQ(k.now(), 10u);
+    }
+}
+
+TEST(PushWake, SameCycleWatcherSettlesSkippedCyclesAndSurvivesAResort) {
+    /// Keeps an internal clock the way a parked TG counts MemWait cycles.
+    class Counter final : public sim::Clocked {
+    public:
+        Counter(const sim::Kernel& k, ocp::ChannelRef ch) : k_(k), ch_(ch) {}
+        void eval() override {
+            evals.push_back(k_.now());
+            EXPECT_EQ(cycles_, k_.now()) << "skipped cycles not settled";
+        }
+        void update() override { ++cycles_; }
+        [[nodiscard]] Cycle quiet_for() const override { return sim::kQuietForever; }
+        void advance(Cycle n) override { cycles_ += n; }
+        void watch_inputs(std::vector<sim::WatchRange>& out) const override {
+            sim::WatchRange r = ch_.m_gen_watch();
+            r.in_update = true;
+            out.push_back(r);
+        }
+        [[nodiscard]] Cycle cycles() const noexcept { return cycles_; }
+        std::vector<Cycle> evals;
+
+    private:
+        const sim::Kernel& k_;
+        ocp::ChannelRef ch_;
+        Cycle cycles_ = 0;
+    };
+    sim::Kernel k;
+    ocp::Channel ch;
+    Counter c{k, ch};
+    Toucher t{k, ch, 7};
+    k.add(c, sim::kStageSlave);
+    k.add(t, sim::kStageInterconnect);
+    k.run(12);
+    EXPECT_EQ(c.evals, (std::vector<Cycle>{0, 7}));
+    EXPECT_EQ(c.cycles(), 12u);
+    // A late master moves the watcher one tick position back (add() re-arms
+    // it, so it evals at 12); its same-cycle flag must follow it.
+    Toucher never{k, ch, 1000};
+    k.add(never, sim::kStageMaster);
+    Toucher late{k, ch, 15};
+    k.add(late, sim::kStageInterconnect);
+    k.run(8);
+    EXPECT_EQ(c.evals, (std::vector<Cycle>{0, 7, 12, 15}));
+    EXPECT_EQ(c.cycles(), 20u);
 }
 
 TEST(PushWake, BumpBetweenRunsWakesOnTheNextCycle) {

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "ic/amba/ahb_bus.hpp"
 #include "mem/memory.hpp"
 #include "ocp/monitor.hpp"
 #include "test_util.hpp"
+#include "tg/program.hpp"
+#include "tg/tg_core.hpp"
 
 namespace tgsim::test {
 namespace {
@@ -251,6 +255,72 @@ TEST(Monitor, CountsBusyCycles) {
     rig.master.push({ocp::Cmd::Read, 0x0, 1, {}, 0});
     rig.run_to_idle();
     EXPECT_GT(rig.monitor.busy_cycles(), 0u);
+}
+
+TEST(Monitor, ParkedMidTransactionRecordsWhatAClockedOneDoes) {
+    // Two TG masters contend for an AHB bus in front of a slow memory, so
+    // each waits for its grant, its accept and its response. The bus and a
+    // TG bump a channel's wires only when they change, so the gated
+    // monitors park inside those waits and must record the same events,
+    // beats and busy cycles as monitors evaluated every cycle.
+    struct Out {
+        tg::Trace trace[2];
+        u64 busy[2] = {};
+        std::size_t parked_max = 0;
+    };
+    const auto run = [](bool gating) {
+        Out out;
+        sim::Kernel kernel;
+        kernel.set_gating(gating);
+        ocp::Channel ch[2], mem_ch;
+        mem::MemorySlave slave{mem_ch, mem::SlaveTiming{6, 5, 3}, 0x0, 0x1000};
+        ic::AhbBus bus;
+        std::vector<std::unique_ptr<tg::TgCore>> masters;
+        std::vector<std::unique_ptr<ocp::ChannelMonitor>> monitors;
+        for (u32 i = 0; i < 2; ++i) {
+            bus.connect_master(ch[i], -1);
+            masters.push_back(std::make_unique<tg::TgCore>(ch[i]));
+            monitors.push_back(std::make_unique<ocp::ChannelMonitor>(kernel, ch[i], out.trace[i]));
+            kernel.add(*masters.back(), sim::kStageMaster);
+            kernel.add(*monitors.back(), sim::kStageObserver);
+        }
+        bus.connect_slave(mem_ch, 0x0, 0x1000, -1);
+        kernel.add(slave, sim::kStageSlave);
+        kernel.add(bus, sim::kStageInterconnect);
+        ParkedSampler sampler{kernel};
+        kernel.add(sampler, sim::kStageObserver);
+        tg::TgProgram p;
+        p.reg_init[1] = 0x20;
+        p.reg_init[2] = 7;
+        p.instrs = {{.op = tg::TgOp::Write, .a = 1, .b = 2},
+                    {.op = tg::TgOp::Write, .a = 1, .b = 2},
+                    {.op = tg::TgOp::BurstRead, .a = 1, .imm = 4},
+                    {.op = tg::TgOp::Idle, .imm = 5},
+                    {.op = tg::TgOp::Read, .a = 1}};
+        p.push_burst_write(1, std::vector<u32>{5, 6, 7});
+        p.instrs.push_back({.op = tg::TgOp::Halt});
+        for (auto& m : masters) {
+            m->load(tg::assemble(p));
+            for (const auto& [r, v] : p.reg_init) m->preset_reg(r, v);
+        }
+        // A coarse poll: parked components are settled only at a poll.
+        EXPECT_TRUE(kernel.run_until(
+            [&] { return masters[0]->done() && masters[1]->done(); }, 2000, 64));
+        kernel.run(4);
+        for (u32 i = 0; i < 2; ++i) out.busy[i] = monitors[i]->busy_cycles();
+        out.parked_max = sampler.max;
+        return out;
+    };
+    const Out gated = run(true);
+    const Out clocked = run(false);
+    EXPECT_GE(gated.parked_max, 3u);
+    for (u32 i = 0; i < 2; ++i) {
+        EXPECT_EQ(gated.trace[i].events.size(), 5u) << i;
+        EXPECT_TRUE(gated.trace[i] == clocked.trace[i]) << i;
+        EXPECT_EQ(gated.trace[i].beats, clocked.trace[i].beats) << i;
+        EXPECT_GT(gated.busy[i], 10u) << i;
+        EXPECT_EQ(gated.busy[i], clocked.busy[i]) << i;
+    }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 // Helpers shared by the tgsim test suites (and the mesh_gating bench).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,6 +173,21 @@ private:
     u16 beats_acc_ = 0;
     Done cur_;
     std::vector<Done> results_;
+};
+
+/// Never parks; keeps the largest parked_count() its kernel showed at its
+/// eval. Register it last, at the observer stage, to sample each cycle after
+/// the components that park or wake in it.
+class ParkedSampler final : public sim::Clocked {
+public:
+    explicit ParkedSampler(const sim::Kernel& kernel) : kernel_(kernel) {}
+    void eval() override { max = std::max(max, kernel_.parked_count()); }
+    void update() override {}
+
+    std::size_t max = 0;
+
+private:
+    const sim::Kernel& kernel_;
 };
 
 /// N scripted TestMasters + M memory slaves on one ×pipes mesh — shared by

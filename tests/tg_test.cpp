@@ -527,6 +527,110 @@ TEST(TgCore, BurstWriteStreamsInlineData) {
     for (u32 i = 0; i < 4; ++i) EXPECT_EQ(rig.mem.peek(0x1100 + 4 * i), 11 * (i + 1));
 }
 
+/// A slow read-only slave: accepts a request `delay` cycles after it
+/// appears, waits `delay` more, then holds one response value on the wires
+/// for every beat of the burst. The wires do not change between beats, so
+/// it bumps s_gen only at the first beat and when it idles them again.
+class HeldBeatSlave final : public sim::Clocked {
+public:
+    HeldBeatSlave(ocp::ChannelRef ch, u32 delay) : ch_(ch), delay_(delay) {}
+    void eval() override {
+        switch (phase_) {
+            case Phase::Idle:
+                if (ch_.m_cmd() == ocp::Cmd::Idle || ++count_ < delay_) return;
+                beats_ = ch_.m_burst();
+                ch_.s_cmd_accept() = true;
+                phase_ = Phase::Accepted;
+                break;
+            case Phase::Accepted:
+                ch_.s_cmd_accept() = false;
+                count_ = 0;
+                phase_ = Phase::Wait;
+                break;
+            case Phase::Wait:
+                if (++count_ < delay_) return;
+                ch_.s_resp() = ocp::Resp::Dva;
+                ch_.s_data() = 0x5A5A;
+                count_ = 1;
+                phase_ = Phase::Beats;
+                break;
+            case Phase::Beats:
+                if (count_++ < beats_) return; // same beat again: no change
+                ch_.clear_response();
+                count_ = 0;
+                phase_ = Phase::Idle;
+                break;
+        }
+        ch_.touch_s();
+    }
+    void update() override {}
+
+private:
+    enum class Phase : u8 { Idle, Accepted, Wait, Beats };
+    ocp::ChannelRef ch_;
+    u32 delay_;
+    Phase phase_ = Phase::Idle;
+    u32 count_ = 0;
+    u32 beats_ = 0;
+};
+
+TEST(TgCore, ParksWhileTheFabricHoldsItsRequestAndCountsEveryBeat) {
+    // Gated, the core (and the trace monitor) park in MemWait while the
+    // slave neither accepts nor responds, and wake in the cycle it does.
+    // Neither may park on a beat: the next identical beat comes without a
+    // bump.
+    struct Out {
+        Cycle halt = 0;
+        u32 rd = 0;
+        std::vector<u64> stats;
+        std::size_t parked_max = 0;
+        Trace trace;
+    };
+    const auto run = [](bool gating) {
+        sim::Kernel kernel;
+        kernel.set_gating(gating);
+        ocp::Channel ch;
+        TgCore core{ch};
+        HeldBeatSlave slave{ch, 6};
+        Out out;
+        ocp::ChannelMonitor monitor{kernel, ch, out.trace};
+        kernel.add(core, sim::kStageMaster);
+        kernel.add(slave, sim::kStageSlave);
+        kernel.add(monitor, sim::kStageObserver);
+        ParkedSampler sampler{kernel};
+        kernel.add(sampler, sim::kStageObserver);
+        TgProgram p;
+        p.reg_init[1] = 0x1000;
+        p.instrs = {{.op = TgOp::Read, .a = 1},
+                    {.op = TgOp::BurstRead, .a = 1, .imm = 4},
+                    {.op = TgOp::Idle, .imm = 9},
+                    {.op = TgOp::BurstRead, .a = 1, .imm = 3},
+                    {.op = TgOp::Halt}};
+        core.load(assemble(p));
+        for (const auto& [r, v] : p.reg_init) core.preset_reg(r, v);
+        // A coarse poll: parked components are settled only at a poll.
+        EXPECT_TRUE(kernel.run_until([&] { return core.done(); }, 1000, 64));
+        out.parked_max = sampler.max;
+        const TgStats& s = core.stats();
+        out.halt = core.halt_cycle();
+        out.rd = core.reg(kRdReg);
+        out.stats = {s.instructions, s.ocp_reads,       s.ocp_writes,
+                     s.idle_cycles,  s.mem_wait_cycles, s.bus_errors};
+        return out;
+    };
+    const Out gated = run(true);
+    const Out clocked = run(false);
+    EXPECT_EQ(gated.parked_max, 2u); // the core and the monitor
+    EXPECT_EQ(clocked.parked_max, 0u);
+    EXPECT_EQ(gated.trace.beats.size(), 8u);
+    EXPECT_TRUE(gated.trace == clocked.trace);
+    EXPECT_EQ(gated.halt, clocked.halt);
+    EXPECT_EQ(gated.rd, 0x5A5Au);
+    EXPECT_EQ(gated.rd, clocked.rd);
+    EXPECT_EQ(gated.stats, clocked.stats);
+    EXPECT_GT(gated.stats[4], 30u); // mem_wait_cycles
+}
+
 TEST(TgCore, BurstReadLeavesLastBeatInRdreg) {
     TgRig rig;
     for (u32 i = 0; i < 4; ++i) rig.mem.poke(0x1000 + 4 * i, 100 + i);

@@ -11,12 +11,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "fuzz_util.hpp"
 #include "ic/topo/topo.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
@@ -327,6 +332,63 @@ TEST(ParseGraph, DiagnosesEveryMalformedInput) {
     expect_fail("nodes 4\nedge 0 1 2\n", "trailing tokens (line 2)");
     expect_fail("nodes 4\nedge 0 1\nedge 0 1\n", "duplicate edge");
     expect_fail("nodes 4\nedge 0 1\nedge 2 3\n", "disconnected graph");
+}
+
+TEST(GraphReaderFuzz, AnyInputYieldsAGraphOrAnError) {
+    // What --topology=file:PATH does with a file: every mutant must parse to
+    // a graph the table router accepts, or be refused with an error that
+    // names the source and, for a line's fault, the line -- never crash,
+    // hang or throw. The mutator inserts no digits, so node counts stay
+    // near the corpus's and each parse stays cheap.
+    const auto read_file = [](const std::string& path) {
+        std::ifstream in{path};
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const std::string seeds[] = {
+        read_file(std::string{TGSIM_SOURCE_DIR} + "/examples/graphs/ring18.graph"),
+        test::read_test_data("graphs/mesh3x3.graph"),
+        test::read_test_data("graphs/tree7.graph")};
+    for (const std::string& seed : seeds) {
+        std::string err;
+        ASSERT_TRUE(ic::parse_graph(seed, "seed", &err)) << err;
+    }
+    // Faults of the whole file rather than of one line.
+    const std::string whole_file[] = {"missing nodes line", "TableGraph: duplicate edge",
+                                      "TableGraph: disconnected graph"};
+    std::mt19937_64 rng{0x6A9F};
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 3000 && !::testing::Test::HasFailure(); ++i) {
+        std::string input = seeds[i % std::size(seeds)];
+        test::mutate(input, rng, "# \n\tedgnos-");
+        std::string err;
+        std::optional<GraphSpec> spec;
+        ASSERT_NO_THROW(spec = ic::parse_graph(input, "fuzz.graph", &err)) << input;
+        if (spec) {
+            ++accepted;
+            EXPECT_EQ(spec->source, "fuzz.graph");
+            ASSERT_NO_THROW((void)ic::TableGraph{*spec}) << input;
+            continue;
+        }
+        ++rejected;
+        ASSERT_TRUE(err.starts_with("fuzz.graph: ")) << err;
+        const std::string what = err.substr(12);
+        const auto at = what.find(" (line ");
+        if (at == std::string::npos) {
+            EXPECT_NE(std::find(std::begin(whole_file), std::end(whole_file), what),
+                      std::end(whole_file))
+                << err;
+            continue;
+        }
+        const auto line = std::stoul(what.substr(at + 7));
+        const auto lines = 1 + std::count(input.begin(), input.end(), '\n');
+        EXPECT_GE(line, 1u) << err;
+        EXPECT_LE(line, static_cast<unsigned long>(lines)) << err;
+    }
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 // --- cross-layer: simulation on torus and table fabrics ---------------------

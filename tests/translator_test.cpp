@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "apps/apps.hpp"
 #include "fuzz_util.hpp"
 #include "mem/memory.hpp"
 #include "ocp/monitor.hpp"
@@ -225,6 +226,60 @@ TEST(Translator, PollDataInconsistencyIsFlagged) {
     tr.beats[tr.events[0].beat_off] = 1; // a non-final poll "succeeded": spec mismatch
     const auto res = translate(tr, opt);
     EXPECT_GT(res.data_warnings, 0u);
+}
+
+TEST(Translator, PollRunSplitByAFetchGivesTwoLoopsAndOneWarning) {
+    // The shape of tests/data/traces/des_2x1_core0.trc line 123: the first
+    // poll fails, an I-cache refill splits the run, and the polls go on.
+    // The first run's only read is its last and still retries: one warning,
+    // on that read. The fetch stays outside the loops (docs/traffic.md).
+    TranslateOptions opt;
+    opt.polls = {sem_spec()};
+    Trace tr;
+    Ev fetch;
+    fetch.ev.cmd = ocp::Cmd::BurstRead;
+    fetch.ev.addr = 0x130;
+    fetch.ev.burst = 4;
+    fetch.ev.t_assert = 20;
+    fetch.ev.t_accept = 22;
+    fetch.ev.t_resp_first = 24;
+    fetch.ev.t_resp_last = 27;
+    fetch.data = {1, 2, 3, 4};
+    add(tr, {mk_write(0x3100, 1, 2, 5), mk_read(0x3004, 0, 10, 12, 14), fetch,
+             mk_read(0x3004, 0, 30, 32, 34), mk_read(0x3004, 1, 40, 42, 44)});
+    tr.end_cycle = 60;
+    const auto res = translate(tr, opt);
+    EXPECT_EQ(res.poll_loops, 2u);
+    EXPECT_EQ(res.polls_collapsed, 3u);
+    EXPECT_EQ(res.data_warnings, 1u);
+    EXPECT_EQ(res.first_warning, 1u);
+    EXPECT_EQ(res.program.labels.size(), 2u);
+}
+
+TEST(TraceIo, EventLineCountsOnlyEventRecords) {
+    const std::string text =
+        "; tgsim trace\n"
+        "CORE 0 THREAD 0\n"
+        "EVT RD 0x0 burst=1 assert=1 accept=2 resp=3:3 data=[0x0]\n"
+        "\n"
+        "; a comment\n"
+        "  EVT WR 0x4 burst=1 assert=5 accept=6 resp=0:0 data=[0x1]\n"
+        "END 9\n";
+    EXPECT_EQ(event_line(text, 0), 3u);
+    EXPECT_EQ(event_line(text, 1), 6u);
+    EXPECT_EQ(event_line(text, 2), 0u);
+}
+
+TEST(Translator, DesTraceWarnsOnceAtItsSplitPollRun) {
+    // tgsim_run --app=des --cores=2 --size=1: the first poll of 0x20000104
+    // (line 123) fails and an I-cache refill follows it.
+    const std::string des = read_test_data("traces/des_2x1_core0.trc");
+    TranslateOptions opt;
+    opt.polls = apps::make_des({2, 1}).polls;
+    const auto res = translate(trace_from_text(des), opt);
+    EXPECT_EQ(res.data_warnings, 1u);
+    EXPECT_EQ(event_line(des, res.first_warning), 123u);
+    EXPECT_EQ(res.program, program_from_text(read_test_data("programs/des_2x1_core0.tgp")));
 }
 
 TEST(Translator, TimeshiftReplaysEveryPoll) {

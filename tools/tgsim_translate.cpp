@@ -74,10 +74,16 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(res.polls_collapsed),
             static_cast<unsigned long long>(res.poll_loops),
             static_cast<unsigned long long>(res.clamped_idles), out.c_str());
+        // A poll run split by another access (say an I-cache refill between
+        // two polls) ends on a read that still retries; docs/traffic.md.
         if (res.data_warnings != 0)
             std::fprintf(stderr,
-                         "warning: %llu poll reads inconsistent with spec\n",
-                         static_cast<unsigned long long>(res.data_warnings));
+                         "warning: %s: %llu poll reads inconsistent with spec "
+                         "(first: line %zu, address 0x%08X)\n",
+                         path.c_str(),
+                         static_cast<unsigned long long>(res.data_warnings),
+                         tg::event_line(cli::read_text_file(path), res.first_warning),
+                         trace.events[res.first_warning].addr);
     }
     return 0;
 }
