@@ -71,6 +71,10 @@ public:
     [[nodiscard]] Cycle thread_halt_cycle(std::size_t t) const {
         return threads_.at(t).halt_cycle;
     }
+    /// Register `index` of thread `t` (r0 is its rdreg).
+    [[nodiscard]] u32 thread_reg(std::size_t t, u8 index) const {
+        return threads_.at(t).regs.at(index);
+    }
     [[nodiscard]] int current_thread() const noexcept { return current_; }
 
 private:
