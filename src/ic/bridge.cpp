@@ -4,10 +4,6 @@
 
 namespace tgsim::ic {
 
-namespace {
-constexpr u32 kErrData = 0xDEADBEEFu;
-} // namespace
-
 void Bridge::start(ocp::ChannelRef master, ocp::ChannelRef slave) {
     m_ = master;
     s_ = slave;
@@ -77,7 +73,7 @@ void Bridge::eval_response() {
     // Decode-error target: synthesize one ERR beat per cycle.
     if (master_ready) {
         m_.s_resp() = ocp::Resp::Err;
-        m_.s_data() = kErrData;
+        m_.s_data() = ocp::kPoison;
         m_.s_resp_last() = (beats_responded_ + 1 == burst_);
         m_.touch_s();
         ++beats_responded_;

@@ -8,7 +8,7 @@
 namespace tgsim::ic {
 
 namespace {
-constexpr u32 kPoison = 0xDEADBEEFu;
+using ocp::kPoison;
 
 /// Calls f(i) for every set bit i of the `n`-word bitset `w`, ascending.
 /// Each word is read once before its bits are visited, so f may change

@@ -23,7 +23,7 @@ u32 MemorySlave::read_word(u32 addr) {
     u32 idx = 0;
     if (!index_of(addr, idx)) {
         ++oob_;
-        return kPoisonWord;
+        return ocp::kPoison;
     }
     return words_[idx];
 }

@@ -14,8 +14,6 @@
 
 namespace tgsim::mem {
 
-inline constexpr u32 kPoisonWord = 0xDEADBEEFu;
-
 class MemorySlave final : public SlaveDevice {
 public:
     /// `base` and `size_bytes` define the decoded window; storage is

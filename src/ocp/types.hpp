@@ -12,6 +12,10 @@
 
 namespace tgsim::ocp {
 
+/// The word that stands in for data that does not exist: the data of an Err
+/// response beat, and of a memory read outside its storage.
+inline constexpr u32 kPoison = 0xDEADBEEFu;
+
 /// Master command (MCmd). Burst commands carry a beat count in MBurstLen.
 enum class Cmd : u8 {
     Idle = 0,

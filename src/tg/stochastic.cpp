@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace tgsim::tg {
 
 StochasticTg::StochasticTg(ocp::ChannelRef channel, StochasticConfig cfg)
-    : ch_(channel), cfg_(std::move(cfg)), rng_(cfg_.seed) {
+    : port_(channel), cfg_(std::move(cfg)), rng_(cfg_.seed) {
     if (cfg_.targets.empty())
         throw std::invalid_argument{"StochasticTg: no targets"};
+    if (cfg_.burst_len < 1 || cfg_.burst_len > ocp::kMaxBurstLen)
+        throw std::invalid_argument{"StochasticTg: burst_len must be in [1, " +
+                                    std::to_string(ocp::kMaxBurstLen) + "]"};
     for (const auto& t : cfg_.targets) total_weight_ += std::max<u32>(1, t.weight);
     gap_left_ = std::max<u64>(1, draw_gap());
     if (cfg_.total_transactions == 0) state_ = State::Halted;
@@ -46,34 +50,6 @@ u32 StochasticTg::draw_addr() {
     return cfg_.targets.front().base;
 }
 
-void StochasticTg::eval() {
-    const bool drive =
-        req_.active &&
-        (!req_.accepted ||
-         (ocp::is_write(req_.cmd) && req_.wbeats < req_.burst));
-    if (drive) {
-        ch_.m_cmd() = req_.cmd;
-        ch_.m_addr() = req_.addr;
-        ch_.m_data() = req_.data + req_.wbeats; // distinguishable beat values
-        ch_.m_burst() = req_.burst;
-        ch_.m_resp_accept() = ocp::is_read(req_.cmd);
-        ch_.touch_m();
-        wires_clean_ = false;
-    } else if (req_.active) {
-        ch_.m_cmd() = ocp::Cmd::Idle;
-        ch_.m_addr() = 0;
-        ch_.m_data() = 0;
-        ch_.m_burst() = 1;
-        ch_.m_resp_accept() = ocp::is_read(req_.cmd);
-        ch_.touch_m();
-        wires_clean_ = false;
-    } else if (!wires_clean_) {
-        ch_.clear_request();
-        ch_.touch_m();
-        wires_clean_ = true;
-    }
-}
-
 void StochasticTg::update() {
     ++cycle_;
     switch (state_) {
@@ -83,46 +59,31 @@ void StochasticTg::update() {
             if (--gap_left_ == 0) state_ = State::Issue;
             break;
         case State::Issue: {
-            req_ = Request{};
-            req_.active = true;
             const bool read = rng_.chance(cfg_.read_fraction);
             const bool burst = rng_.chance(cfg_.burst_fraction);
-            req_.cmd = read ? (burst ? ocp::Cmd::BurstRead : ocp::Cmd::Read)
-                            : (burst ? ocp::Cmd::BurstWrite : ocp::Cmd::Write);
-            req_.burst = burst ? cfg_.burst_len : u16{1};
-            req_.addr = draw_addr();
-            req_.data = static_cast<u32>(rng_.next());
+            const ocp::Cmd cmd = read ? (burst ? ocp::Cmd::BurstRead : ocp::Cmd::Read)
+                                      : (burst ? ocp::Cmd::BurstWrite : ocp::Cmd::Write);
+            const u32 addr = draw_addr();
+            // Write beat k carries data + k: distinguishable beat values.
+            const auto data = static_cast<u32>(rng_.next());
+            port_.issue(cmd, addr, burst ? cfg_.burst_len : u16{1}, data);
             ++issued_;
             state_ = State::MemWait;
             break;
         }
         case State::MemWait: {
-            if (ocp::is_write(req_.cmd)) {
-                if (ch_.s_cmd_accept()) {
-                    ++req_.wbeats;
-                    if (req_.wbeats == req_.burst) req_.active = false;
-                }
+            // Open loop: a read completes once the fabric owns the command;
+            // the NI absorbs the response beats, so the next gap starts
+            // without waiting for them.
+            const bool done = port_.sample().done;
+            if (!done && !(cfg_.open_loop && port_.accepted())) break;
+            port_.release();
+            if (issued_ >= cfg_.total_transactions) {
+                state_ = State::Halted;
+                halt_cycle_ = cycle_;
             } else {
-                if (!req_.accepted && ch_.s_cmd_accept()) req_.accepted = true;
-                if (cfg_.open_loop) {
-                    // Open loop: the read completes once the fabric owns the
-                    // command; the NI absorbs the response beats, so the next
-                    // gap starts without waiting for them.
-                    if (req_.accepted) req_.active = false;
-                } else if (ch_.s_resp() != ocp::Resp::None) {
-                    ++req_.rbeats;
-                    if (ch_.s_resp_last() || req_.rbeats == req_.burst)
-                        req_.active = false;
-                }
-            }
-            if (!req_.active) {
-                if (issued_ >= cfg_.total_transactions) {
-                    state_ = State::Halted;
-                    halt_cycle_ = cycle_;
-                } else {
-                    gap_left_ = std::max<u64>(1, draw_gap());
-                    state_ = State::Gap;
-                }
+                gap_left_ = std::max<u64>(1, draw_gap());
+                state_ = State::Gap;
             }
             break;
         }

@@ -6,11 +6,16 @@
 // quantitatively why distribution-based generators are "unreliable for
 // optimizing NoC features": they reproduce average load but not the
 // reactive, bursty structure of real core traffic.
+//
+// StochasticTg keeps only its arrival draws and the open-loop rule (a read
+// is done once the fabric accepts its command); the OCP protocol is the
+// shared ocp::MasterPort. The constructor refuses a burst_len outside
+// [1, ocp::kMaxBurstLen], the longest burst the fabrics carry.
 #pragma once
 
 #include <vector>
 
-#include "ocp/channel.hpp"
+#include "ocp/master_port.hpp"
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
 
@@ -32,7 +37,7 @@ struct StochasticConfig {
     u64 seed = 1;
     double read_fraction = 0.7;
     double burst_fraction = 0.0; ///< fraction of transactions that are bursts
-    u16 burst_len = 4;
+    u16 burst_len = 4; ///< beats per burst, in [1, ocp::kMaxBurstLen]
     ArrivalProcess process = ArrivalProcess::Uniform;
     u32 min_gap = 1;
     u32 max_gap = 40;
@@ -54,10 +59,10 @@ class StochasticTg final : public sim::Clocked {
 public:
     StochasticTg(ocp::ChannelRef channel, StochasticConfig cfg);
 
-    void eval() override;
+    void eval() override { port_.drive(); }
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override {
-        if (!wires_clean_) return 0;
+        if (!port_.idle()) return 0;
         if (state_ == State::Halted) return sim::kQuietForever;
         if (state_ == State::Gap) return gap_left_ - 1;
         return 0;
@@ -77,7 +82,7 @@ private:
     [[nodiscard]] u64 draw_gap();
     [[nodiscard]] u32 draw_addr();
 
-    ocp::ChannelRef ch_;
+    ocp::MasterPort port_;
     StochasticConfig cfg_;
     sim::Rng rng_;
     u32 total_weight_ = 0;
@@ -85,19 +90,6 @@ private:
     State state_ = State::Gap;
     u64 gap_left_ = 1;
     u32 train_left_ = 0;
-
-    struct Request {
-        bool active = false;
-        bool accepted = false;
-        ocp::Cmd cmd = ocp::Cmd::Idle;
-        u32 addr = 0;
-        u32 data = 0;
-        u16 burst = 1;
-        u16 rbeats = 0;
-        u16 wbeats = 0;
-    };
-    Request req_;
-    bool wires_clean_ = false; ///< wires hold the idle pattern
 
     u64 issued_ = 0;
     Cycle cycle_ = 0;

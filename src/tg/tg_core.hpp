@@ -7,6 +7,11 @@
 // blocking reads); Idle(n) stalls for n cycles. r0 (`rdreg`) receives the
 // data of every read.
 //
+// The port is ocp::MasterPort, the same one the CPU model drives, so a TG
+// replaces the CPU at an identical interface. TgCore keeps only the ISA and
+// the idle timing; step() below is the one TG interpreter, which
+// TgMultiCore runs per thread as well.
+//
 // The deliberate simplicity — no fetch pipeline, no caches, no ALU — is the
 // source of the paper's simulation speedup: emulating a core costs a few
 // comparisons per cycle instead of a full ISS step.
@@ -15,7 +20,7 @@
 #include <array>
 #include <vector>
 
-#include "ocp/channel.hpp"
+#include "ocp/master_port.hpp"
 #include "sim/kernel.hpp"
 #include "tg/tg_isa.hpp"
 
@@ -30,19 +35,53 @@ struct TgStats {
     u64 bus_errors = 0;
 };
 
+/// The state one TG program runs on: its instruction memory (the binary
+/// image), register file and program counter. TgCore runs one context;
+/// TgMultiCore runs one per thread. Both execute it through step().
+struct TgContext {
+    std::vector<u32> image;
+    std::array<u32, kTgNumRegs> regs{};
+    u32 pc = 0;
+};
+
+/// What one instruction asks of the core that executes it.
+struct TgStep {
+    enum class Kind : u8 {
+        Next, ///< go on with the next instruction next cycle
+        Idle, ///< Idle / IdleUntil that has a wait left
+        Mem,  ///< an OCP transaction was issued on the port
+        Halt,
+    };
+    Kind kind = Kind::Next;
+    u64 idle = 0; ///< Idle: cycles to stay idle after this one
+    u64 span = 0; ///< Idle: length of the wait from this cycle on
+};
+
+/// Executes the instruction at ctx.pc, which must lie inside the image, in
+/// the update of 0-based tick `now`. OCP instructions issue on `port`.
+TgStep step(TgContext& ctx, ocp::MasterPort& port, Cycle now);
+
+/// Samples `port` for the context's in-flight transaction; a completed
+/// read leaves its last beat in rdreg.
+inline ocp::Beat sample(TgContext& ctx, ocp::MasterPort& port) {
+    const ocp::Beat b = port.sample();
+    if (b.done && b.resp) ctx.regs[kRdReg] = b.data;
+    return b;
+}
+
 class TgCore final : public sim::Clocked {
 public:
-    explicit TgCore(ocp::ChannelRef channel) : ch_(channel) {}
+    explicit TgCore(ocp::ChannelRef channel) : port_(channel) {}
 
     /// Loads a binary image (see tg/program.hpp) and resets.
     void load(std::vector<u32> image);
     /// Preloads the register file (REGISTER directives).
     void preset_reg(u8 reg, u32 value) {
-        if (reg < kTgNumRegs) regs_[reg] = value;
+        if (reg < kTgNumRegs) ctx_.regs[reg] = value;
     }
     void reset();
 
-    void eval() override;
+    void eval() override { port_.drive(); }
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override;
     void advance(Cycle cycles) override;
@@ -52,46 +91,18 @@ public:
     [[nodiscard]] bool done() const noexcept { return state_ == State::Halted; }
     [[nodiscard]] Cycle halt_cycle() const noexcept { return halt_cycle_; }
     [[nodiscard]] const TgStats& stats() const noexcept { return stats_; }
-    [[nodiscard]] u32 reg(u8 index) const noexcept { return regs_.at(index); }
-    [[nodiscard]] u32 pc() const noexcept { return pc_; }
+    [[nodiscard]] u32 reg(u8 index) const noexcept { return ctx_.regs.at(index); }
+    [[nodiscard]] u32 pc() const noexcept { return ctx_.pc; }
 
 private:
     enum class State : u8 { Run, Idle, MemWait, Halted };
 
     void exec_one();
-    void mem_progress();
 
-    ocp::ChannelRef ch_;
-    std::vector<u32> image_;
-    std::array<u32, kTgNumRegs> regs_{};
-    u32 pc_ = 0;
+    ocp::MasterPort port_;
+    TgContext ctx_;
     State state_ = State::Halted;
     u64 idle_left_ = 0;
-
-    struct Request {
-        bool active = false;
-        bool accepted = false;
-        ocp::Cmd cmd = ocp::Cmd::Idle;
-        u32 addr = 0;
-        u16 burst = 1;
-        u16 wbeats_done = 0; ///< accepted write beats
-        u32 wdata_base = 0;  ///< image index of inline burst data
-        u16 rbeats = 0;      ///< response beats received
-        u32 last_data = 0;
-    };
-    Request req_;
-    u32 single_wdata_ = 0; ///< data of an in-flight single Write
-
-    /// Wire-drive cache (see CpuCore): skip redundant re-drives.
-    enum class DriveState : u8 { Idle, Request, RespWait };
-    /// What the wires should carry for the current request.
-    [[nodiscard]] DriveState desired_drive() const noexcept;
-    /// True when the wires already carry `desired` (eval() drives nothing).
-    [[nodiscard]] bool wires_current(DriveState desired) const noexcept;
-    DriveState driven_ = DriveState::Idle;
-    u32 req_gen_ = 0;
-    u32 driven_gen_ = 0;
-    u16 driven_beat_ = 0; ///< burst-write beat last driven
 
     Cycle cycle_ = 0;
     Cycle halt_cycle_ = 0;

@@ -4,16 +4,12 @@
 
 namespace tgsim::tg {
 
-namespace {
-constexpr u32 kPoison = 0xDEADBEEFu;
-} // namespace
-
 std::size_t TgMultiCore::add_thread(std::vector<u32> image,
                                     const std::array<u32, kTgNumRegs>& regs) {
     Thread t;
-    t.image = std::move(image);
-    t.regs = regs;
-    if (t.image.empty()) {
+    t.ctx.image = std::move(image);
+    t.ctx.regs = regs;
+    if (t.ctx.image.empty()) {
         t.state = ThreadState::Halted;
         t.halt_cycle = 0;
     }
@@ -49,37 +45,6 @@ void TgMultiCore::begin_switch(int to) {
     switch_to_ = to;
 }
 
-void TgMultiCore::eval() {
-    const bool drive_cmd =
-        req_.active &&
-        (!req_.accepted || (ocp::is_write(req_.cmd) && req_.wbeats_done < req_.burst));
-    if (drive_cmd) {
-        ch_.m_cmd() = req_.cmd;
-        ch_.m_addr() = req_.addr;
-        ch_.m_burst() = req_.burst;
-        if (req_.cmd == ocp::Cmd::Write)
-            ch_.m_data() = single_wdata_;
-        else if (req_.cmd == ocp::Cmd::BurstWrite)
-            ch_.m_data() =
-                threads_[static_cast<std::size_t>(current_)]
-                    .image[req_.wdata_base + req_.wbeats_done];
-        else
-            ch_.m_data() = 0;
-        ch_.m_resp_accept() = ocp::is_read(req_.cmd);
-        ch_.touch_m();
-        wires_clean_ = false;
-    } else if (req_.active) { // read awaiting response
-        ch_.m_cmd() = ocp::Cmd::Idle;
-        ch_.m_resp_accept() = true;
-        ch_.touch_m();
-        wires_clean_ = false;
-    } else if (!wires_clean_) {
-        ch_.clear_request();
-        ch_.touch_m();
-        wires_clean_ = true;
-    }
-}
-
 void TgMultiCore::update() {
     ++cycle_;
     const Cycle now = cycle_ - 1;
@@ -101,8 +66,8 @@ void TgMultiCore::update() {
     }
 
     // The port is in-order: never preempt a thread mid-transaction.
-    if (req_.active) {
-        mem_progress();
+    if (port_.busy()) {
+        sample(threads_[static_cast<std::size_t>(current_)].ctx, port_);
         return;
     }
 
@@ -142,119 +107,35 @@ void TgMultiCore::update() {
 
 void TgMultiCore::exec_current() {
     Thread& t = threads_[static_cast<std::size_t>(current_)];
-    if (t.pc >= t.image.size()) {
-        t.state = ThreadState::Halted;
-        t.halt_cycle = cycle_;
-        if (done()) halt_cycle_ = cycle_;
+    if (t.ctx.pc >= t.ctx.image.size()) {
+        halt(t);
         return;
     }
     ++stats_.instructions;
     const Cycle now = cycle_ - 1;
-    const TgWord0 w = decode_w0(t.image[t.pc]);
-    switch (w.op) {
-        case TgOp::SetRegister:
-            t.regs[w.a] = t.image[t.pc + 1];
-            t.pc += 2;
-            break;
-        case TgOp::Idle: {
-            const u32 n = t.image[t.pc + 1];
-            t.pc += 2;
-            if (cfg_.policy == SchedulePolicy::SleepWake &&
-                n >= cfg_.yield_threshold) {
-                t.state = ThreadState::Sleeping;
-                t.wake_at = now + n;
-                const int nxt = next_ready(current_);
-                if (nxt >= 0) begin_switch(nxt);
-                break;
-            }
-            if (n > 1) t.idle_left = n - 1;
-            break;
+    const TgStep s = step(t.ctx, port_, now);
+    if (s.kind == TgStep::Kind::Halt) {
+        halt(t);
+    } else if (s.kind == TgStep::Kind::Idle) {
+        if (cfg_.policy == SchedulePolicy::SleepWake && s.span >= cfg_.yield_threshold) {
+            t.state = ThreadState::Sleeping;
+            t.wake_at = now + s.span;
+            const int nxt = next_ready(current_);
+            if (nxt >= 0) begin_switch(nxt);
+        } else {
+            t.idle_left = s.idle;
         }
-        case TgOp::IdleUntil: {
-            const u64 target = t.image[t.pc + 1];
-            t.pc += 2;
-            if (target <= now) break;
-            if (cfg_.policy == SchedulePolicy::SleepWake &&
-                target - now >= cfg_.yield_threshold) {
-                t.state = ThreadState::Sleeping;
-                t.wake_at = target;
-                const int nxt = next_ready(current_);
-                if (nxt >= 0) begin_switch(nxt);
-                break;
-            }
-            t.idle_left = target - now;
-            break;
-        }
-        case TgOp::Read:
-        case TgOp::BurstRead:
-            req_ = Request{};
-            req_.active = true;
-            req_.cmd = (w.op == TgOp::Read) ? ocp::Cmd::Read : ocp::Cmd::BurstRead;
-            req_.addr = t.regs[w.a];
-            req_.burst = (w.op == TgOp::BurstRead)
-                             ? static_cast<u16>(w.imm12 == 0 ? 1 : w.imm12)
-                             : u16{1};
-            t.pc += 1;
-            break;
-        case TgOp::Write:
-            req_ = Request{};
-            req_.active = true;
-            req_.cmd = ocp::Cmd::Write;
-            req_.addr = t.regs[w.a];
-            single_wdata_ = t.regs[w.b];
-            t.pc += 1;
-            break;
-        case TgOp::BurstWrite:
-            req_ = Request{};
-            req_.active = true;
-            req_.cmd = ocp::Cmd::BurstWrite;
-            req_.addr = t.regs[w.a];
-            req_.burst = static_cast<u16>(w.imm12 == 0 ? 1 : w.imm12);
-            req_.wdata_base = t.pc + 1;
-            t.pc += 1 + w.imm12;
-            break;
-        case TgOp::If:
-            t.pc = compare(w.cmp, t.regs[w.a], t.regs[w.b]) ? t.image[t.pc + 1]
-                                                            : t.pc + 2;
-            break;
-        case TgOp::IfImm:
-            t.pc = compare(w.cmp, t.regs[w.a], t.image[t.pc + 1])
-                       ? t.image[t.pc + 2]
-                       : t.pc + 3;
-            break;
-        case TgOp::Jump:
-            t.pc = t.image[t.pc + 1];
-            break;
-        case TgOp::Halt:
-            t.state = ThreadState::Halted;
-            t.halt_cycle = cycle_;
-            if (done()) halt_cycle_ = cycle_;
-            break;
     }
 }
 
-void TgMultiCore::mem_progress() {
-    Thread& t = threads_[static_cast<std::size_t>(current_)];
-    if (ocp::is_write(req_.cmd)) {
-        if (ch_.s_cmd_accept()) {
-            ++req_.wbeats_done;
-            if (req_.wbeats_done == req_.burst) req_ = Request{};
-        }
-        return;
-    }
-    if (!req_.accepted && ch_.s_cmd_accept()) req_.accepted = true;
-    if (ch_.s_resp() != ocp::Resp::None) {
-        req_.last_data = (ch_.s_resp() == ocp::Resp::Err) ? kPoison : ch_.s_data();
-        ++req_.rbeats;
-        if (ch_.s_resp_last() || req_.rbeats == req_.burst) {
-            t.regs[kRdReg] = req_.last_data;
-            req_ = Request{};
-        }
-    }
+void TgMultiCore::halt(Thread& t) {
+    t.state = ThreadState::Halted;
+    t.halt_cycle = cycle_;
+    if (done()) halt_cycle_ = cycle_;
 }
 
 Cycle TgMultiCore::quiet_for() const {
-    if (!wires_clean_ || req_.active || switch_left_ > 0) return 0;
+    if (!port_.idle() || port_.busy() || switch_left_ > 0) return 0;
     if (done()) return sim::kQuietForever;
     // Quiet only when no thread is runnable: next event is the earliest wake.
     const Cycle now = cycle_; // the NEXT update sees now_ == cycle_

@@ -111,7 +111,7 @@ TEST(MemorySlave, OutOfRangeReadsPoison) {
     rig.wire(m);
     rig.master.push({ocp::Cmd::Read, 0x2000, 1, {}, 0});
     rig.run_to_idle();
-    EXPECT_EQ(rig.master.results().at(0).rdata.at(0), mem::kPoisonWord);
+    EXPECT_EQ(rig.master.results().at(0).rdata.at(0), ocp::kPoison);
     EXPECT_EQ(m.out_of_range_accesses(), 1u);
 }
 
