@@ -64,7 +64,6 @@ int main() {
     kernel.add(shared, sim::kStageSlave);
     kernel.add(dummy, sim::kStageSlave);
     kernel.add(bus, sim::kStageInterconnect);
-    kernel.set_max_skip(4096); // legacy-mode bound (gating is the default)
 
     sim::WallTimer timer;
     const bool done = kernel.run_until(

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "platform/memory_map.hpp"
 
@@ -108,8 +109,9 @@ void validate(const PatternConfig& cfg) {
             "pattern: injection_rate must be in (0, 1]"};
     if (cfg.packets_per_core == 0)
         throw std::invalid_argument{"pattern: zero packet budget"};
-    if (cfg.burst_len == 0)
-        throw std::invalid_argument{"pattern: zero burst_len"};
+    if (cfg.burst_len < 1 || cfg.burst_len > ocp::kMaxBurstLen)
+        throw std::invalid_argument{"pattern: burst_len must be in [1, " +
+                                    std::to_string(ocp::kMaxBurstLen) + "]"};
     if (cfg.target_span < 4)
         throw std::invalid_argument{"pattern: target_span below one word"};
 }

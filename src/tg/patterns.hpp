@@ -66,7 +66,7 @@ struct PatternConfig {
     ArrivalProcess process = ArrivalProcess::Poisson;
     double read_fraction = 0.5;
     double burst_fraction = 0.0; ///< fraction of transactions that burst
-    u16 burst_len = 4;
+    u16 burst_len = 4; ///< beats per burst, in [1, ocp::kMaxBurstLen]
     u64 packets_per_core = 2000; ///< halt after this many transactions
     /// Bursty process shape (mean rate still honours injection_rate).
     u32 train_len = 8;

@@ -80,6 +80,26 @@ TEST(PatternValidate, RejectsBadConfigs) {
     EXPECT_NO_THROW(validate(cfg));
 }
 
+// A burst longer than the fabrics carry (ocp::kMaxBurstLen) would leave the
+// master waiting for beats the NI never sends: refused up front, both by
+// validate() and by the StochasticTg it configures.
+TEST(PatternValidate, BurstLenWithinTheProtocolLimit) {
+    PatternConfig cfg;
+    StochasticConfig sc;
+    sc.targets = {{0x1000, 0x100, 1}};
+    ocp::Channel ch;
+    for (const u16 len : {u16{0}, u16{65}}) {
+        cfg.burst_len = len;
+        sc.burst_len = len;
+        EXPECT_THROW(validate(cfg), std::invalid_argument) << len;
+        EXPECT_THROW((StochasticTg{ch, sc}), std::invalid_argument) << len;
+    }
+    cfg.burst_len = ocp::kMaxBurstLen;
+    sc.burst_len = ocp::kMaxBurstLen;
+    EXPECT_NO_THROW(validate(cfg));
+    EXPECT_NO_THROW((StochasticTg{ch, sc}));
+}
+
 TEST(PatternTargets, UniformExcludesSelf) {
     PatternConfig cfg;
     cfg.pattern = Pattern::UniformRandom;

@@ -11,7 +11,8 @@
 # 1 naming the file and line, not abort.
 #
 # PART=flags checks that every tool answers --help with exit 0 and an
-# undeclared flag with exit 1.
+# undeclared flag with exit 1, and that tgsim_patterns refuses a
+# --burst-len above ocp::kMaxBurstLen.
 #
 # PART=shard runs a small funnel sweep whole and as three shard processes
 # (one after another), merges the shards with tgsim_merge, and requires the
@@ -148,6 +149,12 @@ elseif(PART STREQUAL "flags")
   foreach(tool ${tools})
     run_tool(0 "usage: " ${tool} --help)
     run_tool(1 "" ${tool} --no-such-flag)
+  endforeach()
+  # A burst longer than the fabrics carry is refused, neither truncated to
+  # 16 bits nor left spinning on beats the NI never sends.
+  foreach(len 65 65537)
+    expect_refusal("--burst-len" tgsim_patterns --mesh=3x3 --packets=50
+                   --burst-frac=1 --burst-len=${len} --rates=0.01)
   endforeach()
 elseif(PART STREQUAL "shard")
   set(common --pattern=transpose --grid=4x4 --packets=200

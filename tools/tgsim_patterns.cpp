@@ -68,7 +68,7 @@ cli::OptionSet options() {
         .add({"reads", K::Text, "F", "0.5", "read fraction in [0, 1]"})
         .add({"burst-frac", K::Text, "F", "0",
               "fraction of transactions that burst"})
-        .add({"burst-len", K::Number, "N", "4", "beats per burst"})
+        .add({"burst-len", K::Number, "N", "4", "beats per burst, 1..64"})
         .add({"hotspot", K::Number, "CORE", "0", "hotspot destination core"})
         .add({"hotspot-frac", K::Text, "F", "0.5",
               "share of traffic aimed at the hotspot"})
@@ -114,7 +114,11 @@ int main(int argc, char** argv) {
          {"uniform", tg::ArrivalProcess::Uniform},
          {"bursty", tg::ArrivalProcess::Bursty}});
     pc.packets_per_core = args.get_u64("packets");
-    pc.burst_len = static_cast<u16>(args.get_u32("burst-len"));
+    const u32 burst_len = args.get_u32("burst-len");
+    if (burst_len < 1 || burst_len > ocp::kMaxBurstLen)
+        cli::usage_error("burst-len", "must be in [1, " +
+                                          std::to_string(ocp::kMaxBurstLen) + "]");
+    pc.burst_len = static_cast<u16>(burst_len);
     pc.hotspot_core = args.get_u32("hotspot");
     pc.read_fraction = cli::parse_rate(args.get("reads")).value_or(-1.0);
     pc.burst_fraction = cli::parse_rate(args.get("burst-frac")).value_or(-1.0);
