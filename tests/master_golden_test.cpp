@@ -75,8 +75,9 @@ done:
 END
 )";
 
-/// Thread 1: a decode-error read (poison in rdreg), short and long idles,
-/// an absolute wait, and reads of what thread 0 wrote.
+/// Thread 1: a decode-error read (poison in rdreg), short and long idles
+/// (one exactly at the SleepWake yield threshold), an absolute wait, and
+/// reads of what thread 0 wrote.
 constexpr const char* kPollerThread = R"(MASTER[0,1]
 REGISTER r1 0x50000000
 REGISTER r2 0x20000100
@@ -86,6 +87,7 @@ BEGIN
   Write(r4, r0)
   Idle(3)
   Read(r2)
+  Idle(16)
   Write(r4, r0)
   Idle(40)
   BurstRead(r2, 4)
@@ -191,11 +193,11 @@ struct MultiGolden {
 
 TEST(MasterGolden, TgMultiCoreBothPolicies) {
     const MultiGolden goldens[] = {
-        {tg::SchedulePolicy::Timeslice, "timeslice", 463, {310, 463, 152},
-         {0x44, 0x11, 0xBBBB}, 47, 13, 39, 0, 0xbc036565a10cde16ull,
+        {tg::SchedulePolicy::Timeslice, "timeslice", 432, {300, 432, 150},
+         {0x44, 0x11, 0xBBBB}, 48, 13, 39, 0, 0x85af0b03dafdf30full,
          0xfdf8fa8d477d1e3aull},
-        {tg::SchedulePolicy::SleepWake, "sleepwake", 432, {180, 432, 113},
-         {0x44, 0x11, 0xBBBB}, 47, 3, 9, 247, 0x58fe692803de205eull,
+        {tg::SchedulePolicy::SleepWake, "sleepwake", 431, {177, 431, 110},
+         {0x44, 0x11, 0xBBBB}, 48, 3, 9, 245, 0xde8fa57b319cc79eull,
          0xfdf8fa8d477d1e3aull},
     };
     for (const MultiGolden& g : goldens) {
