@@ -48,18 +48,70 @@ struct TgContext {
 struct TgStep {
     enum class Kind : u8 {
         Next, ///< go on with the next instruction next cycle
-        Idle, ///< Idle / IdleUntil that has a wait left
+        Idle, ///< Idle(n), or an IdleUntil whose target lies ahead
         Mem,  ///< an OCP transaction was issued on the port
         Halt,
     };
     Kind kind = Kind::Next;
     u64 idle = 0; ///< Idle: cycles to stay idle after this one
-    u64 span = 0; ///< Idle: length of the wait from this cycle on
+    u64 span = 0; ///< Idle: length of the wait (n, or target - now)
 };
 
 /// Executes the instruction at ctx.pc, which must lie inside the image, in
 /// the update of 0-based tick `now`. OCP instructions issue on `port`.
-TgStep step(TgContext& ctx, ocp::MasterPort& port, Cycle now);
+/// Inline: it is the TG's per-instruction hot path.
+inline TgStep step(TgContext& ctx, ocp::MasterPort& port, Cycle now) {
+    const std::vector<u32>& image = ctx.image;
+    u32& pc = ctx.pc;
+    const TgWord0 w = decode_w0(image[pc]);
+    const u16 burst = static_cast<u16>(w.imm12 == 0 ? 1 : w.imm12);
+    switch (w.op) {
+        case TgOp::SetRegister:
+            ctx.regs[w.a] = image[pc + 1];
+            pc += 2;
+            break;
+        case TgOp::Idle: {
+            const u32 n = image[pc + 1];
+            pc += 2;
+            return {TgStep::Kind::Idle, n > 1 ? n - 1 : 0, n};
+        }
+        case TgOp::IdleUntil: {
+            const u64 target = image[pc + 1];
+            pc += 2;
+            if (target <= now) break;
+            return {TgStep::Kind::Idle, target - now, target - now};
+        }
+        case TgOp::Read:
+            port.issue(ocp::Cmd::Read, ctx.regs[w.a]);
+            pc += 1;
+            return {TgStep::Kind::Mem};
+        case TgOp::BurstRead:
+            port.issue(ocp::Cmd::BurstRead, ctx.regs[w.a], burst);
+            pc += 1;
+            return {TgStep::Kind::Mem};
+        case TgOp::Write:
+            port.issue(ocp::Cmd::Write, ctx.regs[w.a], 1, ctx.regs[w.b]);
+            pc += 1;
+            return {TgStep::Kind::Mem};
+        case TgOp::BurstWrite: // the beats follow inline in the image
+            port.issue(ocp::Cmd::BurstWrite, ctx.regs[w.a], burst, 0,
+                       image.data() + pc + 1);
+            pc += 1 + w.imm12;
+            return {TgStep::Kind::Mem};
+        case TgOp::If:
+            pc = compare(w.cmp, ctx.regs[w.a], ctx.regs[w.b]) ? image[pc + 1] : pc + 2;
+            break;
+        case TgOp::IfImm:
+            pc = compare(w.cmp, ctx.regs[w.a], image[pc + 1]) ? image[pc + 2] : pc + 3;
+            break;
+        case TgOp::Jump:
+            pc = image[pc + 1];
+            break;
+        case TgOp::Halt:
+            return {TgStep::Kind::Halt};
+    }
+    return {};
+}
 
 /// Samples `port` for the context's in-flight transaction; a completed
 /// read leaves its last beat in rdreg.
