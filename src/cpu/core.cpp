@@ -1,11 +1,17 @@
 #include "cpu/core.hpp"
 
 #include <span>
+#include <stdexcept>
 
 namespace tgsim::cpu {
 
 CpuCore::CpuCore(ocp::ChannelRef channel, CpuConfig cfg)
-    : port_(channel), cfg_(std::move(cfg)), icache_(cfg_.icache), dcache_(cfg_.dcache) {}
+    : port_(channel), cfg_(std::move(cfg)), icache_(cfg_.icache), dcache_(cfg_.dcache) {
+    // A refill is one burst read of a whole line.
+    if (cfg_.icache.line_words > ocp::kMaxBurstLen ||
+        cfg_.dcache.line_words > ocp::kMaxBurstLen)
+        throw std::invalid_argument{"CpuCore: cache line longer than an OCP burst"};
+}
 
 void CpuCore::reset(u32 entry_addr) {
     regs_.fill(0);

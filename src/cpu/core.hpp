@@ -40,6 +40,7 @@ struct AddrRange {
 
 struct CpuConfig {
     u32 core_id = 0;
+    /// line_words at most ocp::kMaxBurstLen: a refill is one burst.
     CacheConfig icache{};
     CacheConfig dcache{};
     CpuTiming timing{};
@@ -113,13 +114,14 @@ private:
 
     // In-flight OCP transaction: what it is for, and its response beats.
     MemOp memop_ = MemOp::None;
-    std::array<u32, ocp::kMaxBurstLen> line_{}; ///< response beats
     u8 pending_rd_ = 0;  ///< destination register of an in-flight load
     u32 pending_addr_ = 0;
 
     Cycle cycle_ = 0;
     Cycle halt_cycle_ = 0;
     CpuStats stats_;
+    /// Last: the per-cycle fields above share cache lines without it.
+    std::array<u32, ocp::kMaxBurstLen> line_{}; ///< response beats
 };
 
 } // namespace tgsim::cpu

@@ -383,5 +383,21 @@ TEST(Cache, RejectsBadGeometry) {
     EXPECT_THROW((cpu::DirectCache{{4, 0}}), std::invalid_argument);
 }
 
+// A refill is one OCP burst: a line longer than ocp::kMaxBurstLen words
+// would be cut short by the fabric (and past 65535 words wrap the 16-bit
+// burst count), so the core refuses it.
+TEST(Cache, CoreRejectsLinesLongerThanABurst) {
+    ocp::Channel ch;
+    cpu::CpuConfig cfg;
+    cfg.icache.line_words = ocp::kMaxBurstLen;
+    cfg.dcache.line_words = ocp::kMaxBurstLen;
+    EXPECT_NO_THROW((cpu::CpuCore{ch, cfg}));
+    cfg.icache.line_words = 2 * ocp::kMaxBurstLen;
+    EXPECT_THROW((cpu::CpuCore{ch, cfg}), std::invalid_argument);
+    cfg.icache.line_words = ocp::kMaxBurstLen;
+    cfg.dcache.line_words = 2 * ocp::kMaxBurstLen;
+    EXPECT_THROW((cpu::CpuCore{ch, cfg}), std::invalid_argument);
+}
+
 } // namespace
 } // namespace tgsim::test
