@@ -281,6 +281,41 @@ TEST(TgProgram, BeatsLiveInOneFlatStoreComparedByContent) {
     EXPECT_NE(a, b);
 }
 
+// --- Golden: the committed programs' text, image and disassembly ---
+
+constexpr u64 kFnvBasis = 0xcbf29ce484222325ull;
+constexpr u64 kFnvPrime = 0x100000001b3ull;
+
+TEST(TgProgramGolden, SeedProgramsTextImageAndDisassembly) {
+    // Values pinned before the ISA table replaced the per-op switches: the
+    // .tgp writer, assembler and disassembler must keep every byte.
+    struct Golden {
+        const char* file;
+        std::size_t image_words;
+        u64 image_fnv;
+        u64 dis_text_fnv;
+    };
+    const Golden goldens[] = {
+        {"burst_write.tgp", 26, 0x974838ca1b16426full, 0x6470494d713d8072ull},
+        {"des_2x1_core0.tgp", 607, 0x029a5c398c3764fcull, 0x8a85f92562bebd4eull},
+        {"mp_matrix_2x4_core0.tgp", 545, 0x768144fb02d4f2d6ull, 0xa61254dbb5911154ull},
+    };
+    for (const Golden& g : goldens) {
+        const std::string text = read_test_data(std::string{"programs/"} + g.file);
+        const TgProgram prog = program_from_text(text);
+        EXPECT_EQ(to_text(prog), text) << g.file;
+        const std::vector<u32> image = assemble(prog);
+        u64 image_fnv = kFnvBasis;
+        for (const u32 w : image) image_fnv = (image_fnv ^ w) * kFnvPrime;
+        u64 dis_fnv = kFnvBasis;
+        for (const char c : to_text(disassemble(image)))
+            dis_fnv = (dis_fnv ^ static_cast<unsigned char>(c)) * kFnvPrime;
+        EXPECT_EQ(image.size(), g.image_words) << g.file;
+        EXPECT_EQ(image_fnv, g.image_fnv) << g.file;
+        EXPECT_EQ(dis_fnv, g.dis_text_fnv) << g.file;
+    }
+}
+
 // --- .tgp reader robustness: deterministic mutation loop ---
 
 TEST(TgProgramReaderFuzz, AnyInputYieldsAProgramOrInvalidArgument) {
