@@ -51,12 +51,8 @@ std::string clean(const std::string& raw) {
 }
 
 TgCmp parse_cmp(const std::string& tok) {
-    if (tok == "==") return TgCmp::Eq;
-    if (tok == "!=") return TgCmp::Ne;
-    if (tok == "<u") return TgCmp::Ltu;
-    if (tok == ">=u") return TgCmp::Geu;
-    if (tok == "<s") return TgCmp::Lts;
-    if (tok == ">=s") return TgCmp::Ges;
+    for (u8 c = 0; c <= static_cast<u8>(TgCmp::Ges); ++c)
+        if (to_string(static_cast<TgCmp>(c)) == tok) return static_cast<TgCmp>(c);
     throw std::invalid_argument{"bad comparison '" + tok + "'"};
 }
 
@@ -125,6 +121,19 @@ std::vector<std::string> words(const std::string& s, std::size_t n,
     for (std::string w; is >> w;) out.push_back(std::move(w));
     if (out.size() != n) throw std::invalid_argument{std::string{"bad "} + what};
     return out;
+}
+
+/// The label of a condition's "then <label>" suffix.
+std::string then_label(const std::string& suffix) {
+    const auto then = words(suffix, 2, "If: want 'then <label>'");
+    if (then[0] != "then") throw std::invalid_argument{"If missing 'then <label>'"};
+    return then[1];
+}
+
+/// The table row named `name`, or nullptr.
+const TgOpInfo* find_op(std::string_view name) {
+    const auto* row = std::ranges::find(kTgOps, name, &TgOpInfo::name);
+    return row != std::end(kTgOps) ? row : nullptr;
 }
 
 /// Reads .tgp text line by line; every error names the line.
@@ -207,36 +216,34 @@ private:
             return;
         }
         const Call c = parse_call(line);
-        const auto args = [&](std::size_t n) {
-            if (c.args.size() != n)
-                throw std::invalid_argument{c.name + " takes " + std::to_string(n) +
-                                            " operand(s)"};
-        };
-        const bool branch = c.name == "If" || c.name == "IfImm";
-        if (!c.suffix.empty() && !branch && c.name != "BurstWrite")
+        const TgOpInfo* info = find_op(c.name);
+        // Only a condition's "then <label>" and BurstWrite's beats follow
+        // the closing paren.
+        if (!c.suffix.empty() && (info == nullptr || !(info->cmp || info->beats)))
             throw std::invalid_argument{"unexpected '" + c.suffix + "'"};
+        if (info == nullptr)
+            throw std::invalid_argument{"unknown instruction '" + c.name + "'"};
+        const std::size_t n_args =
+            info->cmp ? 1 : info->a + info->b + info->count + info->imm + info->target;
+        if (c.args.size() != n_args)
+            throw std::invalid_argument{c.name + " takes " + std::to_string(n_args) +
+                                        " operand(s)"};
+        // A compare op's one operand is its condition, "a cmp b|imm".
+        const std::vector<std::string> args =
+            info->cmp ? words(c.args[0], 3, "condition") : c.args;
+        auto arg = args.begin();
         TgInstr in;
-        if (c.name == "Read") {
-            args(1);
-            in.op = TgOp::Read;
-            in.a = parse_reg(c.args[0]);
-        } else if (c.name == "Write") {
-            args(2);
-            in.op = TgOp::Write;
-            in.a = parse_reg(c.args[0]);
-            in.b = parse_reg(c.args[1]);
-        } else if (c.name == "BurstRead") {
-            args(2);
-            in.op = TgOp::BurstRead;
-            in.a = parse_reg(c.args[0]);
-            in.imm = parse_burst(c.args[1]);
-        } else if (c.name == "BurstWrite") {
-            args(2);
-            in.op = TgOp::BurstWrite;
-            in.a = parse_reg(c.args[0]);
-            in.imm = parse_burst(c.args[1]);
+        in.op = info->op;
+        if (info->a) in.a = parse_reg(*arg++);
+        if (info->cmp) in.cmp = parse_cmp(*arg++);
+        if (info->b) in.b = parse_reg(*arg++);
+        if (info->count) in.imm = parse_burst(*arg++);
+        if (info->imm) in.imm = parse_u32(*arg++);
+        if (info->target)
+            refs_.push_back(Ref{prog_.instrs.size(),
+                                info->cmp ? then_label(c.suffix) : *arg++, line_no_});
+        if (info->beats) {
             in.beat_off = static_cast<u32>(prog_.beats.size());
-            // beats are in the suffix: "{ 0x.., 0x.. }"
             if (c.suffix.size() < 2 || c.suffix.front() != '{' || c.suffix.back() != '}')
                 throw std::invalid_argument{"BurstWrite missing beats"};
             std::istringstream bs{c.suffix.substr(1, c.suffix.size() - 2)};
@@ -248,39 +255,6 @@ private:
             }
             if (n != in.imm)
                 throw std::invalid_argument{"BurstWrite beat count mismatch"};
-        } else if (branch) {
-            // args[0] = "rX <cmp> rhs" ; suffix = "then <label>"
-            args(1);
-            const auto cond = words(c.args[0], 3, "condition");
-            in.op = (c.name == "If") ? TgOp::If : TgOp::IfImm;
-            in.a = parse_reg(cond[0]);
-            in.cmp = parse_cmp(cond[1]);
-            if (in.op == TgOp::If)
-                in.b = parse_reg(cond[2]);
-            else
-                in.imm = parse_u32(cond[2]);
-            const auto then = words(c.suffix, 2, "If: want 'then <label>'");
-            if (then[0] != "then")
-                throw std::invalid_argument{"If missing 'then <label>'"};
-            refs_.push_back(Ref{prog_.instrs.size(), then[1], line_no_});
-        } else if (c.name == "Jump") {
-            args(1);
-            in.op = TgOp::Jump;
-            refs_.push_back(Ref{prog_.instrs.size(), c.args[0], line_no_});
-        } else if (c.name == "SetRegister") {
-            args(2);
-            in.op = TgOp::SetRegister;
-            in.a = parse_reg(c.args[0]);
-            in.imm = parse_u32(c.args[1]);
-        } else if (c.name == "Idle" || c.name == "IdleUntil") {
-            args(1);
-            in.op = c.name == "Idle" ? TgOp::Idle : TgOp::IdleUntil;
-            in.imm = parse_u32(c.args[0]);
-        } else if (c.name == "Halt") {
-            args(0);
-            in.op = TgOp::Halt;
-        } else {
-            throw std::invalid_argument{"unknown instruction '" + c.name + "'"};
         }
         prog_.instrs.push_back(in);
     }
@@ -338,57 +312,46 @@ std::string to_text(const TgProgram& prog) {
     // Collect all referenced targets so every one gets a label line.
     std::map<u32, std::string> labels;
     for (const TgInstr& in : prog.instrs) {
-        if (in.op == TgOp::If || in.op == TgOp::IfImm || in.op == TgOp::Jump)
+        const TgOpInfo* info = op_info(in.op);
+        if (info != nullptr && info->target)
             labels[in.target] = label_for(prog, in.target);
     }
     for (u32 i = 0; i < prog.instrs.size(); ++i) {
         const auto lit = labels.find(i);
         if (lit != labels.end()) os << lit->second << ":\n";
         const TgInstr& in = prog.instrs[i];
-        os << "  ";
-        switch (in.op) {
-            case TgOp::Read:
-                os << "Read(" << reg_name(in.a) << ")";
-                break;
-            case TgOp::Write:
-                os << "Write(" << reg_name(in.a) << ", " << reg_name(in.b) << ")";
-                break;
-            case TgOp::BurstRead:
-                os << "BurstRead(" << reg_name(in.a) << ", " << in.imm << ")";
-                break;
-            case TgOp::BurstWrite: {
-                os << "BurstWrite(" << reg_name(in.a) << ", " << in.imm << ") {";
-                const std::span<const u32> data = prog.beats_of(in);
-                for (std::size_t k = 0; k < data.size(); ++k) {
-                    if (k != 0) os << ", ";
-                    os << hex32(data[k]);
-                }
-                os << "}";
-                break;
+        const TgOpInfo* info = op_info(in.op);
+        if (info == nullptr)
+            throw std::invalid_argument{"to_text: unknown opcode " +
+                                        std::to_string(static_cast<u32>(in.op)) +
+                                        " at instruction " + std::to_string(i)};
+        const std::string imm =
+            info->hex ? hex32(in.imm) : std::to_string(in.imm);
+        os << "  " << info->name;
+        if (info->cmp) {
+            os << '(' << reg_name(in.a) << ' ' << to_string(in.cmp) << ' '
+               << (info->b ? reg_name(in.b) : imm) << ") then "
+               << labels.at(in.target);
+        } else {
+            const char* sep = "(";
+            const auto operand = [&](const std::string& text) {
+                os << sep << text;
+                sep = ", ";
+            };
+            if (info->a) operand(reg_name(in.a));
+            if (info->b) operand(reg_name(in.b));
+            if (info->count) operand(std::to_string(in.imm));
+            if (info->imm) operand(imm);
+            if (info->target) operand(labels.at(in.target));
+            if (*sep == ',') os << ')';
+        }
+        if (info->beats) {
+            const char* sep = " {";
+            for (const u32 beat : prog.beats_of(in)) {
+                os << sep << hex32(beat);
+                sep = ", ";
             }
-            case TgOp::If:
-                os << "If(" << reg_name(in.a) << ' ' << to_string(in.cmp) << ' '
-                   << reg_name(in.b) << ") then " << labels.at(in.target);
-                break;
-            case TgOp::IfImm:
-                os << "IfImm(" << reg_name(in.a) << ' ' << to_string(in.cmp)
-                   << ' ' << hex32(in.imm) << ") then " << labels.at(in.target);
-                break;
-            case TgOp::Jump:
-                os << "Jump(" << labels.at(in.target) << ")";
-                break;
-            case TgOp::SetRegister:
-                os << "SetRegister(" << reg_name(in.a) << ", " << hex32(in.imm) << ")";
-                break;
-            case TgOp::Idle:
-                os << "Idle(" << in.imm << ")";
-                break;
-            case TgOp::IdleUntil:
-                os << "IdleUntil(" << in.imm << ")";
-                break;
-            case TgOp::Halt:
-                os << "Halt";
-                break;
+            os << '}';
         }
         os << '\n';
     }
@@ -403,17 +366,14 @@ TgProgram program_from_text(const std::string& text) {
 std::size_t encoded_word_count(const TgProgram& prog) {
     std::size_t words = 0;
     for (const TgInstr& in : prog.instrs) {
-        TgWord0 w0{in.op, in.a, in.b, in.cmp,
-                   (in.op == TgOp::BurstWrite || in.op == TgOp::BurstRead)
-                       ? in.imm
-                       : 0};
-        words += encoded_words(w0);
+        const TgOpInfo* info = op_info(in.op);
+        words += info != nullptr ? info->words(in.imm) : 1;
     }
     return words;
 }
 
 std::vector<u32> assemble(const TgProgram& prog) {
-    // First pass: word offset of every instruction.
+    // First pass: validate, and find the word offset of every instruction.
     std::vector<u32> offsets;
     offsets.reserve(prog.instrs.size());
     u32 pos = 0;
@@ -423,84 +383,32 @@ std::vector<u32> assemble(const TgProgram& prog) {
             throw std::invalid_argument{"assemble: " + what + " at instruction " +
                                         std::to_string(offsets.size() - 1)};
         };
-        const bool branch =
-            in.op == TgOp::If || in.op == TgOp::IfImm || in.op == TgOp::Jump;
-        if (in.a >= kTgNumRegs || in.b >= kTgNumRegs) fail("register past r15");
-        if ((in.op == TgOp::BurstRead || in.op == TgOp::BurstWrite) &&
-            (in.imm < 1 || in.imm > ocp::kMaxBurstLen))
+        const TgOpInfo* info = op_info(in.op);
+        if (info == nullptr) fail("unknown opcode");
+        if ((info->a && in.a >= kTgNumRegs) || (info->b && in.b >= kTgNumRegs))
+            fail("register past r15");
+        if (info->count && (in.imm < 1 || in.imm > ocp::kMaxBurstLen))
             fail("burst count " + std::to_string(in.imm) + " outside [1, " +
                  std::to_string(ocp::kMaxBurstLen) + "]");
-        if (branch && in.target >= prog.instrs.size()) fail("branch target out of range");
-        if (in.op != TgOp::Jump && branch && in.cmp > TgCmp::Ges) fail("unknown comparison");
-        switch (in.op) {
-            case TgOp::Read:
-            case TgOp::Write:
-            case TgOp::BurstRead:
-            case TgOp::Halt:
-                pos += 1;
-                break;
-            case TgOp::BurstWrite:
-                (void)prog.beats_of(in); // throws when the beats are missing
-                pos += 1 + in.imm;
-                break;
-            case TgOp::If:
-            case TgOp::Jump:
-            case TgOp::SetRegister:
-            case TgOp::Idle:
-            case TgOp::IdleUntil:
-                pos += 2;
-                break;
-            case TgOp::IfImm:
-                pos += 3;
-                break;
-            default:
-                fail("unknown opcode");
-        }
+        if (info->target && in.target >= prog.instrs.size())
+            fail("branch target out of range");
+        if (info->cmp && in.cmp > TgCmp::Ges) fail("unknown comparison");
+        if (info->beats) (void)prog.beats_of(in); // throws when the beats are missing
+        pos += info->words(in.imm);
     }
-    // Second pass: emit.
+    // Second pass: emit word 0, then the extra words in table order.
     std::vector<u32> image;
     image.reserve(pos);
     for (const TgInstr& in : prog.instrs) {
-        const auto target_words = [&](u32 idx) { return offsets[idx]; };
-        switch (in.op) {
-            case TgOp::Read:
-                image.push_back(encode_w0(in.op, in.a));
-                break;
-            case TgOp::Write:
-                image.push_back(encode_w0(in.op, in.a, in.b));
-                break;
-            case TgOp::BurstRead:
-                image.push_back(encode_w0(in.op, in.a, 0, TgCmp::Eq, in.imm));
-                break;
-            case TgOp::BurstWrite:
-                image.push_back(encode_w0(in.op, in.a, 0, TgCmp::Eq, in.imm));
-                for (const u32 beat : prog.beats_of(in)) image.push_back(beat);
-                break;
-            case TgOp::If:
-                image.push_back(encode_w0(in.op, in.a, in.b, in.cmp));
-                image.push_back(target_words(in.target));
-                break;
-            case TgOp::IfImm:
-                image.push_back(encode_w0(in.op, in.a, 0, in.cmp));
-                image.push_back(in.imm);
-                image.push_back(target_words(in.target));
-                break;
-            case TgOp::Jump:
-                image.push_back(encode_w0(in.op));
-                image.push_back(target_words(in.target));
-                break;
-            case TgOp::SetRegister:
-                image.push_back(encode_w0(in.op, in.a));
-                image.push_back(in.imm);
-                break;
-            case TgOp::Idle:
-            case TgOp::IdleUntil:
-                image.push_back(encode_w0(in.op));
-                image.push_back(in.imm);
-                break;
-            case TgOp::Halt:
-                image.push_back(encode_w0(in.op));
-                break;
+        const TgOpInfo& info = *op_info(in.op);
+        image.push_back(encode_w0(in.op, info.a ? in.a : 0, info.b ? in.b : 0,
+                                  info.cmp ? in.cmp : TgCmp::Eq,
+                                  info.count ? in.imm : 0));
+        if (info.imm) image.push_back(in.imm);
+        if (info.target) image.push_back(offsets[in.target]);
+        if (info.beats) {
+            const std::span<const u32> beats = prog.beats_of(in);
+            image.insert(image.end(), beats.begin(), beats.end());
         }
     }
     return image;
@@ -523,76 +431,50 @@ std::vector<AssembledTg> assemble_all(const std::vector<TgProgram>& progs) {
 TgProgram disassemble(const std::vector<u32>& image) {
     TgProgram prog;
     std::map<u32, u32> word_to_index; // word offset -> instruction index
-    std::vector<u32> word_targets;    // per instruction with target: word addr
-    std::vector<std::size_t> target_instrs;
-
     u32 pos = 0;
     while (pos < image.size()) {
         const TgWord0 w0 = decode_w0(image[pos]);
-        word_to_index[pos] = static_cast<u32>(prog.instrs.size());
-        TgInstr in;
-        in.op = w0.op;
-        in.a = w0.a;
-        in.b = w0.b;
-        in.cmp = w0.cmp;
-        if (w0.op < TgOp::Read || w0.op > TgOp::Halt)
+        const TgOpInfo* info = op_info(w0.op);
+        if (info == nullptr)
             throw std::invalid_argument{"disassemble: unknown opcode " +
                                         std::to_string(static_cast<u32>(w0.op)) +
                                         " at word " + std::to_string(pos)};
-        if ((w0.op == TgOp::If || w0.op == TgOp::IfImm) && w0.cmp > TgCmp::Ges)
+        if (info->cmp && w0.cmp > TgCmp::Ges)
             throw std::invalid_argument{"disassemble: unknown comparison " +
                                         std::to_string(static_cast<u32>(w0.cmp)) +
                                         " at word " + std::to_string(pos)};
-        const u32 words = encoded_words(w0);
+        const u32 words = info->words(w0.imm12);
         if (words > image.size() - pos)
             throw std::invalid_argument{"disassemble: truncated image"};
-        if ((w0.op == TgOp::BurstRead || w0.op == TgOp::BurstWrite) &&
-            (w0.imm12 < 1 || w0.imm12 > ocp::kMaxBurstLen))
+        if (info->count && (w0.imm12 < 1 || w0.imm12 > ocp::kMaxBurstLen))
             throw std::invalid_argument{"disassemble: burst count " +
                                         std::to_string(w0.imm12) + " outside [1, " +
                                         std::to_string(ocp::kMaxBurstLen) +
                                         "] at word " + std::to_string(pos)};
-        switch (w0.op) {
-            case TgOp::Read:
-            case TgOp::Write:
-            case TgOp::Halt:
-                break;
-            case TgOp::BurstRead:
-                in.imm = w0.imm12;
-                break;
-            case TgOp::BurstWrite:
-                in.imm = w0.imm12;
-                in.beat_off = static_cast<u32>(prog.beats.size());
-                prog.beats.insert(prog.beats.end(), image.begin() + pos + 1,
-                                  image.begin() + pos + 1 + w0.imm12);
-                break;
-            case TgOp::If:
-                target_instrs.push_back(prog.instrs.size());
-                word_targets.push_back(image[pos + 1]);
-                break;
-            case TgOp::IfImm:
-                in.imm = image[pos + 1];
-                target_instrs.push_back(prog.instrs.size());
-                word_targets.push_back(image[pos + 2]);
-                break;
-            case TgOp::Jump:
-                target_instrs.push_back(prog.instrs.size());
-                word_targets.push_back(image[pos + 1]);
-                break;
-            case TgOp::SetRegister:
-            case TgOp::Idle:
-            case TgOp::IdleUntil:
-                in.imm = image[pos + 1];
-                break;
+        word_to_index[pos] = static_cast<u32>(prog.instrs.size());
+        TgInstr in;
+        in.op = w0.op;
+        if (info->a) in.a = w0.a;
+        if (info->b) in.b = w0.b;
+        if (info->cmp) in.cmp = w0.cmp;
+        if (info->count) in.imm = w0.imm12;
+        u32 next = pos + 1; // the extra words, in table order
+        if (info->imm) in.imm = image[next++];
+        if (info->target) in.target = image[next++]; // a word address until resolved below
+        if (info->beats) {
+            in.beat_off = static_cast<u32>(prog.beats.size());
+            prog.beats.insert(prog.beats.end(), image.begin() + next,
+                              image.begin() + next + in.imm);
         }
-        prog.instrs.push_back(std::move(in));
+        prog.instrs.push_back(in);
         pos += words;
     }
-    for (std::size_t k = 0; k < target_instrs.size(); ++k) {
-        const auto it = word_to_index.find(word_targets[k]);
+    for (TgInstr& in : prog.instrs) {
+        if (!op_info(in.op)->target) continue;
+        const auto it = word_to_index.find(in.target);
         if (it == word_to_index.end())
             throw std::invalid_argument{"disassemble: branch into instruction middle"};
-        prog.instrs[target_instrs[k]].target = it->second;
+        in.target = it->second;
         prog.labels[it->second] = numbered_label(it->second);
     }
     return prog;

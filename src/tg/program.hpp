@@ -69,6 +69,7 @@ struct TgProgram {
 };
 
 /// Canonical .tgp text (deterministic; suitable for byte comparison).
+/// Throws std::invalid_argument on an instruction with an unknown opcode.
 [[nodiscard]] std::string to_text(const TgProgram& prog);
 
 /// Parses .tgp text (docs/traffic.md); throws std::invalid_argument naming

@@ -6,7 +6,7 @@
 // every read response (last beat for bursts).
 //
 // Paper instructions: Read, Write, BurstRead, BurstWrite, If, Jump,
-// SetRegister, Idle. tgsim extensions (documented in DESIGN.md):
+// SetRegister, Idle. tgsim extensions (docs/traffic.md):
 //
 //   * Halt       — terminates the program so execution-time metrics exist
 //                  (the paper's examples rewind with Jump(start) instead);
@@ -21,6 +21,7 @@
 // completes (accept for writes, last response beat for reads).
 #pragma once
 
+#include <iterator>
 #include <string_view>
 
 #include "sim/types.hpp"
@@ -77,26 +78,8 @@ inline constexpr u8 kRdReg = 0; ///< r0 receives read response data
     return "?";
 }
 
-[[nodiscard]] constexpr std::string_view to_string(TgOp op) noexcept {
-    switch (op) {
-        case TgOp::Read: return "Read";
-        case TgOp::Write: return "Write";
-        case TgOp::BurstRead: return "BurstRead";
-        case TgOp::BurstWrite: return "BurstWrite";
-        case TgOp::If: return "If";
-        case TgOp::IfImm: return "IfImm";
-        case TgOp::Jump: return "Jump";
-        case TgOp::SetRegister: return "SetRegister";
-        case TgOp::Idle: return "Idle";
-        case TgOp::IdleUntil: return "IdleUntil";
-        case TgOp::Halt: return "Halt";
-    }
-    return "?";
-}
-
 // Binary word-0 encoding: [31:24] op  [23:20] a  [19:16] b  [15:12] cmp
-// [11:0] imm12 (burst beat count). Additional operand words (imm32 /
-// branch target) follow word 0; BurstWrite is followed by its beat words.
+// [11:0] imm12 (burst beat count).
 [[nodiscard]] constexpr u32 encode_w0(TgOp op, u8 a = 0, u8 b = 0,
                                       TgCmp cmp = TgCmp::Eq,
                                       u32 imm12 = 0) noexcept {
@@ -119,26 +102,68 @@ struct TgWord0 {
                    static_cast<TgCmp>((w >> 12) & 0xFu), w & 0xFFFu};
 }
 
-/// Total encoded words of the instruction starting with `w0`.
-[[nodiscard]] constexpr u32 encoded_words(const TgWord0& w0) noexcept {
-    switch (w0.op) {
-        case TgOp::Read:
-        case TgOp::Write:
-        case TgOp::BurstRead:
-        case TgOp::Halt:
-            return 1;
-        case TgOp::BurstWrite:
-            return 1 + w0.imm12;
-        case TgOp::If:
-        case TgOp::Jump:
-        case TgOp::SetRegister:
-        case TgOp::Idle:
-        case TgOp::IdleUntil:
-            return 2;
-        case TgOp::IfImm:
-            return 3;
+/// The operand shape of one op: which word-0 fields it carries and which
+/// words follow word 0, always in the order imm32, branch target, inline
+/// beats. The .tgp text lists the operands in table order,
+/// `Name(a, b, count, imm)`; a compare op writes `Name(a cmp b|imm) then
+/// <target>`, BurstWrite appends `{beat, ...}`, and an op with no operand
+/// is its bare name. kTgOps is the one place the encoding and the text
+/// shape are written down: the .tgp reader and writer, the assembler and
+/// the disassembler all read it, and a field an op does not carry is
+/// neither encoded, decoded nor validated. tg::step() executes the ops.
+struct TgOpInfo {
+    TgOp op;
+    std::string_view name;
+    bool a = false;      ///< word 0 carries register a
+    bool b = false;      ///< word 0 carries register b
+    bool cmp = false;    ///< word 0 carries a comparison
+    bool count = false;  ///< word 0 carries a burst count in [11:0]
+    bool imm = false;    ///< an imm32 word follows word 0
+    bool target = false; ///< a branch-target word follows
+    bool beats = false;  ///< `count` beat words follow
+    bool hex = false;    ///< .tgp prints the imm32 in hex, not decimal
+
+    /// Encoded words of an instruction of this op with burst count `burst`.
+    [[nodiscard]] constexpr u32 words(u32 burst) const noexcept {
+        return 1 + u32{imm} + u32{target} + (beats ? burst : 0);
     }
-    return 1;
+};
+
+inline constexpr TgOpInfo kTgOps[] = {
+    {.op = TgOp::Read, .name = "Read", .a = true},
+    {.op = TgOp::Write, .name = "Write", .a = true, .b = true},
+    {.op = TgOp::BurstRead, .name = "BurstRead", .a = true, .count = true},
+    {.op = TgOp::BurstWrite, .name = "BurstWrite", .a = true, .count = true,
+     .beats = true},
+    {.op = TgOp::If, .name = "If", .a = true, .b = true, .cmp = true,
+     .target = true},
+    {.op = TgOp::IfImm, .name = "IfImm", .a = true, .cmp = true, .imm = true,
+     .target = true, .hex = true},
+    {.op = TgOp::Jump, .name = "Jump", .target = true},
+    {.op = TgOp::SetRegister, .name = "SetRegister", .a = true, .imm = true,
+     .hex = true},
+    {.op = TgOp::Idle, .name = "Idle", .imm = true},
+    {.op = TgOp::IdleUntil, .name = "IdleUntil", .imm = true},
+    {.op = TgOp::Halt, .name = "Halt"},
+};
+
+/// The table row of `op`, or nullptr for a byte that is no opcode.
+[[nodiscard]] constexpr const TgOpInfo* op_info(TgOp op) noexcept {
+    const u32 row = u32(op) - u32(TgOp::Read); // wraps for 0
+    return row < std::size(kTgOps) ? &kTgOps[row] : nullptr;
+}
+
+static_assert([] {
+    for (const TgOpInfo& info : kTgOps)
+        if (op_info(info.op) != &info) return false;
+    return true;
+}(), "kTgOps rows must follow the opcode order");
+
+/// Total encoded words of the instruction starting with `w0` (1 for a word
+/// whose op byte is no opcode).
+[[nodiscard]] constexpr u32 encoded_words(const TgWord0& w0) noexcept {
+    const TgOpInfo* info = op_info(w0.op);
+    return info != nullptr ? info->words(w0.imm12) : 1;
 }
 
 } // namespace tgsim::tg

@@ -169,7 +169,9 @@ TEST(TgProgram, DisassembleRejectsUnknownOpcodeAndComparison) {
     EXPECT_THROW((void)disassemble({bad_cmp, 0u}), std::invalid_argument);
     // The compare field of a non-branch is ignored, as the core ignores it.
     const u32 read = encode_w0(TgOp::Read, 1, 0, static_cast<TgCmp>(9));
-    EXPECT_EQ(disassemble({read}).instrs.size(), 1u);
+    const TgProgram prog = disassemble({read});
+    ASSERT_EQ(prog.instrs.size(), 1u);
+    EXPECT_EQ(prog.instrs[0].cmp, TgCmp::Eq);
 }
 
 /// The message of the std::invalid_argument that parsing `text` throws, or
@@ -432,6 +434,9 @@ TEST(TgDisassembleFuzz, AnyImageYieldsAProgramOrInvalidArgument) {
         ++accepted;
         const std::string text = to_text(prog);
         ASSERT_EQ(to_text(disassemble(assemble(prog))), text) << "iteration " << iter;
+        // Fields an op does not carry come back zeroed, so the program is
+        // the one its text describes.
+        ASSERT_EQ(program_from_text(text), prog) << "iteration " << iter;
     }
     EXPECT_GT(accepted, 100u);
     EXPECT_GT(rejected, 100u);
