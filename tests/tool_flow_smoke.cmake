@@ -5,7 +5,8 @@
 # PART=chain runs the paper's flow end to end on a small two-core
 # mp_matrix (cacheloop has no result checks to pass): tgsim_run traces it,
 # tgsim_translate turns the traces into TG programs, tgsim_tgasm assembles
-# them, tgsim_tgdis disassembles the images, and tgsim_replay runs the
+# them, tgsim_tgdis disassembles the images, tgsim_tgasm re-assembles the
+# disassemblies into byte-identical images, and tgsim_replay runs the
 # disassembled programs with the benchmark's result checks. A malformed
 # .trc or .tgp must make tgsim_translate, tgsim_tgasm and tgsim_replay exit
 # 1 naming the file and line, not abort.
@@ -134,6 +135,10 @@ if(PART STREQUAL "chain")
     run_tool(0 "-> ${WORK}/core${core}.bin" tgsim_tgasm ${WORK}/core${core}.tgp)
     run_tool(0 "wrote ${WORK}/dis${core}.tgp" tgsim_tgdis
              ${WORK}/core${core}.bin --out=${WORK}/dis${core}.tgp)
+    # The disassembly assembles back to the very same image.
+    run_tool(0 "-> ${WORK}/re${core}.bin" tgsim_tgasm ${WORK}/dis${core}.tgp
+             --out=${WORK}/re${core}.bin)
+    expect_same("${WORK}/core${core}.bin" "${WORK}/re${core}.bin")
   endforeach()
   run_tool(0 "checks: PASS" tgsim_replay ${WORK}/dis0.tgp ${WORK}/dis1.tgp
            --app=mp_matrix --size=6 --ic=xpipes)
