@@ -12,9 +12,8 @@
 //   * DES — multiprocessor block encryption/decryption pipeline with
 //     S-box tables in private (cacheable) memory, block I/O in shared
 //     memory, per-block semaphore-guarded commits and a final barrier.
-//     (A 16-round Feistel cipher with table lookups stands in for full DES;
-//     DESIGN.md documents the substitution — only the traffic profile
-//     matters to the methodology.)
+//     (A 16-round Feistel cipher with table lookups stands in for full DES:
+//     only the traffic profile matters to the methodology.)
 //
 // Every factory also publishes the PollSpecs for its polling loops with the
 // in-loop idle matched to the core's taken-branch penalty, reproducing the
