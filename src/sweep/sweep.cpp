@@ -680,6 +680,37 @@ private:
     std::thread thread_;
 };
 
+/// Calls fn(i, scratch) for every candidate index i of the work set -- the
+/// subset's entries in order, or 0..n_work-1 without one -- on `jobs`
+/// workers, each with its own Scratch.
+///
+/// Dynamic work-stealing over an atomic cursor: candidates vary wildly in
+/// cost (a livelocked fabric runs to the full cycle budget), so a static
+/// partition would leave workers idle. Each result lands in its candidate's
+/// slot, so aggregation order never depends on scheduling. With a funnel
+/// subset, the cursor walks the survivor list but every candidate keeps its
+/// ORIGINAL index (derive_seed input), so survivor results are
+/// bit-identical to an all-cycle run of the same grid.
+template <class Scratch, class Fn>
+void for_each_candidate(std::size_t n_work, const std::vector<u32>* subset,
+                        u32 jobs, const Fn& fn) {
+    std::atomic<u32> next{0};
+    const auto work = [&] {
+        Scratch scratch;
+        for (u32 w;
+             (w = next.fetch_add(1, std::memory_order_relaxed)) < n_work;)
+            fn(subset != nullptr ? (*subset)[w] : w, scratch);
+    };
+    if (jobs == 1) {
+        work(); // inline: no thread, debugger- and TSan-baseline-friendly
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(jobs);
+    for (u32 t = 0; t < jobs; ++t) pool.emplace_back(work);
+    for (std::thread& t : pool) t.join();
+}
+
 } // namespace
 
 std::vector<SweepResult> SweepDriver::run_cycle(
@@ -692,44 +723,23 @@ std::vector<SweepResult> SweepDriver::run_cycle(
     const std::size_t n_work =
         subset != nullptr ? subset->size() : candidates.size();
     if (n_work == 0) return results;
-    const u32 jobs = resolve_jobs(opts.jobs, n_work);
 
-    // Dynamic work-stealing over an atomic cursor: candidates vary wildly
-    // in cost (a livelocked fabric runs to the full cycle budget), so a
-    // static partition would leave workers idle. Each result lands in its
-    // candidate's slot — aggregation order never depends on scheduling.
-    // With a funnel subset, the cursor walks the survivor list but every
-    // candidate keeps its ORIGINAL index (derive_seed input), so survivor
-    // results are bit-identical to an all-cycle run of the same grid.
-    std::atomic<u32> next{0};
     std::atomic<u32> done{0};
-    const auto work = [&] {
-        EvalScratch scratch;
-        for (u32 w;
-             (w = next.fetch_add(1, std::memory_order_relaxed)) < n_work;) {
-            const u32 i = subset != nullptr ? (*subset)[w] : w;
+    // Declared after `done` so it joins (and stops reading the counter)
+    // before the counter is destroyed.
+    std::optional<ProgressReporter> progress;
+    if (opts.progress) progress.emplace(done, n_work);
+
+    for_each_candidate<EvalScratch>(
+        n_work, subset, resolve_jobs(opts.jobs, n_work),
+        [&](u32 i, EvalScratch& scratch) {
             results[i] = evaluate(candidates[i], i, opts, scratch);
             // Checkpoint the row the moment it exists: a preempted
             // campaign resumes from here, re-evaluating only what the
             // journal never saw.
             if (opts.journal != nullptr) opts.journal->append(results[i]);
             done.fetch_add(1, std::memory_order_release);
-        }
-    };
-
-    // Declared after `done` so it joins (and stops reading the counter)
-    // before the counter is destroyed.
-    std::optional<ProgressReporter> progress;
-    if (opts.progress) progress.emplace(done, n_work);
-
-    if (jobs == 1) {
-        work(); // inline: no thread, debugger- and TSan-baseline-friendly
-        return results;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (u32 t = 0; t < jobs; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
+        });
     return results;
 }
 
@@ -745,24 +755,11 @@ std::vector<SweepResult> SweepDriver::run_analytic(
     // One immutable evaluator shared by all workers; each worker owns a
     // Workspace so steady-state screening never allocates or contends.
     const analytic::Evaluator eval{*pattern_};
-    const u32 jobs = resolve_jobs(opts.jobs, n_work);
-    std::atomic<u32> next{0};
-    const auto work = [&] {
-        analytic::Workspace ws;
-        for (u32 w;
-             (w = next.fetch_add(1, std::memory_order_relaxed)) < n_work;) {
-            const u32 i = subset != nullptr ? (*subset)[w] : w;
+    for_each_candidate<analytic::Workspace>(
+        n_work, subset, resolve_jobs(opts.jobs, n_work),
+        [&](u32 i, analytic::Workspace& ws) {
             results[i] = eval.evaluate(candidates[i], i, ws);
-        }
-    };
-    if (jobs == 1) {
-        work();
-        return results;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (u32 t = 0; t < jobs; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
+        });
     return results;
 }
 
