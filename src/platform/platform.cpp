@@ -213,21 +213,17 @@ bool Platform::all_done() const {
         if (!t->done()) return false;
     for (const auto& s : stochs_)
         if (!s->done()) return false;
-    // Fault mode: a master can retire its last posted write while the NI is
-    // still awaiting the ack (or replaying a dropped packet). The run must
-    // drain the recovery layer, or pending transactions would be harvested
-    // as neither delivered nor lost. quiet_for() is 0 exactly while flits
-    // are in flight or retries are pending; zero-fault runs never take this
-    // branch, so their cycle counts are untouched.
-    if (cfg_.ic == IcKind::Xpipes && cfg_.xpipes.fault.enabled() &&
-        ic_->quiet_for() == 0)
-        return false;
-    // Open-loop mode: the generators halt as soon as they have *offered*
-    // their budget; the NI pending queues and the network itself may still
-    // hold most of it. Drain completely (quiet_for() is 0 while any packet
-    // is pending or in flight), or throughput would be measured against a
-    // truncated run.
-    if (source_.open() && cfg_.ic == IcKind::Xpipes && ic_->quiet_for() == 0)
+    // The masters are done, but ×pipes may still hold their traffic. With
+    // faults, the NI can still await an ack or replay a dropped packet;
+    // with an open-loop source, the generators halt as soon as they have
+    // *offered* their budget, and the NI queues and the network may hold
+    // most of it. Drain completely (quiet_for() is 0 exactly while flits
+    // are in flight or retries or packets are pending), or pending
+    // transactions would be harvested as neither delivered nor lost and
+    // throughput measured against a truncated run. Zero-fault closed-loop
+    // runs never take this branch, so their cycle counts are untouched.
+    if (cfg_.ic == IcKind::Xpipes &&
+        (cfg_.xpipes.fault.enabled() || source_.open()) && ic_->quiet_for() == 0)
         return false;
     return true;
 }
