@@ -346,7 +346,8 @@ std::string to_text(const TgProgram& prog) {
             if (*sep == ',') os << ')';
         }
         if (info->beats) {
-            const char* sep = " {";
+            const char* sep = "";
+            os << " {";
             for (const u32 beat : prog.beats_of(in)) {
                 os << sep << hex32(beat);
                 sep = ", ";

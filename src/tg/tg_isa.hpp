@@ -105,9 +105,9 @@ struct TgWord0 {
 /// The operand shape of one op: which word-0 fields it carries and which
 /// words follow word 0, always in the order imm32, branch target, inline
 /// beats. The .tgp text lists the operands in table order,
-/// `Name(a, b, count, imm)`; a compare op writes `Name(a cmp b|imm) then
-/// <target>`, BurstWrite appends `{beat, ...}`, and an op with no operand
-/// is its bare name. kTgOps is the one place the encoding and the text
+/// `Name(a, b, count, imm, target)`; a compare op writes
+/// `Name(a cmp b|imm) then <target>`, BurstWrite appends `{beat, ...}`,
+/// and an op with no operand is its bare name. kTgOps is the one place the encoding and the text
 /// shape are written down: the .tgp reader and writer, the assembler and
 /// the disassembler all read it, and a field an op does not carry is
 /// neither encoded, decoded nor validated. tg::step() executes the ops.
