@@ -46,7 +46,7 @@ sweep::Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = mesh;
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     char buf[64];
     std::snprintf(buf, sizeof buf, "%s r=%.4f",
                   sweep::describe_fabric(c.cfg).c_str(), rate);

@@ -241,11 +241,7 @@ sweep::SweepResult Evaluator::evaluate(const sweep::Candidate& cand,
                            "analytic: mesh too small for cores + shared "
                            "slaves (node out of range)");
 
-    const double rate =
-        cand.source.rate > 0.0
-            ? cand.source.rate
-            : (cand.injection_rate > 0.0 ? cand.injection_rate
-                                         : pattern_.injection_rate);
+    const double rate = tg::offered_rate(pattern_, cand.source);
     // Open-loop sources sit inside the model's validity envelope only up to
     // the saturation bound: below it the offered rate IS the carried rate,
     // so the closed-loop fixed point is bypassed entirely; above it the

@@ -39,8 +39,9 @@ enum class IcKind : u8 { Amba, Crossbar, Xpipes };
 /// Mesh nodes a ×pipes platform needs for `n_cores` cores: one per core
 /// (master NI + co-located private memory) plus one each for the shared
 /// memory and the semaphore bank — build_fabric()'s layout, kept here so
-/// surfaces that pick explicit mesh dimensions (tgsim_patterns,
-/// bench/pattern_sweep) cannot drift from it.
+/// surfaces that pick explicit mesh dimensions (bench/pattern_sweep, the
+/// tgsim_sweep --grid/--mesh mapping in docs/traffic.md) cannot drift
+/// from it.
 [[nodiscard]] constexpr u32 xpipes_nodes_needed(u32 n_cores) noexcept {
     return n_cores + 2;
 }

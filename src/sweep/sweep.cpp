@@ -187,7 +187,6 @@ std::vector<Candidate> make_rate_sweep(const platform::PlatformConfig& base,
         Candidate c;
         c.cfg = base;
         c.cfg.xpipes.collect_latency = true;
-        c.injection_rate = rate;
         c.source = source;
         c.source.rate = rate; // the ladder point is the offered rate
         char buf[32];
@@ -477,22 +476,17 @@ SweepResult SweepDriver::evaluate(const Candidate& cand, u32 index,
         platform::PlatformConfig cfg = cand.cfg;
         cfg.n_cores = n_cores_;
         cfg.collect_traces = false;
-        cfg.done_check_interval = opts.done_check_interval;
         r.fabric = describe_fabric(cfg);
 
         platform::Platform p{cfg};
         if (!binaries_.empty()) {
             p.load_tg_binaries(binaries_, context_);
         } else if (pattern_) {
-            tg::PatternConfig pc = *pattern_;
-            if (cand.injection_rate > 0.0)
-                pc.injection_rate = cand.injection_rate;
-            tg::compile_patterns(pc, cand.source, scratch.configs);
+            tg::compile_patterns(*pattern_, cand.source, scratch.configs);
             for (u32 core = 0; core < n_cores_; ++core)
                 scratch.configs[core].seed = derive_seed(opts.seed, index, core);
             p.load_stochastic(scratch.configs, context_, cand.source);
-            r.offered_rate = cand.source.rate > 0.0 ? cand.source.rate
-                                                    : pc.injection_rate;
+            r.offered_rate = tg::offered_rate(*pattern_, cand.source);
         } else {
             scratch.configs = stochastic_; // assignment reuses capacity
             for (u32 core = 0; core < n_cores_; ++core)

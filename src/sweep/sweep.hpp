@@ -33,23 +33,21 @@
 namespace tgsim::sweep {
 
 /// One point in the design space: a named platform configuration. Core
-/// count, trace collection and poll interval are owned by the driver; the
-/// candidate varies the fabric and timing knobs.
+/// count and trace collection are owned by the driver; the candidate varies
+/// the fabric and timing knobs, including the completion-poll interval
+/// (PlatformConfig::done_check_interval).
 struct Candidate {
     std::string name;
     platform::PlatformConfig cfg;
-    /// Injection-rate override for pattern payloads (transactions per core
-    /// per cycle); 0 keeps the payload's base rate. Ignored by TG and plain
-    /// stochastic payloads. This is what lets a load–latency sweep ride the
-    /// driver: same fabric, one candidate per offered rate
-    /// (make_rate_sweep()).
-    double injection_rate = 0.0;
     /// Traffic-source construction surface (docs/traffic.md). The default
     /// (closed) takes exactly the legacy path, so existing grids and their
     /// reports are untouched; SourceMode::Open switches the candidate's
     /// stochastic masters to open-loop injection and adds the
     /// source-queueing / in-network latency decomposition to the result.
-    /// A nonzero source.rate overrides injection_rate.
+    /// A nonzero source.rate is the candidate's offered rate for pattern
+    /// payloads (tg::offered_rate); 0 keeps the payload's base rate. That
+    /// is what lets a load–latency sweep ride the driver: same fabric, one
+    /// candidate per offered rate (make_rate_sweep()).
     tg::SourceConfig source;
 };
 
@@ -86,7 +84,6 @@ struct SweepOptions {
     /// the candidate count. jobs == 1 runs inline on the calling thread.
     u32 jobs = 0;
     Cycle max_cycles = 100'000'000;
-    Cycle done_check_interval = 1024;
     /// Also run a cycle-true CPU platform per candidate (ground truth
     /// column); requires the context workload to carry per-core code.
     bool with_cpu_truth = false;
@@ -415,7 +412,7 @@ public:
 
     /// Synthetic traffic-pattern payload (src/tg/patterns.hpp): per-core
     /// stochastic configs are derived from the pattern inside each worker,
-    /// honouring the candidate's injection_rate override and reseeding from
+    /// honouring the candidate's source.rate override and reseeding from
     /// derive_seed — so a rate sweep is bit-identical at any worker count.
     SweepDriver(tg::PatternConfig pattern, apps::Workload context);
 

@@ -225,7 +225,7 @@ void make_pattern_configs(const PatternConfig& cfg,
 void compile_patterns(const PatternConfig& cfg, const SourceConfig& source,
                       std::vector<StochasticConfig>& out) {
     PatternConfig effective = cfg;
-    if (source.rate > 0.0) effective.injection_rate = source.rate;
+    effective.injection_rate = offered_rate(cfg, source);
     make_pattern_configs(effective, out);
     if (source.open())
         for (StochasticConfig& c : out) c.open_loop = true;

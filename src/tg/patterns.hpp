@@ -24,7 +24,7 @@
 // Traffic addresses the destination core's private memory window (the
 // platform co-locates core i's private memory with core i, so destination
 // core == destination mesh node when the physical mesh is laid out
-// row-major with width w — see tools/tgsim_patterns.cpp).
+// row-major with width w — see tgsim_sweep --grid in docs/traffic.md).
 #pragma once
 
 #include <optional>
@@ -125,12 +125,20 @@ struct DestWeight {
 void make_pattern_configs(const PatternConfig& cfg,
                           std::vector<StochasticConfig>& out);
 
+/// The offered rate of `cfg` under `source`: a nonzero source.rate
+/// overrides cfg.injection_rate (the sweep's offered-rate axis lives on the
+/// source, not on per-pattern copies). The one place the fallback lives;
+/// compile_patterns, the sweep's offered_rate column and the analytic tier
+/// all read it.
+[[nodiscard]] inline double offered_rate(const PatternConfig& cfg,
+                                         const SourceConfig& source) noexcept {
+    return source.rate > 0.0 ? source.rate : cfg.injection_rate;
+}
+
 /// The tg::SourceConfig surface (docs/traffic.md): compiles the pattern
-/// like make_pattern_configs and then applies the source — a nonzero
-/// source.rate overrides cfg.injection_rate (the sweep's offered-rate axis
-/// lives on the source, not on per-pattern copies), and SourceMode::Open
-/// marks every per-core config open-loop. With a default-constructed
-/// source this is exactly make_pattern_configs.
+/// like make_pattern_configs at offered_rate(cfg, source), and
+/// SourceMode::Open marks every per-core config open-loop. With a
+/// default-constructed source this is exactly make_pattern_configs.
 void compile_patterns(const PatternConfig& cfg, const SourceConfig& source,
                       std::vector<StochasticConfig>& out);
 

@@ -211,6 +211,11 @@ private:
     void body(const std::string& line) {
         if (line.back() == ':') {
             const std::string name = clean(line.substr(0, line.size() - 1));
+            // Jump(...) splits its operands on ',' and "then <label>" on
+            // whitespace, so a name holding either could not be printed
+            // back in every position.
+            if (name.empty() || name.find_first_of(" \t,():") != std::string::npos)
+                throw std::invalid_argument{"bad label '" + name + "'"};
             if (!bound_labels_.emplace(name, static_cast<u32>(prog_.instrs.size())).second)
                 throw std::invalid_argument{"duplicate label " + name};
             return;

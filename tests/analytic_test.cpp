@@ -30,7 +30,7 @@ sweep::Candidate mesh_candidate(u32 w, u32 h, u32 fifo, double rate) {
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = ic::XpipesConfig{w, h, fifo};
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     c.name = sweep::describe_fabric(c.cfg);
     return c;
 }
@@ -210,13 +210,13 @@ TEST(Funnel, SurvivorsBitIdenticalToAllCycleRunAtAnyJobs) {
     for (std::size_t i = 0; i < grid.size(); ++i) {
         // The funnel itself is jobs-invariant end to end...
         EXPECT_TRUE(sweep::bit_identical(serial[i], parallel[i]))
-            << grid[i].name << " rate " << grid[i].injection_rate;
+            << grid[i].name << " rate " << grid[i].source.rate;
         // ...and every survivor row (the non-analytic ones) is exactly the
         // all-cycle row: same ORIGINAL index, same derived seeds.
         if (!serial[i].analytic) {
             ++cycle_rows;
             EXPECT_TRUE(sweep::bit_identical(serial[i], truth[i]))
-                << grid[i].name << " rate " << grid[i].injection_rate;
+                << grid[i].name << " rate " << grid[i].source.rate;
         }
     }
     EXPECT_EQ(cycle_rows, funnel_opts.funnel_top);

@@ -330,7 +330,7 @@ TEST(PatternSweep, LatencyCollectionIsObservational) {
     with.name = "with";
     with.cfg = base;
     with.cfg.xpipes.collect_latency = true;
-    with.injection_rate = 0.05;
+    with.source.rate = 0.05;
     sweep::Candidate without = with;
     without.name = "without";
     without.cfg.xpipes.collect_latency = false;
@@ -396,7 +396,7 @@ TEST(RateSweepGrid, NamesAndFlags) {
     EXPECT_EQ(cands[0].name, "rate=0.0100");
     EXPECT_EQ(cands[1].name, "rate=0.2500");
     EXPECT_TRUE(cands[0].cfg.xpipes.collect_latency);
-    EXPECT_DOUBLE_EQ(cands[1].injection_rate, 0.25);
+    EXPECT_DOUBLE_EQ(cands[1].source.rate, 0.25);
 }
 
 } // namespace

@@ -47,7 +47,7 @@ Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = mesh;
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     c.name = describe_fabric(c.cfg) + " r=" + std::to_string(rate);
     return c;
 }

@@ -226,6 +226,22 @@ TEST(TgProgram, ParserRejectsOutOfRangeOperandsNamingTheLine) {
               std::string::npos);
     EXPECT_NE(tgp_error(body("Halt") + "Halt\n").find("tgp: line 6: content after END"),
               std::string::npos);
+    // Two labels on one instruction, one named by Jump and one by If: the
+    // writer prints one of them in both places, so a label name must read
+    // back as a Jump operand and as a "then" target.
+    const auto program = [](const std::string& second) {
+        return "MASTER[0,0]\nBEGIN\nx:\n" + second +
+               ":\n  Halt\n  Jump(x)\n  If(r0 == r0) then " + second + "\nEND\n";
+    };
+    const TgProgram prog = program_from_text(program("y"));
+    const std::string text = to_text(prog);
+    EXPECT_EQ(program_from_text(text), prog);
+    EXPECT_EQ(to_text(program_from_text(text)), text);
+    for (const std::string bad : {"a,b", "a b", "a(b", "a)b", "a:b", ""}) {
+        const std::string err = tgp_error(program(bad));
+        EXPECT_NE(err.find("tgp: line 4: bad label '" + bad + "'"), std::string::npos)
+            << bad << " -> '" << err << "'";
+    }
 }
 
 TEST(TgProgram, AssembleRejectsWhatTheImageCannotEncode) {
@@ -320,14 +336,25 @@ TEST(TgProgramGolden, SeedProgramsTextImageAndDisassembly) {
 
 // --- .tgp reader robustness: deterministic mutation loop ---
 
+/// `burst_write` (tests/data/programs/burst_write.tgp) with a second label
+/// on its last instruction, named by a branch of its own.
+std::string with_twin_labels(std::string burst_write) {
+    burst_write.replace(burst_write.find("done:\n"), 6, "done:\nfin:\n");
+    burst_write.replace(burst_write.find("  Jump(done)\n"), 13,
+                        "  Jump(done)\n  If(r0 == r3) then fin\n");
+    return burst_write;
+}
+
 TEST(TgProgramReaderFuzz, AnyInputYieldsAProgramOrInvalidArgument) {
     // What tgsim-tgasm and tgsim-replay do with a file: every mutant must
     // parse to a program that assembles and prints back to itself, or be
     // rejected with std::invalid_argument naming the line -- never crash,
-    // hang or throw anything else.
+    // hang or throw anything else. The last seed binds two labels to one
+    // instruction, which the writer prints as one.
+    const std::string burst_write = read_test_data("programs/burst_write.tgp");
     const std::string seeds[] = {read_test_data("programs/mp_matrix_2x4_core0.tgp"),
                                  read_test_data("programs/des_2x1_core0.tgp"),
-                                 read_test_data("programs/burst_write.tgp")};
+                                 burst_write, with_twin_labels(burst_write)};
     for (const std::string& seed : seeds) ASSERT_EQ(tgp_error(seed), "");
     std::mt19937_64 rng{0x76F2};
     std::size_t accepted = 0;

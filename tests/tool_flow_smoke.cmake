@@ -12,8 +12,9 @@
 # 1 naming the file and line, not abort.
 #
 # PART=flags checks that every tool answers --help with exit 0 and an
-# undeclared flag with exit 1, and that tgsim_patterns refuses a
-# --burst-len above ocp::kMaxBurstLen.
+# undeclared flag with exit 1, and that tgsim_sweep's pattern mode refuses
+# a --burst-len above ocp::kMaxBurstLen and a --reads fraction above 1 and
+# its traced mode a pattern-shape flag.
 #
 # PART=shard runs a small funnel sweep whole and as three shard processes
 # (one after another), merges the shards with tgsim_merge, and requires the
@@ -24,31 +25,41 @@
 # the cut journal and requires the byte-identical report. Reusing a journal
 # without --resume must be refused.
 #
-# PART=topology runs the pattern tool on a torus and on a table-routed ring
+# PART=topology runs a pattern sweep on a torus and on a table-routed ring
 # (examples/graphs/ring18.graph), shards a sweep with a topology axis and
 # merges it byte-identically, and requires a merge of a torus shard with a
 # mesh shard to be refused: topology is campaign identity.
 #
 # PART=open runs an open-loop rate ladder and requires the hockey stick:
-# the post-knee in-network p50 latency at least 3x the zero-load p50 and a
-# growing source queue (docs/traffic.md). Open shards merge byte-
-# identically; an open shard and a closed shard must not merge.
+# the post-knee in-network p50 latency at least 3x the zero-load p50, a
+# growing source queue and a saturation line (docs/traffic.md). Open
+# shards merge byte-identically; an open shard and a closed shard must not
+# merge.
 #
 # PART=fault shards a faulted sweep and merges it byte-identically, and
 # requires every injected transaction to be accounted for in each row:
 # injected == delivered + err_delivered + lost.
 #
-# PART=patterns runs a transpose saturation sweep through tgsim_patterns at
-# 4 workers; PART=funnel runs a two-phase (analytic screen, then cycle
-# simulation of the top candidates) tgsim_sweep at 4 workers. Both must
-# write a non-empty JSON report.
+# PART=patterns runs a transpose saturation sweep at 4 workers. It also
+# requires each pattern-shape flag (--process, --burst-frac, --burst-len,
+# --reads, --hotspot, --hotspot-frac), added one at a time, to change a
+# hotspot sweep's rows, so every one reaches the payload, and a shard of
+# a non-default shape to refuse to merge with a default-shaped one.
+# PART=funnel runs a two-phase (analytic screen, then cycle simulation of
+# the top candidates) sweep at 4 workers. Both must write a non-empty JSON
+# report.
+#
+# The pattern runs lay the --grid=WxH core grid row-major on a
+# --mesh=Wx⌈(W·H+2)/W⌉ fabric, so grid and mesh coordinates agree.
 #
 # Each part works in its own directory under WORK, so the parts can run in
 # parallel.
 
 set(WORK "${WORK}/${PART}")
 set(tools tgsim_run tgsim_replay tgsim_translate tgsim_tgasm tgsim_tgdis
-          tgsim_sweep tgsim_patterns tgsim_merge)
+          tgsim_sweep tgsim_merge)
+# A nine-point offered-rate ladder from zero load to past saturation.
+set(ladder --rates=0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64,1.0)
 
 # Runs BIN/<tool> with the remaining arguments; fails unless it exits with
 # `want` and (when `expect` is not empty) prints `expect`.
@@ -157,10 +168,15 @@ elseif(PART STREQUAL "flags")
   endforeach()
   # A burst longer than the fabrics carry is refused, neither truncated to
   # 16 bits nor left spinning on beats the NI never sends.
+  set(small --pattern=uniform_random --grid=3x3 --mesh=3x4 --packets=50
+            --rates=0.01)
   foreach(len 65 65537)
-    expect_refusal("--burst-len" tgsim_patterns --mesh=3x3 --packets=50
-                   --burst-frac=1 --burst-len=${len} --rates=0.01)
+    expect_refusal("--burst-len" tgsim_sweep ${small} --burst-frac=1
+                   --burst-len=${len})
   endforeach()
+  expect_refusal("--reads" tgsim_sweep ${small} --reads=1.5)
+  # Without --pattern there is no payload to shape.
+  expect_refusal("--burst-len" tgsim_sweep --burst-len=8)
 elseif(PART STREQUAL "shard")
   set(common --pattern=transpose --grid=4x4 --packets=200
              --rates=0.01,0.02,0.04 --mesh=5x4,6x3 --fifo=2,4
@@ -200,9 +216,10 @@ elseif(PART STREQUAL "resume")
   run_tool(1 "" tgsim_sweep ${common} --checkpoint=${WORK}/ck.jsonl
            --json=${WORK}/overwrite.json)
 elseif(PART STREQUAL "topology")
-  run_tool(0 "" tgsim_patterns --pattern=tornado --mesh=4x4 --topology=torus
-           --packets=200 --jobs=4 --json=${WORK}/torus.json)
-  run_tool(0 "" tgsim_patterns --pattern=transpose --mesh=4x4
+  run_tool(0 "" tgsim_sweep --pattern=tornado --grid=4x4 --mesh=4x5
+           --topology=torus ${ladder} --packets=200 --jobs=4
+           --json=${WORK}/torus.json)
+  run_tool(0 "" tgsim_sweep --pattern=transpose --grid=4x4 --mesh=4x5
            --topology=file:${CMAKE_CURRENT_LIST_DIR}/../examples/graphs/ring18.graph
            --rates=0.01,0.02,0.04 --packets=200 --jobs=4
            --json=${WORK}/graph.json)
@@ -222,9 +239,10 @@ elseif(PART STREQUAL "topology")
   expect_refusal("metadata mismatch" tgsim_merge --json=${WORK}/mix_bad.json
                  ${WORK}/mix_torus.json ${WORK}/mix_mesh.json)
 elseif(PART STREQUAL "open")
-  run_tool(0 "" tgsim_patterns --pattern=uniform_random --mesh=4x4
-           --source=open --fifo=8 --rates=0.01,0.08,0.64,1.0 --packets=200
-           --jobs=4 --json=${WORK}/ladder.json)
+  run_tool(0 "saturation at offered" tgsim_sweep --pattern=uniform_random
+           --grid=4x4 --mesh=4x5 --source=open --fifo=8
+           --rates=0.01,0.08,0.64,1.0 --packets=200 --jobs=4
+           --json=${WORK}/ladder.json)
   file(READ "${WORK}/ladder.json" json)
   string(JSON rows LENGTH "${json}" candidates)
   math(EXPR last "${rows} - 1")
@@ -277,9 +295,36 @@ elseif(PART STREQUAL "fault")
     endif()
   endforeach()
 elseif(PART STREQUAL "patterns")
-  run_tool(0 "" tgsim_patterns --pattern=transpose --mesh=4x4 --packets=400
-           --jobs=4 --json=${WORK}/patterns_smoke.json)
+  run_tool(0 "" tgsim_sweep --pattern=transpose --grid=4x4 --mesh=4x5
+           ${ladder} --packets=400 --jobs=4 --json=${WORK}/patterns_smoke.json)
   expect_nonempty("${WORK}/patterns_smoke.json")
+  # Each shape flag reaches the payload: adding it to the shape changes
+  # the rows, which never equal the default-shaped run's.
+  set(hot --pattern=hotspot --grid=3x3 --mesh=3x4 --rates=0.01,0.08
+          --packets=200 --jobs=4 --deterministic)
+  run_tool(0 "" tgsim_sweep ${hot} --json=${WORK}/hot.json)
+  file(READ "${WORK}/hot.json" json)
+  string(JSON default_rows GET "${json}" candidates)
+  set(prev_rows "${default_rows}")
+  set(shape "")
+  foreach(flag --process=bursty --burst-frac=0.5 --burst-len=8 --reads=0.25
+               --hotspot=4 --hotspot-frac=0.3)
+    list(APPEND shape ${flag})
+    run_tool(0 "" tgsim_sweep ${hot} ${shape} --json=${WORK}/hot.json)
+    file(READ "${WORK}/hot.json" json)
+    string(JSON rows GET "${json}" candidates)
+    if(rows STREQUAL prev_rows OR rows STREQUAL default_rows)
+      message(FATAL_ERROR "${flag} left the rows of ${shape} unchanged")
+    endif()
+    set(prev_rows "${rows}")
+  endforeach()
+  # A non-default shape is campaign identity: its shards never merge with
+  # a default-shaped campaign's.
+  run_tool(0 "" tgsim_sweep ${hot} --process=bursty --shard=0/2
+           --json=${WORK}/mix_bursty.json)
+  run_tool(0 "" tgsim_sweep ${hot} --shard=1/2 --json=${WORK}/mix_default.json)
+  expect_refusal("metadata mismatch" tgsim_merge --json=${WORK}/mix_bad.json
+                 ${WORK}/mix_bursty.json ${WORK}/mix_default.json)
 elseif(PART STREQUAL "funnel")
   run_tool(0 "" tgsim_sweep --pattern=tornado --grid=4x4 --packets=400
            --tier=funnel --funnel-top=4 --jobs=4 --mesh=auto,5x4 --fifo=2,4

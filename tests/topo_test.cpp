@@ -412,7 +412,7 @@ sweep::Candidate fabric_candidate(const ic::XpipesConfig& fabric,
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = fabric;
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     c.name = sweep::describe_fabric(c.cfg) + " r=" + std::to_string(rate);
     return c;
 }

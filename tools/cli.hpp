@@ -1,7 +1,7 @@
 // Shared helpers for the tgsim command-line tools: the declared-options
 // parser, the benchmark/workload factory, and binary image file I/O.
 //
-// Flag rules, the same in all eight tools:
+// Flag rules, the same in all seven tools:
 //   - every option is declared once, in the tool's OptionSet (name, value
 //     kind, help metavar, default, help line), and read only through the
 //     Options that OptionSet::parse returns — getters return the declared
@@ -335,8 +335,8 @@ template <typename E>
 }
 
 /// Parses one mesh spec: "auto" (dimensions chosen by the platform) or
-/// "WxH", e.g. "3x3". Shared by tgsim_sweep (candidate grids) and
-/// tgsim_patterns (logical core grid — which rejects "auto" itself).
+/// "WxH", e.g. "3x3". tgsim_sweep parses its candidate --mesh shapes and
+/// its pattern-mode --grid (which rejects "auto" itself) with it.
 /// Returns nullopt on a malformed spec. A well-formed spec of more than
 /// ic::kMaxNodes nodes is a fatal usage error naming `flag`: node ids are
 /// 16-bit on the fabric, so a bigger grid would alias them.
@@ -396,7 +396,7 @@ inline std::optional<double> parse_rate(const std::string& s) {
     return v;
 }
 
-/// The --rates ladder of tgsim_sweep and tgsim_patterns: offered rates in
+/// The --rates ladder of tgsim_sweep's pattern mode: offered rates in
 /// (0, 1], strictly ascending so rows group into load–latency curves
 /// (find_saturation reads them in order).
 [[nodiscard]] inline std::vector<double> get_rates(const Options& args) {
@@ -455,8 +455,8 @@ inline sweep::ShardSpec get_shard(const Options& args) {
 }
 
 /// Registers the shared traffic-source flags (docs/traffic.md) on a
-/// tool's option set — declared ONCE here so tgsim_patterns and
-/// tgsim_sweep cannot grow drifting spellings of the source-mode axis:
+/// tool's option set — declared ONCE here so every pattern-traffic tool
+/// spells the source-mode axis the same way:
 ///   --source=closed|open     loop mode (default closed: one outstanding
 ///                            transaction per core, the pre-open behavior)
 ///   --max-outstanding=N      open loop: cap on in-flight read packets per
@@ -498,17 +498,15 @@ inline void add_source_options(OptionSet& set) {
     return s;
 }
 
-/// Shared fault-injection flags (docs/faults.md), parsed in one place so
-/// tgsim_patterns and tgsim_sweep cannot grow drifting copies:
+/// The fault-injection axis (docs/faults.md):
 ///   --fault-rate=R[,R2,...]  total per-flit fault probability in [0, 1],
 ///                            split evenly across corruption, drop and
 ///                            transient-stall faults; 0 (the default)
-///                            disables the fault layer entirely.
-///                            tgsim_sweep pattern mode crosses a comma list
-///                            into the candidate grid as a sweep axis.
-///   --fault-seed=N           base seed of the deterministic fault stream
-///                            (default 0); a fixed seed reproduces the same
-///                            fault sites at any --jobs and in any --shard.
+///                            disables the fault layer entirely. A comma
+///                            list crosses into the candidate grid as a
+///                            sweep axis; --fault-seed=N seeds the stream,
+///                            so the same fault sites recur at any --jobs
+///                            and in any --shard.
 [[nodiscard]] inline std::vector<double> get_fault_rates(const Options& args) {
     std::vector<double> out;
     for (const std::string& tok : split_list(args.get("fault-rate"))) {
@@ -526,10 +524,6 @@ inline void add_source_options(OptionSet& set) {
         std::exit(1);
     }
     return out;
-}
-
-[[nodiscard]] inline u64 get_fault_seed(const Options& args) {
-    return args.get_u64("fault-seed");
 }
 
 /// FaultConfig for one axis point: the total rate is split evenly across
@@ -683,8 +677,8 @@ struct TopologyChoice {
     return out;
 }
 
-/// The --topology axis: a comma list for tgsim_sweep's candidate grid, a
-/// single value for tgsim_patterns. Default is the plain mesh.
+/// The --topology axis: a comma list crossed into tgsim_sweep's candidate
+/// grid. Default is the plain mesh.
 [[nodiscard]] inline std::vector<TopologyChoice> get_topologies(
     const Options& args) {
     std::vector<TopologyChoice> out;

@@ -15,16 +15,28 @@
 // (see docs/sweep.md). --json writes the machine-readable report;
 // --cpu-truth adds a (much slower) cycle-true ground-truth column.
 //
-// Pattern mode (docs/analytic.md) swaps the traced workload for a synthetic
-// traffic pattern and unlocks the evaluator tiers:
+// Pattern mode (docs/traffic.md, docs/analytic.md) swaps the traced
+// workload for a synthetic traffic pattern and unlocks the evaluator tiers:
 //
 //   tgsim-sweep --pattern=transpose [--grid=4x4] [--rates=0.01,0.02,...]
 //               [--mesh=...] [--fifo=...] [--packets=N]
+//               [--process=poisson|uniform|bursty] [--reads=F]
+//               [--burst-frac=F] [--burst-len=N]
+//               [--hotspot=CORE] [--hotspot-frac=F]
 //               [--topology=mesh,torus,file:PATH]
 //               [--fault-rate=0,0.001,...] [--fault-seed=N]
 //               [--source=closed|open] [--max-outstanding=N]
 //               [--pending-limit=N]
 //               [--tier=cycle|analytic|funnel] [--funnel-top=K]
+//
+// --grid is the logical core grid; --mesh=Wx⌈(W·H+2)/W⌉ lays the physical
+// mesh out row-major with the grid's width, so grid coordinates equal mesh
+// coordinates and the destination functions stress the links they name.
+// The tool prints the load–latency table (offered, accepted, mean/p50/p99/
+// max latency, NI wait), the reliability and open-loop split tables when
+// rows carry those blocks, and one saturation line per fabric
+// (sweep::find_saturation over its cycle-measured rows, in rate order).
+// Without --pattern, the pattern-mode flags above are a usage error.
 //
 // The candidate grid is every --mesh × --topology × --fifo × --rates ×
 // --fault-rate point (×pipes fabrics with latency collection). --topology
@@ -68,7 +80,9 @@
 //                      clocks zeroed) — byte-comparable across runs and to
 //                      tgsim_merge output.
 //   --progress         periodic progress line on stderr (off by default).
+#include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 
 #include "cli.hpp"
 #include "sweep/shard.hpp"
@@ -100,6 +114,18 @@ cli::OptionSet options() {
               "pattern mode: offered-rate axis, strictly ascending"})
         .add({"packets", K::Number, "N", "2000",
               "pattern mode: transactions per core"})
+        .add({"process", K::Choice, "NAME", "poisson",
+              "pattern mode: arrival process", {"poisson", "uniform", "bursty"}})
+        .add({"reads", K::Text, "F", "0.5",
+              "pattern mode: read fraction in [0, 1]"})
+        .add({"burst-frac", K::Text, "F", "0",
+              "pattern mode: fraction of transactions that burst"})
+        .add({"burst-len", K::Number, "N", "4",
+              "pattern mode: beats per burst, 1..64"})
+        .add({"hotspot", K::Number, "CORE", "0",
+              "pattern mode: hotspot destination core"})
+        .add({"hotspot-frac", K::Text, "F", "0.5",
+              "pattern mode: share of traffic aimed at the hotspot"})
         .add({"mesh", K::Text, "SPEC,...", "",
               "candidate mesh shapes (auto|WxH) [default auto,8x1,3x3; "
               "auto with --pattern]"})
@@ -239,32 +265,149 @@ std::vector<ic::XpipesConfig> fabric_axis(
     return out;
 }
 
-/// Pattern-payload mode: candidates over mesh × fifo × rate, evaluated by
-/// the tier selected on the command line.
-int run_pattern_mode(const cli::Options& args) {
-    const std::string pattern_name = args.get("pattern");
+/// A fraction flag: a number in [0, 1], or a usage error naming the flag.
+double get_fraction(const cli::Options& args, const char* flag) {
+    const std::string value = args.get(flag);
+    const auto f = cli::parse_rate(value);
+    if (!f || *f > 1.0)
+        cli::usage_error(flag, "bad value '" + value + "' (need [0, 1])");
+    return *f;
+}
+
+/// The pattern payload: --pattern on the --grid core grid, shaped by
+/// --packets, --process, --reads, --burst-frac/--burst-len and
+/// --hotspot/--hotspot-frac. The --rates axis sets each candidate's rate.
+tg::PatternConfig get_pattern(const cli::Options& args) {
     const std::string grid_spec = args.get("grid");
     const auto grid = cli::parse_mesh(grid_spec, 4, "grid");
-    if (!grid || grid->width == 0) { // the core grid needs explicit dims
-        std::fprintf(stderr, "bad --grid spec '%s' (WxH, e.g. 4x4)\n",
-                     grid_spec.c_str());
-        return 1;
-    }
-
+    if (!grid || grid->width == 0) // the core grid needs explicit dims
+        cli::usage_error("grid", "bad spec '" + grid_spec + "' (WxH, e.g. 4x4)");
     tg::PatternConfig pc;
-    pc.pattern = *tg::parse_pattern(pattern_name); // a validated Choice
+    pc.pattern = *tg::parse_pattern(args.get("pattern")); // a validated Choice
     pc.width = grid->width;
     pc.height = grid->height;
     pc.packets_per_core = args.get_u64("packets");
-    const u32 n_cores = pc.width * pc.height;
+    pc.process = cli::get_enum<tg::ArrivalProcess>(
+        args, "process",
+        {{"poisson", tg::ArrivalProcess::Poisson},
+         {"uniform", tg::ArrivalProcess::Uniform},
+         {"bursty", tg::ArrivalProcess::Bursty}});
+    pc.read_fraction = get_fraction(args, "reads");
+    pc.burst_fraction = get_fraction(args, "burst-frac");
+    const u32 burst_len = args.get_u32("burst-len");
+    if (burst_len < 1 || burst_len > ocp::kMaxBurstLen)
+        cli::usage_error("burst-len", "must be in [1, " +
+                                          std::to_string(ocp::kMaxBurstLen) + "]");
+    pc.burst_len = static_cast<u16>(burst_len);
+    pc.hotspot_core = args.get_u32("hotspot");
+    pc.hotspot_fraction = get_fraction(args, "hotspot-frac");
+    return pc;
+}
 
+/// Campaign-identity suffix for the shape flags whose values differ from
+/// the defaults: "" for the default shape, so its identity is unchanged,
+/// while shards of differently shaped campaigns never merge or resume
+/// into each other.
+std::string describe_shape(const cli::Options& args,
+                           const tg::PatternConfig& pc) {
+    const tg::PatternConfig def;
+    const std::pair<const char*, bool> shape[] = {
+        {"process", pc.process != def.process},
+        {"reads", pc.read_fraction != def.read_fraction},
+        {"burst-frac", pc.burst_fraction != def.burst_fraction},
+        {"burst-len", pc.burst_len != def.burst_len},
+        {"hotspot", pc.hotspot_core != def.hotspot_core},
+        {"hotspot-frac", pc.hotspot_fraction != def.hotspot_fraction}};
+    std::string d;
+    for (const auto& [flag, differs] : shape)
+        if (differs) d += std::string{" "} + flag + "=" + args.get(flag);
+    return d;
+}
+
+/// The reliability table (docs/faults.md), when any row carries the fault
+/// block.
+void print_fault_table(const std::vector<sweep::SweepResult>& results) {
+    const auto has = [](const sweep::SweepResult& r) {
+        return r.ok() && r.has_faults;
+    };
+    if (std::none_of(results.begin(), results.end(), has)) return;
+    std::printf("\n%-26s %10s %10s %8s %8s %8s %8s\n", "candidate",
+                "injected", "delivered", "recov", "retries", "lost",
+                "dropped");
+    for (const sweep::SweepResult& r : results) {
+        if (!has(r)) continue;
+        std::printf("%-26s %10llu %9.4f%% %8llu %8llu %8llu %8llu\n",
+                    r.name.c_str(),
+                    static_cast<unsigned long long>(r.fault_injected),
+                    100.0 * r.delivered_ratio,
+                    static_cast<unsigned long long>(r.fault_recovered),
+                    static_cast<unsigned long long>(r.fault_retries),
+                    static_cast<unsigned long long>(r.fault_lost),
+                    static_cast<unsigned long long>(r.fault_dropped));
+    }
+}
+
+/// The open-loop split (docs/traffic.md), when any row carries the open
+/// block: in-network latency is the saturation signal, source-queue
+/// latency shows where offered load waits.
+void print_open_table(const std::vector<sweep::SweepResult>& results) {
+    const auto has = [](const sweep::SweepResult& r) {
+        return r.ok() && r.has_open;
+    };
+    if (std::none_of(results.begin(), results.end(), has)) return;
+    std::printf("\n%-26s %10s %8s %8s %10s %10s %9s\n", "candidate",
+                "net mean", "net p50", "net p99", "srcq mean", "srcq p99",
+                "pend pk");
+    for (const sweep::SweepResult& r : results) {
+        if (!has(r)) continue;
+        std::printf("%-26s %10.1f %8llu %8llu %10.1f %10llu %9llu\n",
+                    r.name.c_str(), r.net_lat_mean,
+                    static_cast<unsigned long long>(r.net_lat_p50),
+                    static_cast<unsigned long long>(r.net_lat_p99),
+                    r.sq_lat_mean,
+                    static_cast<unsigned long long>(r.sq_lat_p99),
+                    static_cast<unsigned long long>(r.pending_peak));
+    }
+}
+
+/// One saturation line per fabric: sweep::find_saturation over that
+/// fabric's cycle-measured rows, which the grid lists in ascending rate
+/// order. Analytic predictions never name a saturation point.
+void print_saturation(const std::vector<sweep::SweepResult>& results) {
+    std::vector<std::pair<std::string, std::vector<sweep::SweepResult>>> curves;
+    std::unordered_map<std::string, std::size_t> slot;
+    for (const sweep::SweepResult& r : results) {
+        if (r.analytic) continue;
+        const auto [it, fresh] = slot.emplace(r.fabric, curves.size());
+        if (fresh) curves.emplace_back(r.fabric, std::vector<sweep::SweepResult>{});
+        curves[it->second].second.push_back(r);
+    }
+    if (!curves.empty()) std::printf("\n");
+    for (const auto& [fabric, curve] : curves) {
+        const sweep::SaturationPoint sat = sweep::find_saturation(curve);
+        if (sat.found)
+            std::printf("%s: saturation at offered %.4f: throughput %.4f "
+                        "txn/core/cycle (mean latency %.1f cycles)\n",
+                        fabric.c_str(), sat.offered, sat.throughput,
+                        sat.mean_latency);
+        else
+            std::printf("%s: no saturation in the swept range; max accepted "
+                        "%.4f txn/core/cycle at offered %.4f\n",
+                        fabric.c_str(), sat.throughput, sat.offered);
+    }
+}
+
+/// Pattern-payload mode: candidates over mesh × fifo × rate, evaluated by
+/// the tier selected on the command line.
+int run_pattern_mode(const cli::Options& args) {
+    const tg::PatternConfig pc = get_pattern(args);
+    const u32 n_cores = pc.width * pc.height;
     const std::vector<double> rates = cli::get_rates(args);
-    pc.injection_rate = rates.front();
 
     // Fault axis (docs/faults.md): each entry is a total per-flit fault
     // probability; 0 keeps the fault layer (and its grid column) off.
     const std::vector<double> fault_rates = cli::get_fault_rates(args);
-    const u64 fault_seed = cli::get_fault_seed(args);
+    const u64 fault_seed = args.get_u64("fault-seed");
     bool any_fault = false;
     for (const double fr : fault_rates) any_fault |= fr > 0.0;
 
@@ -299,7 +442,6 @@ int run_pattern_mode(const cli::Options& args) {
                 c.cfg.xpipes = fabric;
                 c.cfg.xpipes.collect_latency = true;
                 c.cfg.xpipes.fault = cli::make_fault(frate, fault_seed);
-                c.injection_rate = rate;
                 c.source = source;
                 c.source.rate = rate;
                 // describe_fabric appends the fault axis itself when it
@@ -331,10 +473,11 @@ int run_pattern_mode(const cli::Options& args) {
         // The campaign identity: what the report header, the journal
         // header and every merge/resume compatibility check agree on.
         sweep::SweepMeta meta;
-        meta.app = context.name + " " + grid_spec;
-        // describe() is empty for closed sources, so pre-open campaign
-        // identities (and their journals) stay byte-identical.
-        meta.app += tg::describe(source);
+        meta.app = context.name + " " + args.get("grid");
+        // describe() is empty for closed sources and describe_shape for
+        // the default shape, so earlier campaign identities (and their
+        // journals) stay byte-identical.
+        meta.app += tg::describe(source) + describe_shape(args, pc);
         if (any_fault) {
             // The fault axis is campaign identity: shard merges and journal
             // resumes must never mix reports with different fault levels.
@@ -362,7 +505,7 @@ int run_pattern_mode(const cli::Options& args) {
         if (camp.resuming) opts.resume = &camp.resumed;
         std::printf("%s on a %ux%u core grid, %zu candidates, tier %s, "
                     "%u workers\n\n",
-                    pattern_name.c_str(), pc.width, pc.height,
+                    args.get("pattern").c_str(), pc.width, pc.height,
                     candidates.size(),
                     std::string{sweep::to_string(opts.tier)}.c_str(), jobs);
         sim::WallTimer timer;
@@ -373,8 +516,9 @@ int run_pattern_mode(const cli::Options& args) {
             return 1;
         }
 
-        std::printf("%-26s %5s %12s %10s %9s\n", "candidate", "tier",
-                    "cycles", "accepted", "mean lat");
+        std::printf("%-26s %5s %12s %10s %10s %9s %8s %8s %8s %10s\n",
+                    "candidate", "tier", "cycles", "offered", "accepted",
+                    "mean lat", "p50", "p99", "max", "NI wait");
         const sweep::SweepResult* best = nullptr;
         bool setup_error = false;
         for (const sweep::SweepResult& r : results) {
@@ -385,10 +529,15 @@ int run_pattern_mode(const cli::Options& args) {
                     setup_error = true;
                 continue;
             }
-            std::printf("%-26s %5s %12llu %10.4f %9.1f\n", r.name.c_str(),
-                        r.analytic ? "pred" : "cycle",
-                        static_cast<unsigned long long>(r.cycles),
-                        r.accepted_rate, r.lat_mean);
+            std::printf(
+                "%-26s %5s %12llu %10.4f %10.4f %9.1f %8llu %8llu %8llu %10llu\n",
+                r.name.c_str(), r.analytic ? "pred" : "cycle",
+                static_cast<unsigned long long>(r.cycles), r.offered_rate,
+                r.accepted_rate, r.lat_mean,
+                static_cast<unsigned long long>(r.lat_p50),
+                static_cast<unsigned long long>(r.lat_p99),
+                static_cast<unsigned long long>(r.lat_max),
+                static_cast<unsigned long long>(r.contention_cycles));
             // The headline answer: the fastest-completing candidate, only
             // ever picked from cycle-measured rows in funnel mode (the
             // survivors), so funnel top-1 == all-cycle top-1.
@@ -399,6 +548,9 @@ int run_pattern_mode(const cli::Options& args) {
                               r.index < best->index)))
                 best = &r;
         }
+        print_fault_table(results);
+        print_open_table(results);
+        print_saturation(results);
         std::printf("\n%zu candidates in %.3f s wall\n", results.size(),
                     sweep_wall);
         if (best != nullptr)
@@ -430,6 +582,12 @@ int main(int argc, char** argv) {
     const sweep::Tier tier = cli::get_tier(args);
     (void)cli::get_funnel_top(args);
     if (args.has("pattern")) return run_pattern_mode(args);
+    // A traced sweep has no pattern payload to shape; ignoring these would
+    // report a run other than the one asked for.
+    for (const char* flag : {"grid", "rates", "packets", "process", "reads",
+                             "burst-frac", "burst-len", "hotspot",
+                             "hotspot-frac", "fault-rate", "fault-seed"})
+        if (args.has(flag)) cli::usage_error(flag, "needs --pattern=NAME");
     if (cli::get_source(args).open()) {
         std::fprintf(stderr,
                      "--source=open needs a pattern payload; add "
