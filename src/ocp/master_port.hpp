@@ -1,5 +1,5 @@
 // The master side of one OCP channel, shared by every master: TgCore,
-// TgMultiCore, StochasticTg and CpuCore.
+// StochasticTg and CpuCore.
 //
 // The paper's TG replaces the CPU at exactly this interface, so both sides
 // of that swap go through one implementation of it. A master hands the
@@ -100,8 +100,8 @@ public:
         ch_.touch_m();
     }
 
-    /// update(), while busy(): counts an accepted write beat, or notes a
-    /// read's command accept and takes its response beat.
+    /// update(), while a transaction is in flight: counts an accepted write
+    /// beat, or notes a read's command accept and takes its response beat.
     Beat sample() noexcept {
         Beat b;
         if (!active_) return b;
@@ -126,8 +126,6 @@ public:
         return b;
     }
 
-    /// A transaction is in flight.
-    [[nodiscard]] bool busy() const noexcept { return active_; }
     /// The in-flight read's command has been accepted.
     [[nodiscard]] bool accepted() const noexcept { return accepted_; }
     /// Command, address and burst length of the last issued transaction.

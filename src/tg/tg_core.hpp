@@ -9,8 +9,7 @@
 //
 // The port is ocp::MasterPort, the same one the CPU model drives, so a TG
 // replaces the CPU at an identical interface. TgCore keeps only the ISA and
-// the idle timing; step() below is the one TG interpreter, which
-// TgMultiCore runs per thread as well.
+// the idle timing; step() below is the TG interpreter.
 //
 // The deliberate simplicity — no fetch pipeline, no caches, no ALU — is the
 // source of the paper's simulation speedup: emulating a core costs a few
@@ -36,8 +35,8 @@ struct TgStats {
 };
 
 /// The state one TG program runs on: its instruction memory (the binary
-/// image), register file and program counter. TgCore runs one context;
-/// TgMultiCore runs one per thread. Both execute it through step().
+/// image), register file and program counter. TgCore runs one context
+/// through step().
 struct TgContext {
     std::vector<u32> image;
     std::array<u32, kTgNumRegs> regs{};
@@ -54,7 +53,6 @@ struct TgStep {
     };
     Kind kind = Kind::Next;
     u64 idle = 0; ///< Idle: cycles to stay idle after this one
-    u64 span = 0; ///< Idle: length of the wait (n, or target - now)
 };
 
 /// Executes the instruction at ctx.pc, which must lie inside the image, in
@@ -73,13 +71,13 @@ inline TgStep step(TgContext& ctx, ocp::MasterPort& port, Cycle now) {
         case TgOp::Idle: {
             const u32 n = image[pc + 1];
             pc += 2;
-            return {TgStep::Kind::Idle, n > 1 ? n - 1 : 0, n};
+            return {TgStep::Kind::Idle, n > 1 ? n - 1 : 0};
         }
         case TgOp::IdleUntil: {
             const u64 target = image[pc + 1];
             pc += 2;
             if (target <= now) break;
-            return {TgStep::Kind::Idle, target - now, target - now};
+            return {TgStep::Kind::Idle, target - now};
         }
         case TgOp::Read:
             port.issue(ocp::Cmd::Read, ctx.regs[w.a]);

@@ -1,9 +1,9 @@
 // Property tests for per-component clock gating (sim/kernel.hpp): on every
 // example platform shape — the quickstart CPU->TG flow, the NoC-exploration
-// fabrics, the stochastic traffic soak and the multithreaded TG — the gated
-// schedule must be observationally indistinguishable from the fully clocked
-// one: identical completion cycles, register files, memory images, monitor
-// traces (byte-for-byte) and component statistics. Only wall time may differ.
+// fabrics and the stochastic traffic soak — the gated schedule must be
+// observationally indistinguishable from the fully clocked one: identical
+// completion cycles, register files, memory images, monitor traces
+// (byte-for-byte) and component statistics. Only wall time may differ.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +16,6 @@
 #include "platform/platform.hpp"
 #include "test_util.hpp"
 #include "tg/stochastic.hpp"
-#include "tg/tg_multicore.hpp"
 #include "tg/trace.hpp"
 
 namespace tgsim {
@@ -266,60 +265,6 @@ TEST(GatingEquivalence, StochasticSoakMatches) {
         EXPECT_EQ(cycles[0], cycles[1]);
         EXPECT_EQ(counters[0], counters[1]);
     }
-}
-
-// --- multithreaded TG over one port (tg_multicore shape) --------------------
-
-TEST(GatingEquivalence, TgMultiCoreMatches) {
-    auto image = [](u32 idle, u32 reps) {
-        tg::TgProgram prog;
-        for (u32 i = 0; i < reps; ++i) {
-            tg::TgInstr set;
-            set.op = tg::TgOp::SetRegister;
-            set.a = 1;
-            set.imm = platform::kSharedBase + 0x40 * i;
-            prog.instrs.push_back(set);
-            tg::TgInstr rd;
-            rd.op = tg::TgOp::Read;
-            rd.a = 1;
-            prog.instrs.push_back(rd);
-            tg::TgInstr id;
-            id.op = tg::TgOp::Idle;
-            id.imm = idle;
-            prog.instrs.push_back(id);
-        }
-        tg::TgInstr halt;
-        halt.op = tg::TgOp::Halt;
-        prog.instrs.push_back(halt);
-        return tg::assemble(prog);
-    };
-
-    Cycle halts[2];
-    u64 instrs[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        sim::Kernel k;
-        k.set_gating(mode == 0);
-        ocp::Channel ch, mem_ch;
-        mem::MemorySlave mem{mem_ch, mem::SlaveTiming{2, 1, 1},
-                             platform::kSharedBase, 0x4000, "m"};
-        ic::AhbBus bus;
-        bus.connect_master(ch, -1);
-        bus.connect_slave(mem_ch, platform::kSharedBase, 0x4000, -1);
-        tg::TgMultiConfig mc;
-        mc.policy = tg::SchedulePolicy::SleepWake;
-        mc.yield_threshold = 8;
-        tg::TgMultiCore core{ch, mc};
-        core.add_thread(image(300, 5));
-        core.add_thread(image(77, 9));
-        k.add(core, sim::kStageMaster);
-        k.add(mem, sim::kStageSlave);
-        k.add(bus, sim::kStageInterconnect);
-        ASSERT_TRUE(k.run_until([&] { return core.done(); }, 1'000'000));
-        halts[mode] = core.halt_cycle();
-        instrs[mode] = core.stats().instructions;
-    }
-    EXPECT_EQ(halts[0], halts[1]);
-    EXPECT_EQ(instrs[0], instrs[1]);
 }
 
 // --- ChannelStore migration goldens ------------------------------------------

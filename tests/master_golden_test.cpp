@@ -1,8 +1,7 @@
-// Goldens for the OCP masters that no other golden covers: the
-// multithreaded TG (both scheduling policies) and the stochastic generator
-// closed loop with bursts on the AMBA bus and on the crossbar. (The ×pipes
-// goldens already pin StochasticTg on the mesh; the Table-2 and
-// ChannelStore goldens pin TgCore and CpuCore.)
+// Goldens for the OCP master that no other golden covers: the stochastic
+// generator closed loop with bursts on the AMBA bus and on the crossbar.
+// (The ×pipes goldens already pin StochasticTg on the mesh; the Table-2
+// and ChannelStore goldens pin TgCore and CpuCore.)
 //
 // Each case runs in both kernel modes — clock-gated and fully clocked —
 // against one set of constants: the two schedules must agree, and both
@@ -11,7 +10,6 @@
 // what it drives or when it samples.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,9 +18,7 @@
 #include "ic/crossbar/crossbar.hpp"
 #include "mem/memory.hpp"
 #include "ocp/monitor.hpp"
-#include "tg/program.hpp"
 #include "tg/stochastic.hpp"
-#include "tg/tg_multicore.hpp"
 #include "tg/trace.hpp"
 
 namespace tgsim::test {
@@ -45,180 +41,6 @@ u64 fnv_memory(const mem::MemorySlave& m) {
     for (u32 a = 0; a < m.size_bytes(); a += 4)
         h = (h ^ m.peek(m.base() + a)) * 0x100000001b3ull;
     return h;
-}
-
-// --- TgMultiCore -------------------------------------------------------------
-
-/// Thread 0: write, read back, log rdreg, burst write and read back, idle
-/// long enough to sleep under SleepWake.
-constexpr const char* kWriterThread = R"(MASTER[0,0]
-REGISTER r1 0x20000100
-REGISTER r2 0x00000010
-REGISTER r3 0x00000005
-REGISTER r4 0x20002000
-BEGIN
-loop:
-  Write(r1, r2)
-  Read(r1)
-  Write(r4, r0)
-  BurstWrite(r1, 4) {0x00000011, 0x00000022, 0x00000033, 0x00000044}
-  BurstRead(r1, 4)
-  Write(r4, r0)
-  Idle(24)
-  SetRegister(r5, 0x00000001)
-  IfImm(r3 == 0x00000000) then done
-  SetRegister(r6, 0xFFFFFFFF)
-  SetRegister(r3, 0x00000000)
-  Jump(loop)
-done:
-  Halt
-END
-)";
-
-/// Thread 1: a decode-error read (poison in rdreg), short and long idles
-/// (one exactly at the SleepWake yield threshold), an absolute wait, and
-/// reads of what thread 0 wrote.
-constexpr const char* kPollerThread = R"(MASTER[0,1]
-REGISTER r1 0x50000000
-REGISTER r2 0x20000100
-REGISTER r4 0x20002100
-BEGIN
-  Read(r1)
-  Write(r4, r0)
-  Idle(3)
-  Read(r2)
-  Idle(16)
-  Write(r4, r0)
-  Idle(40)
-  BurstRead(r2, 4)
-  Write(r4, r0)
-  IdleUntil(420)
-  Read(r2)
-  IfImm(r0 == 0x00000000) then skip
-  Write(r4, r0)
-skip:
-  Halt
-END
-)";
-
-/// Thread 2: a counted loop of single reads and bursts to the slow slave.
-constexpr const char* kCounterThread = R"(MASTER[0,2]
-REGISTER r1 0x30000000
-REGISTER r2 0x00000000
-REGISTER r3 0x00000006
-REGISTER r7 0x00000001
-BEGIN
-loop:
-  BurstWrite(r1, 2) {0x0000AAAA, 0x0000BBBB}
-  BurstRead(r1, 2)
-  Idle(2)
-  If(r2 == r3) then done
-  SetRegister(r2, 0x00000006)
-  Read(r1)
-  Jump(loop)
-done:
-  Halt
-END
-)";
-
-struct MultiObservation {
-    Cycle halt = 0;
-    std::vector<Cycle> thread_halts;
-    std::vector<u32> thread_rdregs;
-    tg::TgMultiStats stats;
-    u64 trace_fnv = 0;
-    u64 mem_fnv = 0;
-};
-
-MultiObservation run_multicore(tg::SchedulePolicy policy, bool gating) {
-    sim::Kernel k;
-    k.set_gating(gating);
-    ocp::ChannelStore wires;
-    const ocp::ChannelRef ch = wires.allocate();
-    const ocp::ChannelRef mem_ch = wires.allocate();
-    const ocp::ChannelRef slow_ch = wires.allocate();
-    mem::MemorySlave mem{mem_ch, mem::SlaveTiming{2, 1, 1}, kMemBase, kMemSize, "m"};
-    mem::MemorySlave slow{slow_ch, mem::SlaveTiming{5, 3, 2}, kSlowBase, kSlowSize,
-                          "slow"};
-    ic::AhbBus bus;
-    bus.connect_master(ch, -1);
-    bus.connect_slave(mem_ch, kMemBase, kMemSize, -1);
-    bus.connect_slave(slow_ch, kSlowBase, kSlowSize, -1);
-    tg::TgMultiConfig mc;
-    mc.policy = policy;
-    mc.quantum = 10;
-    mc.switch_penalty = 3;
-    mc.yield_threshold = 16;
-    tg::TgMultiCore core{ch, mc};
-    for (const char* text : {kWriterThread, kPollerThread, kCounterThread}) {
-        const tg::AssembledTg a = tg::assemble_tg(tg::program_from_text(text));
-        std::array<u32, tg::kTgNumRegs> regs{};
-        for (const auto& [r, v] : a.reg_init) regs[r] = v;
-        core.add_thread(a.image, regs);
-    }
-    tg::Trace trace;
-    ocp::ChannelMonitor monitor{k, ch, trace};
-    k.add(core, sim::kStageMaster);
-    k.add(mem, sim::kStageSlave);
-    k.add(slow, sim::kStageSlave);
-    k.add(bus, sim::kStageInterconnect);
-    k.add(monitor, sim::kStageObserver);
-    EXPECT_TRUE(k.run_until([&] { return core.done(); }, 1'000'000));
-
-    MultiObservation o;
-    o.halt = core.halt_cycle();
-    for (std::size_t t = 0; t < core.thread_count(); ++t) {
-        o.thread_halts.push_back(core.thread_halt_cycle(t));
-        o.thread_rdregs.push_back(core.thread_reg(t, tg::kRdReg));
-    }
-    o.stats = core.stats();
-    o.trace_fnv = fnv_text(0xcbf29ce484222325ull, tg::to_text(trace));
-    o.mem_fnv = fnv_memory(mem) ^ fnv_memory(slow);
-    return o;
-}
-
-struct MultiGolden {
-    tg::SchedulePolicy policy;
-    const char* name;
-    Cycle halt;
-    std::vector<Cycle> thread_halts;
-    std::vector<u32> thread_rdregs;
-    u64 instructions;
-    u64 context_switches;
-    u64 switch_overhead_cycles;
-    u64 all_asleep_cycles;
-    u64 trace_fnv;
-    u64 mem_fnv;
-};
-
-TEST(MasterGolden, TgMultiCoreBothPolicies) {
-    const MultiGolden goldens[] = {
-        {tg::SchedulePolicy::Timeslice, "timeslice", 432, {300, 432, 150},
-         {0x44, 0x11, 0xBBBB}, 48, 13, 39, 0, 0x85af0b03dafdf30full,
-         0xfdf8fa8d477d1e3aull},
-        {tg::SchedulePolicy::SleepWake, "sleepwake", 431, {177, 431, 110},
-         {0x44, 0x11, 0xBBBB}, 48, 3, 9, 245, 0xde8fa57b319cc79eull,
-         0xfdf8fa8d477d1e3aull},
-    };
-    for (const MultiGolden& g : goldens) {
-        for (const bool gating : {true, false}) {
-            const MultiObservation o = run_multicore(g.policy, gating);
-            const std::string what =
-                std::string(g.name) + (gating ? "/gated" : "/clocked");
-            EXPECT_EQ(o.halt, g.halt) << what;
-            EXPECT_EQ(o.thread_halts, g.thread_halts) << what;
-            EXPECT_EQ(o.thread_rdregs, g.thread_rdregs) << what;
-            EXPECT_EQ(o.stats.instructions, g.instructions) << what;
-            EXPECT_EQ(o.stats.context_switches, g.context_switches) << what;
-            EXPECT_EQ(o.stats.switch_overhead_cycles, g.switch_overhead_cycles)
-                << what;
-            EXPECT_EQ(o.stats.all_asleep_cycles, g.all_asleep_cycles) << what;
-            EXPECT_EQ(o.trace_fnv, g.trace_fnv)
-                << what << ": trace 0x" << std::hex << o.trace_fnv;
-            EXPECT_EQ(o.mem_fnv, g.mem_fnv)
-                << what << ": memory 0x" << std::hex << o.mem_fnv;
-        }
-    }
 }
 
 // --- StochasticTg on AMBA and the crossbar -----------------------------------
