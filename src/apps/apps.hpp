@@ -55,7 +55,6 @@ struct DesParams {
 /// Reference model of the benchmark cipher (for tests and data generation):
 /// encrypts the 64-bit block (l,r) with `key` over 16 rounds.
 void feistel_encrypt_ref(u32& l, u32& r, u32 key);
-void feistel_decrypt_ref(u32& l, u32& r, u32 key);
 
 /// Deterministic pseudo-data used to fill benchmark inputs.
 [[nodiscard]] constexpr u32 pattern_word(u32 i) noexcept {

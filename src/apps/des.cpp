@@ -39,18 +39,6 @@ void feistel_encrypt_ref(u32& l, u32& r, u32 key) {
     std::swap(l, r);
 }
 
-void feistel_decrypt_ref(u32& l, u32& r, u32 key) {
-    u32 ks[16];
-    round_keys(key, ks);
-    for (u32 i = 0; i < 16; ++i) {
-        const u32 nl = r;
-        const u32 nr = l ^ feistel_f(r, ks[15 - i]);
-        l = nl;
-        r = nr;
-    }
-    std::swap(l, r);
-}
-
 // DES benchmark (paper Sec. 6): each core encrypts a static slice of blocks
 // from a shared input buffer (ciphertext committed to a shared output buffer
 // under a semaphore lock), then decrypts its slice and verifies it matches

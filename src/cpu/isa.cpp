@@ -1,7 +1,5 @@
 #include "cpu/isa.hpp"
 
-#include <sstream>
-
 namespace tgsim::cpu {
 
 DecodedInstr decode(u32 word) noexcept {
@@ -53,51 +51,6 @@ std::string mnemonic(Op op) {
         case Op::Halt: return "halt";
     }
     return "op?";
-}
-
-std::string disassemble(u32 word) {
-    const DecodedInstr d = decode(word);
-    std::ostringstream os;
-    os << mnemonic(d.op);
-    // Built left-to-right (not operator+(const char*, string&&)): GCC 12's
-    // -Wrestrict false-positives on the rvalue insert path under -O2.
-    auto r = [](u8 n) {
-        std::string s{"r"};
-        s += std::to_string(n);
-        return s;
-    };
-    switch (d.op) {
-        case Op::Add: case Op::Sub: case Op::And: case Op::Or:
-        case Op::Xor: case Op::Sll: case Op::Srl: case Op::Sra:
-        case Op::Mul: case Op::Slt: case Op::Sltu:
-            os << ' ' << r(d.rd) << ", " << r(d.rs) << ", " << r(d.rt);
-            break;
-        case Op::Addi: case Op::Andi: case Op::Ori: case Op::Xori:
-        case Op::Slli: case Op::Srli: case Op::Srai: case Op::Slti:
-            os << ' ' << r(d.rd) << ", " << r(d.rs) << ", " << d.imm;
-            break;
-        case Op::Movi: case Op::Lui:
-            os << ' ' << r(d.rd) << ", " << d.imm;
-            break;
-        case Op::Ld:
-            os << ' ' << r(d.rd) << ", [" << r(d.rs) << '+' << d.imm << ']';
-            break;
-        case Op::St:
-            os << ' ' << r(d.rt) << ", [" << r(d.rs) << '+' << d.imm << ']';
-            break;
-        case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
-            os << ' ' << r(d.rs) << ", " << r(d.rt) << ", " << d.imm;
-            break;
-        case Op::J: case Op::Jal:
-            os << ' ' << d.imm;
-            break;
-        case Op::Jr:
-            os << ' ' << r(d.rs);
-            break;
-        case Op::Nop: case Op::Halt:
-            break;
-    }
-    return os.str();
 }
 
 } // namespace tgsim::cpu

@@ -163,10 +163,7 @@ struct DecodedInstr {
     }
 }
 
-/// Mnemonic for diagnostics and the disassembler.
+/// Mnemonic for the assembler's diagnostics.
 [[nodiscard]] std::string mnemonic(Op op);
-
-/// Human-readable disassembly of one instruction word.
-[[nodiscard]] std::string disassemble(u32 word);
 
 } // namespace tgsim::cpu

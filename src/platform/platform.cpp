@@ -150,11 +150,6 @@ void Platform::load_tg_binaries(const std::vector<tg::AssembledTg>& binaries,
 }
 
 void Platform::load_stochastic(const std::vector<tg::StochasticConfig>& configs,
-                               const apps::Workload& context) {
-    load_stochastic(configs, context, tg::SourceConfig{});
-}
-
-void Platform::load_stochastic(const std::vector<tg::StochasticConfig>& configs,
                                const apps::Workload& context,
                                const tg::SourceConfig& source) {
     if (!cpus_.empty() || !tgs_.empty() || !stochs_.empty())

@@ -125,20 +125,16 @@ public:
                           const apps::Workload& context);
 
     /// Instantiates stochastic traffic generators (the related-work baseline
-    /// of paper Sec. 2); one config per core. Equivalent to the SourceConfig
-    /// overload with the default (closed-loop) source.
-    void load_stochastic(const std::vector<tg::StochasticConfig>& configs,
-                         const apps::Workload& context);
-
-    /// The tg::SourceConfig surface (docs/traffic.md): same generators, with
-    /// the source mode applied uniformly. SourceMode::Closed takes exactly
-    /// the legacy path; SourceMode::Open additionally switches the ×pipes
-    /// master NIs into open-loop pending-queue injection (xpipes fabric
-    /// only, mutually exclusive with fault injection) and extends the run
-    /// until the network backlog drains.
+    /// of paper Sec. 2); one config per core, with the tg::SourceConfig
+    /// mode (docs/traffic.md) applied uniformly. SourceMode::Closed, the
+    /// default, runs each generator closed loop; SourceMode::Open
+    /// additionally switches the ×pipes master NIs into open-loop
+    /// pending-queue injection (xpipes fabric only, mutually exclusive
+    /// with fault injection) and extends the run until the network
+    /// backlog drains.
     void load_stochastic(const std::vector<tg::StochasticConfig>& configs,
                          const apps::Workload& context,
-                         const tg::SourceConfig& source);
+                         const tg::SourceConfig& source = {});
 
     /// Runs until every master halts or `max_cycles` elapse.
     [[nodiscard]] RunResult run(Cycle max_cycles);
@@ -183,9 +179,9 @@ private:
     [[nodiscard]] bool all_done() const;
 
     PlatformConfig cfg_;
-    /// Source mode for stochastic masters (closed unless the SourceConfig
-    /// overload of load_stochastic asked for open) — drives the open-loop
-    /// drain condition in all_done() and the cycle accounting in run().
+    /// Source mode for stochastic masters (closed unless load_stochastic
+    /// asked for open) — drives the open-loop drain condition in
+    /// all_done() and the cycle accounting in run().
     tg::SourceConfig source_{};
     sim::Kernel kernel_;
     /// Structure-of-arrays store owning all wire state: masters first (so

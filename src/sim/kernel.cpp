@@ -303,16 +303,6 @@ bool Kernel::run_until(const std::function<bool()>& done, Cycle max_cycles,
     return done();
 }
 
-void Kernel::notify(Clocked& component) {
-    if (parked_count_ == 0) return;
-    for (u32 p = 0; p < hot_.size(); ++p) {
-        if (hot_[p].component == &component) {
-            if (hot_[p].parked) wake(p);
-            return;
-        }
-    }
-}
-
 const std::string& Kernel::component_name(std::size_t index) const {
     if (index >= slots_.size()) throw std::out_of_range{"Kernel::component_name"};
     return slots_[index].name;

@@ -177,13 +177,6 @@ public:
     bool run_until(const std::function<bool()>& done, Cycle max_cycles,
                    Cycle check_interval = 1);
 
-    /// Wake hook: re-arms `component` immediately if it is parked (its
-    /// skipped cycles are settled via advance(); it evals from the next
-    /// cycle on). For external agents that change component-visible state
-    /// outside the wire/timer protocol.
-    /// Callable between ticks; unknown components are ignored.
-    void notify(Clocked& component);
-
     /// Number of registered components.
     [[nodiscard]] std::size_t component_count() const noexcept { return slots_.size(); }
     /// Number of currently parked (clock-gated) components; diagnostics.

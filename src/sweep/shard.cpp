@@ -599,10 +599,6 @@ std::optional<ShardSpec> parse_shard(const std::string& s) {
     return spec;
 }
 
-bool meta_compatible(const SweepMeta& a, const SweepMeta& b) {
-    return meta_diff(a, b).empty();
-}
-
 std::string meta_diff(const SweepMeta& a, const SweepMeta& b) {
     if (a.app != b.app) return "app";
     if (a.n_cores != b.n_cores) return "cores";
@@ -810,15 +806,6 @@ std::optional<ParsedReport> parse_report_file(const std::string& path,
     std::optional<ParsedReport> out = read_report(in, input_bytes(f.get()), error);
     if (!out && error != nullptr) *error = path + ": " + *error;
     return out;
-}
-
-bool parse_result_row(const std::string& line, SweepResult* out,
-                      std::string* error) {
-    Reader in{line};
-    *out = SweepResult{}; // optional blocks must not inherit a reused row's state
-    bool ok = read_row(in, *out);
-    if (ok && !in.at_end()) ok = in.fail("trailing characters");
-    return ok || set_error(error, "bad row: " + in.error());
 }
 
 std::optional<ParsedReport> merge_reports(std::vector<ParsedReport> shards,

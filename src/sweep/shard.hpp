@@ -33,18 +33,13 @@ namespace tgsim::sweep {
 /// Parses "k/N" (e.g. "0/3"); nullopt unless 0 <= k < N and N >= 1.
 [[nodiscard]] std::optional<ShardSpec> parse_shard(const std::string& s);
 
-/// True when two report headers describe the same campaign — same app,
-/// cores, max_cycles, tier, seed, grid size, funnel budget and shard
-/// count. `jobs` and `shard.index` are deliberately ignored: different
-/// shards (and a resumed run on a different machine) legitimately differ
-/// in both.
-[[nodiscard]] bool meta_compatible(const SweepMeta& a, const SweepMeta& b);
-
 /// Name of the first header field on which the two campaigns differ
 /// ("app", "cores", "max_cycles", "tier", "seed", "n_candidates",
-/// "funnel_top", "shard_count"), or "" when meta_compatible(a, b). Merge
-/// and resume diagnostics name the offending field instead of a generic
-/// "metadata mismatch".
+/// "funnel_top", "shard_count"), or "" when both headers describe the
+/// same campaign. `jobs` and `shard.index` are deliberately ignored:
+/// different shards (and a resumed run on a different machine)
+/// legitimately differ in both. Merge and resume diagnostics name the
+/// offending field instead of a generic "metadata mismatch".
 [[nodiscard]] std::string meta_diff(const SweepMeta& a, const SweepMeta& b);
 
 /// Rewrites (meta, rows) into the canonical deterministic form: jobs = 0
@@ -114,15 +109,11 @@ private:
 [[nodiscard]] std::optional<ParsedReport> parse_report_file(
     const std::string& path, std::string* error);
 
-/// Parses one candidate-row object (a journal line). False + *error when
-/// `line` is not exactly a row in the json_report format.
-[[nodiscard]] bool parse_result_row(const std::string& line, SweepResult* out,
-                                    std::string* error);
-
 /// Merges N shard reports back into the canonical single-run report.
 /// Hard-checks the cross-shard invariants and fails (nullopt + *error)
 /// on any violation:
-///   - all headers meta_compatible, with shard.count == number of reports;
+///   - no meta_diff between headers, with shard.count == number of
+///     reports;
 ///   - shard indices distinct and complete (no duplicate, no missing
 ///     shard);
 ///   - every row owned by its report's shard (shard_of(index, N) == k),

@@ -432,24 +432,11 @@ bool write_json_report(const std::vector<SweepResult>& results,
 
 SweepDriver::SweepDriver(const std::vector<tg::TgProgram>& programs,
                          apps::Workload context)
-    : SweepDriver(tg::assemble_all(programs), std::move(context)) {}
-
-SweepDriver::SweepDriver(std::vector<tg::AssembledTg> binaries,
-                         apps::Workload context)
-    : n_cores_(static_cast<u32>(binaries.size())),
-      binaries_(std::move(binaries)),
+    : n_cores_(static_cast<u32>(programs.size())),
+      binaries_(tg::assemble_all(programs)),
       context_(std::move(context)) {
     if (n_cores_ == 0)
         throw std::invalid_argument{"SweepDriver: empty TG payload"};
-}
-
-SweepDriver::SweepDriver(std::vector<tg::StochasticConfig> configs,
-                         apps::Workload context)
-    : n_cores_(static_cast<u32>(configs.size())),
-      stochastic_(std::move(configs)),
-      context_(std::move(context)) {
-    if (n_cores_ == 0)
-        throw std::invalid_argument{"SweepDriver: empty stochastic payload"};
 }
 
 SweepDriver::SweepDriver(tg::PatternConfig pattern, apps::Workload context)
@@ -461,7 +448,7 @@ SweepDriver::SweepDriver(tg::PatternConfig pattern, apps::Workload context)
 
 /// Thread-private scratch: the seeded per-core config vector is reused
 /// across a worker's candidate evaluations instead of being reallocated
-/// (and, for the stochastic payload, deep-copied) once per candidate.
+/// once per candidate.
 struct SweepDriver::EvalScratch {
     std::vector<tg::StochasticConfig> configs;
 };
@@ -479,19 +466,14 @@ SweepResult SweepDriver::evaluate(const Candidate& cand, u32 index,
         r.fabric = describe_fabric(cfg);
 
         platform::Platform p{cfg};
-        if (!binaries_.empty()) {
-            p.load_tg_binaries(binaries_, context_);
-        } else if (pattern_) {
+        if (pattern_) {
             tg::compile_patterns(*pattern_, cand.source, scratch.configs);
             for (u32 core = 0; core < n_cores_; ++core)
                 scratch.configs[core].seed = derive_seed(opts.seed, index, core);
             p.load_stochastic(scratch.configs, context_, cand.source);
             r.offered_rate = tg::offered_rate(*pattern_, cand.source);
         } else {
-            scratch.configs = stochastic_; // assignment reuses capacity
-            for (u32 core = 0; core < n_cores_; ++core)
-                scratch.configs[core].seed = derive_seed(opts.seed, index, core);
-            p.load_stochastic(scratch.configs, context_, cand.source);
+            p.load_tg_binaries(binaries_, context_);
         }
         const platform::RunResult res = p.run(opts.max_cycles);
         r.completed = res.completed;
@@ -571,7 +553,7 @@ SweepResult SweepDriver::evaluate(const Candidate& cand, u32 index,
         if (!res.completed) {
             r.error = "timeout/livelock within the cycle budget";
             r.failure = FailureKind::Timeout;
-        } else if (opts.run_checks && !binaries_.empty()) {
+        } else if (opts.run_checks && !pattern_) {
             std::string msg;
             r.checks_ok = p.run_checks(context_, &msg);
             if (!r.checks_ok) {
@@ -579,7 +561,7 @@ SweepResult SweepDriver::evaluate(const Candidate& cand, u32 index,
                 r.failure = FailureKind::ChecksFailed;
             }
         } else {
-            r.checks_ok = true; // nothing to check (stochastic payload)
+            r.checks_ok = true; // nothing to check (pattern payload)
         }
 
         if (opts.with_cpu_truth) {

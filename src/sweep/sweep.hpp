@@ -5,8 +5,8 @@
 // candidate fabrics with the cheap TG platform. Every candidate evaluation
 // is an independent simulation, and since the SoA ChannelStore a Platform
 // owns ALL of its wire state, candidates can run concurrently with no
-// sharing at all. SweepDriver holds the shared read-only inputs (the
-// pre-assembled TG binaries or stochastic base configs, plus the workload
+// sharing at all. SweepDriver holds the shared read-only inputs (the TG
+// binaries, assembled once, or a traffic pattern, plus the workload
 // context), fans the candidate list out across a fixed-size worker pool,
 // and aggregates per-candidate results in deterministic candidate order.
 //
@@ -28,7 +28,6 @@
 #include "platform/platform.hpp"
 #include "tg/patterns.hpp"
 #include "tg/program.hpp"
-#include "tg/stochastic.hpp"
 
 namespace tgsim::sweep {
 
@@ -88,7 +87,7 @@ struct SweepOptions {
     /// column); requires the context workload to carry per-core code.
     bool with_cpu_truth = false;
     /// Verify the workload's memory checks after each TG replay (skipped
-    /// for stochastic payloads, which do not compute the workload).
+    /// for pattern payloads, which do not compute the workload).
     bool run_checks = true;
     /// Base for per-candidate stochastic reseeding (see derive_seed()).
     u64 seed = 0x5EEDBA5Eu;
@@ -391,23 +390,14 @@ void append_result_row(std::string& out, const SweepResult& r);
 
 /// Evaluates candidate fabrics against one fixed payload.
 ///
-/// The payload — TG programs (assembled once at construction) or
-/// stochastic base configs — and the workload context are immutable for
-/// the driver's lifetime; run() is const and thread-safe.
+/// The payload — TG programs (assembled once at construction) or a
+/// traffic pattern — and the workload context are immutable for the
+/// driver's lifetime; run() is const and thread-safe.
 class SweepDriver {
 public:
     /// TG payload: pre-translated programs, assembled once here. Workers
     /// inject the shared binaries (no re-translation, no re-assembly).
     SweepDriver(const std::vector<tg::TgProgram>& programs,
-                apps::Workload context);
-
-    /// Pre-assembled TG payload (e.g. loaded from .bin files).
-    SweepDriver(std::vector<tg::AssembledTg> binaries, apps::Workload context);
-
-    /// Stochastic payload (related-work baseline sweeps). The per-config
-    /// `seed` fields are ignored; workers reseed each candidate from
-    /// derive_seed(options.seed, candidate_index, core).
-    SweepDriver(std::vector<tg::StochasticConfig> configs,
                 apps::Workload context);
 
     /// Synthetic traffic-pattern payload (src/tg/patterns.hpp): per-core
@@ -452,9 +442,8 @@ private:
         const std::vector<u32>* subset) const;
 
     u32 n_cores_ = 0;
-    std::vector<tg::AssembledTg> binaries_;       ///< TG payload (if any)
-    std::vector<tg::StochasticConfig> stochastic_; ///< stochastic payload
-    std::optional<tg::PatternConfig> pattern_;    ///< pattern payload
+    std::vector<tg::AssembledTg> binaries_;    ///< TG payload (if any)
+    std::optional<tg::PatternConfig> pattern_; ///< pattern payload
     apps::Workload context_;
 };
 

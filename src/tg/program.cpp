@@ -369,15 +369,6 @@ TgProgram program_from_text(const std::string& text) {
     return ProgramReader{text}.read();
 }
 
-std::size_t encoded_word_count(const TgProgram& prog) {
-    std::size_t words = 0;
-    for (const TgInstr& in : prog.instrs) {
-        const TgOpInfo* info = op_info(in.op);
-        words += info != nullptr ? info->words(in.imm) : 1;
-    }
-    return words;
-}
-
 std::vector<u32> assemble(const TgProgram& prog) {
     // First pass: validate, and find the word offset of every instruction.
     std::vector<u32> offsets;

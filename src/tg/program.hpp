@@ -106,7 +106,4 @@ struct AssembledTg {
 /// [1, ocp::kMaxBurstLen], or a branch into the middle of an instruction.
 [[nodiscard]] TgProgram disassemble(const std::vector<u32>& image);
 
-/// Instruction count and word size diagnostics.
-[[nodiscard]] std::size_t encoded_word_count(const TgProgram& prog);
-
 } // namespace tgsim::tg

@@ -11,6 +11,7 @@
 #include "analytic/analytic.hpp"
 #include "sweep/sweep.hpp"
 #include "tg/patterns.hpp"
+#include "tg/program.hpp"
 
 namespace tgsim::analytic {
 namespace {
@@ -165,12 +166,9 @@ apps::Workload empty_context() {
 TEST(Funnel, TiersNeedPatternPayload) {
     apps::Workload env;
     env.cores.resize(2);
-    std::vector<tg::StochasticConfig> configs(2);
-    for (auto& c : configs) {
-        c.total_transactions = 10;
-        c.targets = {{platform::kSharedBase, 0x1000, 1}};
-    }
-    const sweep::SweepDriver driver{configs, env};
+    std::vector<tg::TgProgram> programs(2);
+    for (tg::TgProgram& p : programs) p.instrs.emplace_back(); // Halt
+    const sweep::SweepDriver driver{programs, env};
     sweep::SweepOptions opts;
     opts.tier = sweep::Tier::Analytic;
     EXPECT_THROW((void)driver.run({mesh_candidate(2, 2, 4, 0.0)}, opts),

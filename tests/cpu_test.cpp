@@ -53,14 +53,6 @@ TEST(Isa, MemEncodingPlacesDataRegister) {
     EXPECT_EQ(st.rs, 6);
 }
 
-TEST(Isa, DisassembleProducesMnemonics) {
-    EXPECT_EQ(cpu::disassemble(cpu::encode_rrr(Op::Add, Reg::R1, Reg::R2, Reg::R3)),
-              "add r1, r2, r3");
-    EXPECT_EQ(cpu::disassemble(cpu::encode_mem(Op::Ld, Reg::R4, Reg::R5, 8)),
-              "ld r4, [r5+8]");
-    EXPECT_EQ(cpu::disassemble(u32(Op::Halt) << 24), "halt");
-}
-
 // --- Assembler ---
 
 TEST(Assembler, ResolvesForwardAndBackwardLabels) {

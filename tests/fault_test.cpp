@@ -557,7 +557,7 @@ TEST(FaultSweep, FabricStringAndReportRoundTrip) {
     sweep::append_result_row(line, r);
     sweep::SweepResult parsed;
     std::string err;
-    ASSERT_TRUE(sweep::parse_result_row(line, &parsed, &err)) << err;
+    ASSERT_TRUE(test::parse_row(line, &parsed, &err)) << err;
     // Round trip is exact on integers and stable (to the printed
     // precision) on doubles: re-serializing the parsed row reproduces the
     // original line byte for byte — the property shard merges rely on.
@@ -582,7 +582,7 @@ TEST(FaultSweep, MetaDiffNamesTheOffendingField) {
     a.seed = 1;
     sweep::SweepMeta b = a;
     EXPECT_EQ(sweep::meta_diff(a, b), "");
-    EXPECT_TRUE(sweep::meta_compatible(a, b));
+    EXPECT_TRUE(sweep::meta_diff(a, b).empty());
     b.seed = 2;
     EXPECT_EQ(sweep::meta_diff(a, b), "seed");
     b = a;
@@ -591,7 +591,7 @@ TEST(FaultSweep, MetaDiffNamesTheOffendingField) {
     b = a;
     b.shard.count = 3;
     EXPECT_EQ(sweep::meta_diff(a, b), "shard_count");
-    EXPECT_FALSE(sweep::meta_compatible(a, b));
+    EXPECT_FALSE(sweep::meta_diff(a, b).empty());
 }
 
 // --- semaphores under faults: a replayed read must not re-take the lock ---

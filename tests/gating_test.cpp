@@ -340,20 +340,6 @@ TEST(GatingKernel, ParksIdleComponentsAndReportsCount) {
     EXPECT_EQ(k.parked_count(), 0u);
 }
 
-TEST(GatingKernel, NotifyRearmsParkedComponent) {
-    sim::Kernel k;
-    ocp::Channel ch;
-    mem::MemorySlave mem{ch, mem::SlaveTiming{1, 1, 1}, 0x1000, 0x100, "m"};
-    k.add(mem, sim::kStageSlave);
-    k.run(5);
-    ASSERT_EQ(k.parked_count(), 1u);
-    k.notify(mem);
-    EXPECT_EQ(k.parked_count(), 0u);
-    k.notify(mem); // idempotent, unknown component ignored too
-    sim::Kernel other;
-    other.notify(mem);
-}
-
 TEST(GatingKernel, CheckIntervalDoesNotChangeCompletion) {
     const apps::Workload w = apps::make_mp_matrix({2, 8});
     Cycle cycles[3];

@@ -22,6 +22,7 @@
 #include "apps/apps.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
+#include "test_util.hpp"
 #include "tg/patterns.hpp"
 
 namespace tgsim::sweep {
@@ -336,7 +337,7 @@ TEST(Journal, RoundTripsRowsVerbatim) {
 
     const auto journal = load_journal(path, &err);
     ASSERT_TRUE(journal.has_value()) << err;
-    EXPECT_TRUE(meta_compatible(journal->meta, meta));
+    EXPECT_TRUE(meta_diff(journal->meta, meta).empty());
     ASSERT_EQ(journal->rows.size(), rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         // Serialized-text identity — the property resume actually needs.
@@ -545,7 +546,7 @@ TEST(RowParse, RoundTripsEveryFieldShape) {
 
     SweepResult parsed;
     std::string err;
-    ASSERT_TRUE(parse_result_row(line, &parsed, &err)) << err;
+    ASSERT_TRUE(test::parse_row(line, &parsed, &err)) << err;
     EXPECT_TRUE(bit_identical(parsed, r)) << line;
     EXPECT_EQ(parsed.wall_seconds, r.wall_seconds);
     std::string again;
@@ -560,7 +561,7 @@ TEST(RowParse, RoundTripsEveryFieldShape) {
     append_result_row(line, base);
     EXPECT_EQ(line.find("\"cpu_completed\""), std::string::npos);
     EXPECT_EQ(line.find("\"fault_injected\""), std::string::npos);
-    ASSERT_TRUE(parse_result_row(line, &parsed, &err)) << err;
+    ASSERT_TRUE(test::parse_row(line, &parsed, &err)) << err;
     again.clear();
     append_result_row(again, parsed);
     EXPECT_EQ(again, line);
@@ -592,11 +593,11 @@ TEST(RowParse, RejectsAPartialRowNamingTheMissingKey) {
 #undef TGSIM_ROW_NAME
          }) {
         err.clear();
-        EXPECT_FALSE(parse_result_row(drop_key(line, key), &out, &err)) << key;
+        EXPECT_FALSE(test::parse_row(drop_key(line, key), &out, &err)) << key;
         EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
     }
     // "ok" is derived from "error": a row without it still parses.
-    EXPECT_TRUE(parse_result_row(drop_key(line, "ok"), &out, &err)) << err;
+    EXPECT_TRUE(test::parse_row(drop_key(line, "ok"), &out, &err)) << err;
 }
 
 TEST(RowParse, RejectsIllTypedValues) {
@@ -613,16 +614,16 @@ TEST(RowParse, RejectsIllTypedValues) {
     };
     const std::string index = "\"index\": " + std::to_string(r.index);
     EXPECT_FALSE(
-        parse_result_row(replace(index, "\"index\": 4294967296"), &out, &err));
+        test::parse_row(replace(index, "\"index\": 4294967296"), &out, &err));
     EXPECT_NE(err.find("field 'index' overflows u32"), std::string::npos)
         << err;
-    EXPECT_FALSE(parse_result_row(
+    EXPECT_FALSE(test::parse_row(
         replace("\"checks_failed\"", "\"exploded\""), &out, &err));
     EXPECT_NE(err.find("unknown failure kind 'exploded'"), std::string::npos)
         << err;
     const std::string cycles = "\"cycles\": " + std::to_string(r.cycles);
     EXPECT_FALSE(
-        parse_result_row(replace(cycles, "\"cycles\": \"many\""), &out, &err));
+        test::parse_row(replace(cycles, "\"cycles\": \"many\""), &out, &err));
     EXPECT_NE(err.find("field 'cycles' missing or not a number"),
               std::string::npos)
         << err;
@@ -631,9 +632,9 @@ TEST(RowParse, RejectsIllTypedValues) {
 TEST(RowParse, RejectsNonRowInput) {
     SweepResult out;
     std::string err;
-    EXPECT_FALSE(parse_result_row("not json", &out, &err));
-    EXPECT_FALSE(parse_result_row("[1, 2]", &out, &err));
-    EXPECT_FALSE(parse_result_row("{\"name\": \"x\"}", &out, &err)); // fields
+    EXPECT_FALSE(test::parse_row("not json", &out, &err));
+    EXPECT_FALSE(test::parse_row("[1, 2]", &out, &err));
+    EXPECT_FALSE(test::parse_row("{\"name\": \"x\"}", &out, &err)); // fields
 }
 
 TEST(RowParse, AHandWrittenAnalyticFalseStillRequiresItsBlock) {
@@ -648,11 +649,11 @@ TEST(RowParse, AHandWrittenAnalyticFalseStillRequiresItsBlock) {
     line.replace(line.find(on), on.size(), "\"analytic\": false");
     SweepResult out;
     std::string err;
-    ASSERT_TRUE(parse_result_row(line, &out, &err)) << err;
+    ASSERT_TRUE(test::parse_row(line, &out, &err)) << err;
     EXPECT_FALSE(out.analytic);
     EXPECT_EQ(out.predicted_saturation, 0.25);
     EXPECT_FALSE(
-        parse_result_row(drop_key(line, "predicted_saturation"), &out, &err));
+        test::parse_row(drop_key(line, "predicted_saturation"), &out, &err));
     EXPECT_NE(err.find("field 'predicted_saturation' missing"), std::string::npos)
         << err;
 }
@@ -819,7 +820,7 @@ TEST(ReportReader, ShuffledAndUnknownKeysParseToTheSameRow) {
             shuffled += (i == 0 ? "" : ",\n ") + pairs[i];
         shuffled += "}";
         SweepResult parsed;
-        ASSERT_TRUE(parse_result_row(shuffled, &parsed, &err))
+        ASSERT_TRUE(test::parse_row(shuffled, &parsed, &err))
             << err << "\n" << shuffled;
         ASSERT_EQ(row_text(parsed), line) << shuffled;
     }
@@ -916,8 +917,6 @@ void expect_value_or_line_error(const std::string& input,
     check(parse_report_text(input, &err).has_value(), "parse_report_text");
     check(parse_report_file(path, &err).has_value(), "parse_report_file");
     check(load_journal(path, &err).has_value(), "load_journal");
-    SweepResult row;
-    check(parse_result_row(input, &row, &err), "parse_result_row");
 }
 
 TEST(ReportReaderFuzz, AnyInputYieldsAReportOrALineNumberedError) {

@@ -1,7 +1,7 @@
 // Tests for the traffic-source construction surface (src/tg/source.hpp)
 // and the open-loop injection mode behind it (docs/traffic.md): the
-// per-packet latency decomposition invariant, closed-mode equivalence
-// with the legacy load_stochastic path, open-loop sweep bit-identity at
+// per-packet latency decomposition invariant, a closed-mode run that
+// leaves the open-loop series empty, open-loop sweep bit-identity at
 // any worker count, the open-loop saturation triggers, and the JSON
 // round-trip of the open result block.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "platform/platform.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
+#include "test_util.hpp"
 #include "tg/patterns.hpp"
 #include "tg/source.hpp"
 
@@ -127,9 +128,9 @@ TEST(OpenLoop, MaxOutstandingBoundsInFlightReads) {
     EXPECT_GT(bounded.res.cycles, unbounded.res.cycles);
 }
 
-/// The 3-arg load_stochastic with a default (closed) SourceConfig is the
-/// legacy 2-arg path, sample for sample: same cycles, same end-to-end
-/// latency series bit for bit, and no open-loop series at all.
+/// The legacy two-argument load_stochastic call takes the default source,
+/// closed loop: the run completes and leaves the open-loop
+/// instrumentation empty.
 TEST(ClosedLoop, SourceOverloadReproducesLegacyPathBitForBit) {
     tg::PatternConfig pc;
     pc.pattern = tg::Pattern::Neighbor;
@@ -148,34 +149,15 @@ TEST(ClosedLoop, SourceOverloadReproducesLegacyPathBitForBit) {
     apps::Workload context;
     context.cores.resize(4);
 
-    const auto configs = tg::make_pattern_configs(pc);
-
-    platform::Platform legacy{cfg};
-    legacy.load_stochastic(configs, context);
-    const auto legacy_res = legacy.run(2'000'000);
-    const auto* legacy_net =
-        dynamic_cast<const ic::XpipesNetwork*>(&legacy.interconnect());
-    ASSERT_NE(legacy_net, nullptr);
-
-    platform::Platform routed{cfg};
-    routed.load_stochastic(configs, context, tg::SourceConfig{});
-    const auto routed_res = routed.run(2'000'000);
-    const auto* routed_net =
-        dynamic_cast<const ic::XpipesNetwork*>(&routed.interconnect());
-    ASSERT_NE(routed_net, nullptr);
-
-    ASSERT_TRUE(legacy_res.completed);
-    ASSERT_TRUE(routed_res.completed);
-    EXPECT_EQ(legacy_res.cycles, routed_res.cycles);
-    const auto& a = legacy_net->stats();
-    const auto& b = routed_net->stats();
-    EXPECT_EQ(a.packet_latency.samples(), b.packet_latency.samples());
-    EXPECT_EQ(a.packets_sent, b.packets_sent);
-    EXPECT_EQ(a.busy_cycles, b.busy_cycles);
-    // Closed mode never populates the open-loop instrumentation.
-    EXPECT_EQ(b.net_latency.summary().count, 0u);
-    EXPECT_EQ(b.source_q_latency.summary().count, 0u);
-    EXPECT_EQ(b.pending_peak, 0u);
+    platform::Platform p{cfg};
+    p.load_stochastic(tg::make_pattern_configs(pc), context);
+    ASSERT_TRUE(p.run(2'000'000).completed);
+    const auto* net = dynamic_cast<const ic::XpipesNetwork*>(&p.interconnect());
+    ASSERT_NE(net, nullptr);
+    const ic::XpipesStats& stats = net->stats();
+    EXPECT_EQ(stats.net_latency.summary().count, 0u);
+    EXPECT_EQ(stats.source_q_latency.summary().count, 0u);
+    EXPECT_EQ(stats.pending_peak, 0u);
 }
 
 TEST(OpenLoop, RejectsNonXpipesFabricAndFaultInjection) {
@@ -370,7 +352,7 @@ TEST(OpenSaturation, InNetworkLatencyBlowupIsTheKnee) {
 }
 
 /// The open block survives the report round-trip: append_result_row ->
-/// parse_result_row reproduces the row bit for bit (the property the
+/// the report reader reproduces the row bit for bit (the property the
 /// shard/merge/resume machinery rests on, docs/sweep.md).
 TEST(OpenReport, ResultRowRoundTripsBitIdentical) {
     sweep::SweepResult r = open_point(0.40, 0.21, 17.25, 64);
@@ -395,7 +377,7 @@ TEST(OpenReport, ResultRowRoundTripsBitIdentical) {
     sweep::append_result_row(line, r);
     sweep::SweepResult parsed;
     std::string error;
-    ASSERT_TRUE(sweep::parse_result_row(line, &parsed, &error)) << error;
+    ASSERT_TRUE(test::parse_row(line, &parsed, &error)) << error;
     EXPECT_TRUE(sweep::bit_identical(parsed, r));
 
     // A closed row must not grow an open block on the way through.
@@ -409,7 +391,7 @@ TEST(OpenReport, ResultRowRoundTripsBitIdentical) {
     sweep::append_result_row(line, closed);
     EXPECT_EQ(line.find("pending_limit"), std::string::npos);
     sweep::SweepResult closed_parsed;
-    ASSERT_TRUE(sweep::parse_result_row(line, &closed_parsed, &error))
+    ASSERT_TRUE(test::parse_row(line, &closed_parsed, &error))
         << error;
     EXPECT_FALSE(closed_parsed.has_open);
     EXPECT_TRUE(sweep::bit_identical(closed_parsed, closed));

@@ -1,7 +1,7 @@
 // Tests for the parallel design-space sweep driver (src/sweep/): worker-count
 // invariance (the share-nothing contract of docs/sweep.md), per-candidate
-// error propagation, deterministic RNG derivation, the pre-assembled binary
-// injection path, and the JSON report golden.
+// error propagation, deterministic RNG derivation and the JSON report
+// golden.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -150,48 +150,6 @@ TEST(SweepDriver, TimeoutIsReportedPerCandidate) {
         EXPECT_EQ(r.failure, FailureKind::Timeout);
         EXPECT_NE(r.error.find("timeout"), std::string::npos) << r.error;
     }
-}
-
-TEST(SweepDriver, StochasticPayloadIsJobsInvariant) {
-    // Stochastic candidates draw every gap and address from their RNG; the
-    // per-candidate seeds are derived from the candidate INDEX, so results
-    // cannot depend on which worker ran them, in which order.
-    const u32 cores = 2;
-    apps::Workload env;
-    env.cores.resize(cores);
-    std::vector<tg::StochasticConfig> configs(cores);
-    for (auto& c : configs) {
-        c.total_transactions = 300;
-        c.targets = {{platform::kSharedBase, 0x1000, 1}};
-    }
-    SweepDriver driver{configs, env};
-    const std::vector<Candidate> grid = small_grid();
-
-    SweepOptions opts;
-    opts.jobs = 1;
-    const auto base = driver.run(grid, opts);
-    opts.jobs = 4;
-    const auto par = driver.run(grid, opts);
-    ASSERT_EQ(base.size(), par.size());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_TRUE(base[i].ok()) << base[i].error;
-        EXPECT_TRUE(bit_identical(par[i], base[i])) << grid[i].name;
-    }
-    // Different candidates got different traffic (distinct derived seeds):
-    // identical per-core halt cycles across fabrics would be suspicious.
-    EXPECT_NE(base[0].per_core, base[1].per_core);
-}
-
-TEST(SweepDriver, BinaryPayloadMatchesProgramPayload) {
-    const Payload p = make_payload();
-    SweepDriver from_programs{p.programs, p.w};
-    SweepDriver from_binaries{tg::assemble_all(p.programs), p.w};
-    const std::vector<Candidate> grid = small_grid();
-    const auto a = from_programs.run(grid, {});
-    const auto b = from_binaries.run(grid, {});
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_TRUE(bit_identical(a[i], b[i])) << grid[i].name;
 }
 
 TEST(Seeds, DeriveSeedIsStableAndCollisionFree) {

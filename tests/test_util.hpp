@@ -3,13 +3,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "ic/xpipes/xpipes.hpp"
 #include "mem/memory.hpp"
 #include "platform/platform.hpp"
+#include "sweep/shard.hpp"
 #include "tg/program.hpp"
 #include "tg/translator.hpp"
 
@@ -275,6 +278,26 @@ inline void push_burst_flow(TestMaster& m, u32 reps) {
         m.push({ocp::Cmd::BurstWrite, addr, 8, beats, 0});
         m.push({ocp::Cmd::BurstRead, addr, 8, {}, 0});
     }
+}
+
+/// Parses one candidate row (a journal line) the way reports are read: as
+/// the only row of a report with a default header, through
+/// sweep::parse_report_text. False + *error unless `line` is exactly one
+/// row in the json_report format.
+inline bool parse_row(const std::string& line, sweep::SweepResult* out,
+                      std::string* error) {
+    std::string text = "{\"sweep\": ";
+    sweep::append_sweep_meta(text, sweep::SweepMeta{});
+    text += ", \"candidates\": [" + line + "]}";
+    std::optional<sweep::ParsedReport> report =
+        sweep::parse_report_text(text, error);
+    if (!report) return false;
+    if (report->rows.size() != 1) {
+        *error = "not one row: " + std::to_string(report->rows.size());
+        return false;
+    }
+    *out = std::move(report->rows.front());
+    return true;
 }
 
 } // namespace tgsim::test

@@ -634,7 +634,7 @@ TEST(TopoShard, MergedShardsAreByteIdenticalToUnshardedRun) {
 TEST(TopoShard, MixedTopologyCampaignsRefuseToMerge) {
     // The topology axis is campaign identity: a torus shard must never
     // merge into a mesh campaign. Identity rides meta.app (the " topo="
-    // suffix tgsim_sweep appends), which meta_compatible hard-checks.
+    // suffix tgsim_sweep appends), which meta_diff hard-checks.
     const TopoCampaign c;
     std::vector<sweep::ParsedReport> shards;
     for (u32 k = 0; k < 2; ++k) {
