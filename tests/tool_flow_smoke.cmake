@@ -13,8 +13,9 @@
 #
 # PART=flags checks that every tool answers --help with exit 0 and an
 # undeclared flag with exit 1, and that tgsim_sweep's pattern mode refuses
-# a --burst-len above ocp::kMaxBurstLen and a --reads fraction above 1 and
-# its traced mode a pattern-shape flag.
+# a --burst-len above ocp::kMaxBurstLen, a --reads fraction above 1 and a
+# --funnel-top without --tier=funnel, and its traced mode a pattern-shape
+# flag.
 #
 # PART=shard runs a small funnel sweep whole and as three shard processes
 # (one after another), merges the shards with tgsim_merge, and requires the
@@ -175,6 +176,10 @@ elseif(PART STREQUAL "flags")
                    --burst-len=${len})
   endforeach()
   expect_refusal("--reads" tgsim_sweep ${small} --reads=1.5)
+  # A survivor budget without the funnel tier would be ignored.
+  expect_refusal("--funnel-top: needs --tier=funnel" tgsim_sweep
+                 --pattern=transpose --funnel-top=3 --rates=0.01 --packets=10
+                 --mesh=5x4)
   # Without --pattern there is no payload to shape.
   expect_refusal("--burst-len" tgsim_sweep --burst-len=8)
 elseif(PART STREQUAL "shard")

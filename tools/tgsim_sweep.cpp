@@ -56,7 +56,8 @@
 // screens analytically and cycle-simulates only the --funnel-top best
 // predictions (plus any fabric outside the model), which is the route to
 // very large grids. Funnel survivor rows are bit-identical to an all-cycle
-// run at any --jobs. Analytic/funnel tiers require --pattern.
+// run at any --jobs. Analytic/funnel tiers require --pattern, and
+// --funnel-top requires --tier=funnel.
 // --source=open switches every candidate to open-loop sources
 // (docs/traffic.md): offered load keeps arriving regardless of
 // completions, rows carry the source-queue / in-network latency split, and
@@ -581,6 +582,8 @@ int main(int argc, char** argv) {
     // Tier flags validate eagerly in both modes (fail-fast contract).
     const sweep::Tier tier = cli::get_tier(args);
     (void)cli::get_funnel_top(args);
+    if (args.has("funnel-top") && tier != sweep::Tier::Funnel)
+        cli::usage_error("funnel-top", "needs --tier=funnel");
     if (args.has("pattern")) return run_pattern_mode(args);
     // A traced sweep has no pattern payload to shape; ignoring these would
     // report a run other than the one asked for.
