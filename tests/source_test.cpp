@@ -128,9 +128,8 @@ TEST(OpenLoop, MaxOutstandingBoundsInFlightReads) {
     EXPECT_GT(bounded.res.cycles, unbounded.res.cycles);
 }
 
-/// The legacy two-argument load_stochastic call takes the default source,
-/// closed loop: the run completes and leaves the open-loop
-/// instrumentation empty.
+/// load_stochastic without a source config runs closed loop: the run
+/// completes and leaves the open-loop instrumentation empty.
 TEST(ClosedLoop, SourceOverloadReproducesLegacyPathBitForBit) {
     tg::PatternConfig pc;
     pc.pattern = tg::Pattern::Neighbor;
