@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "ic/amba/ahb_bus.hpp"
 #include "ic/xpipes/xpipes.hpp"
 #include "platform/platform.hpp"
 #include "test_util.hpp"
@@ -44,6 +45,11 @@ struct Observation {
     std::vector<std::string> traces;    ///< rendered .trc text, per master
     /// Per TG master: every TgStats field, in declaration order.
     std::vector<std::vector<u64>> tg_stats;
+    /// Per CPU: every CpuStats field, in declaration order.
+    std::vector<std::vector<u64>> cpu_stats;
+    /// AMBA only: per master, AhbStats::grants and wait_cycles.
+    std::vector<u64> ahb_grants;
+    std::vector<u64> ahb_waits;
     std::vector<u64> slave_counts;      ///< reads/writes served, per slave
     u64 ic_busy = 0;
     u64 ic_contention = 0;
@@ -72,6 +78,10 @@ void observe_fabric(platform::Platform& p, Observation& o) {
     for (u32 a = 0; a < 0x2000; a += 4)
         h = fnv_step(h, p.peek(platform::kSharedBase + a));
     o.shared_crc = h;
+    if (const auto* bus = dynamic_cast<const ic::AhbBus*>(&p.interconnect())) {
+        o.ahb_grants = bus->stats().grants;
+        o.ahb_waits = bus->stats().wait_cycles;
+    }
     if (const auto* net = dynamic_cast<const ic::XpipesNetwork*>(&p.interconnect())) {
         const stats::ReliabilityStats& r = net->stats().reliability;
         o.reliability = {r.injected,        r.delivered,       r.err_delivered,
@@ -94,6 +104,9 @@ Observation observe_cpu_run(const Workload& w, PlatformConfig cfg) {
         for (u8 r = 0; r < cpu::kNumRegs; ++r)
             regs.push_back(p.core(i).reg(static_cast<cpu::Reg>(r)));
         o.regs.push_back(std::move(regs));
+        const cpu::CpuStats& st = p.core(i).stats();
+        o.cpu_stats.push_back({st.instructions, st.loads, st.stores,
+                               st.stall_cycles, st.mem_wait_cycles, st.bus_errors});
     }
     for (const tg::Trace& t : p.traces()) o.traces.push_back(tg::to_text(t));
     observe_fabric(p, o);
@@ -132,6 +145,9 @@ void expect_identical(const Observation& a, const Observation& b,
     for (std::size_t i = 0; i < a.traces.size(); ++i)
         EXPECT_EQ(a.traces[i], b.traces[i]) << what << " trace " << i;
     EXPECT_EQ(a.tg_stats, b.tg_stats) << what;
+    EXPECT_EQ(a.cpu_stats, b.cpu_stats) << what;
+    EXPECT_EQ(a.ahb_grants, b.ahb_grants) << what;
+    EXPECT_EQ(a.ahb_waits, b.ahb_waits) << what;
     EXPECT_EQ(a.slave_counts, b.slave_counts) << what;
     EXPECT_EQ(a.ic_busy, b.ic_busy) << what;
     EXPECT_EQ(a.ic_contention, b.ic_contention) << what;
@@ -143,6 +159,8 @@ void expect_identical(const Observation& a, const Observation& b,
 
 // --- CPU reference runs (quickstart / noc_exploration shapes) ---------------
 
+// A CPU waiting on the fabric parks in MemWait and is woken in the cycle the
+// interconnect answers; with 8 CPUs every request queues behind others.
 TEST(GatingEquivalence, CpuFlowAllInterconnects) {
     struct Case {
         Workload w;
@@ -150,19 +168,68 @@ TEST(GatingEquivalence, CpuFlowAllInterconnects) {
     };
     const Case cases[] = {
         {apps::make_mp_matrix({2, 12}), 2},
+        {apps::make_mp_matrix({8, 16}), 8},
         {apps::make_des({3, 2}), 3},
         {apps::make_cacheloop({2, 4000}), 2},
     };
     for (const Case& c : cases) {
         for (const IcKind ic :
              {IcKind::Amba, IcKind::Crossbar, IcKind::Xpipes}) {
+            const std::string what = c.w.name + "/" + std::to_string(c.cores) +
+                                     "P/" + std::string(platform::to_string(ic));
             const auto gated = observe_cpu_run(c.w, cfg_for(c.cores, ic, true));
             const auto clocked =
                 observe_cpu_run(c.w, cfg_for(c.cores, ic, false));
-            expect_identical(gated, clocked,
-                             (c.w.name + "/" +
-                              std::string(platform::to_string(ic)))
-                                 .c_str());
+            EXPECT_GT(gated.cpu_stats[0][4], 0u) << what << ": no MemWait cycles";
+            expect_identical(gated, clocked, what.c_str());
+        }
+    }
+}
+
+// The per-master bus counts and every CpuStats field of two contended CPU
+// runs over AMBA round-robin, captured before CpuCore parked in MemWait:
+// parking must settle each skipped wait cycle into mem_wait_cycles, and the
+// bus must count the same grants and waits for a parked master.
+TEST(GatingEquivalence, CpuCountsOnAmbaMatchGoldens) {
+    struct Golden {
+        Workload w;
+        u32 cores;
+        std::vector<u64> grants;
+        std::vector<u64> waits;
+        std::vector<std::vector<u64>> cpu; ///< CpuStats fields per core
+    };
+    const Golden goldens[] = {
+        {apps::make_mp_matrix({8, 16}),
+         8,
+         {1012, 972, 964, 967, 977, 987, 1008, 1030},
+         {14233, 14532, 14595, 14581, 14518, 14455, 14315, 14168},
+         {{10488, 1543, 356, 4156, 18076, 0},
+          {10408, 1511, 355, 4130, 18196, 0},
+          {10392, 1503, 355, 4122, 18227, 0},
+          {10398, 1506, 355, 4125, 18225, 0},
+          {10418, 1516, 355, 4135, 18202, 0},
+          {10438, 1526, 355, 4145, 18179, 0},
+          {10480, 1547, 355, 4166, 18123, 0},
+          {10524, 1569, 355, 4188, 18064, 0}}},
+        {apps::make_des({4, 2}),
+         4,
+         {194, 195, 189, 188},
+         {1227, 1229, 1275, 1286},
+         {{4556, 621, 29, 108, 2314, 0},
+          {4526, 610, 28, 99, 2361, 0},
+          {4540, 617, 28, 106, 2344, 0},
+          {4548, 621, 28, 110, 2336, 0}}},
+    };
+    for (const Golden& g : goldens) {
+        for (const bool gating : {true, false}) {
+            PlatformConfig cfg = cfg_for(g.cores, IcKind::Amba, gating);
+            cfg.arbitration = ic::Arbitration::RoundRobin;
+            const auto o = observe_cpu_run(g.w, cfg);
+            const std::string what = g.w.name + "/" + std::to_string(g.cores) +
+                                     (gating ? "P/gated" : "P/clocked");
+            EXPECT_EQ(o.ahb_grants, g.grants) << what;
+            EXPECT_EQ(o.ahb_waits, g.waits) << what;
+            EXPECT_EQ(o.cpu_stats, g.cpu) << what;
         }
     }
 }
@@ -235,7 +302,7 @@ TEST(GatingEquivalence, TgReplayOnAFaultedTorusMatches) {
 
 TEST(GatingEquivalence, StochasticSoakMatches) {
     const Workload ctx = apps::make_cacheloop({2, 1});
-    for (const IcKind ic : {IcKind::Amba, IcKind::Crossbar}) {
+    for (const IcKind ic : {IcKind::Amba, IcKind::Crossbar, IcKind::Xpipes}) {
         Cycle cycles[2];
         std::vector<u64> counters[2];
         for (int mode = 0; mode < 2; ++mode) {
