@@ -34,6 +34,10 @@ bool CpuCore::cacheable(u32 addr) const noexcept {
 }
 
 Cycle CpuCore::quiet_for() const {
+    // Waiting on the fabric: quiet while the request (or the response wait)
+    // stays on the wires and nothing has come back; the port's s_gen watch
+    // wakes the core in the cycle the fabric answers.
+    if (state_ == State::MemWait) return port_.waiting() ? sim::kQuietForever : 0;
     if (!port_.idle()) return 0; // wires not settled
     if (state_ == State::Halted) return sim::kQuietForever;
     if (state_ == State::Stall) return stall_left_ - 1;
@@ -45,6 +49,8 @@ void CpuCore::advance(Cycle cycles) {
     if (state_ == State::Stall) {
         stall_left_ -= static_cast<u32>(cycles);
         stats_.stall_cycles += cycles;
+    } else if (state_ == State::MemWait) {
+        stats_.mem_wait_cycles += cycles;
     }
 }
 

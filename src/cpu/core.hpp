@@ -69,6 +69,10 @@ public:
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override;
     void advance(Cycle cycles) override;
+    /// Only MemWait parks on an input: the port's slave side.
+    void watch_inputs(std::vector<sim::WatchRange>& out) const override {
+        port_.watch_slave(out);
+    }
 
     [[nodiscard]] bool done() const noexcept { return state_ == State::Halted; }
     /// Cycle count at which HALT completed (valid once done()).

@@ -14,10 +14,15 @@
 //     new request, the next write beat, the switch to the response wait,
 //     or idle;
 //   * write-beat accept counting and response-beat sampling, with an Err
-//     beat read as kPoison.
+//     beat read as kPoison;
+//   * the parking rule while waiting() on the fabric: the master's
+//     quiet_for() reports quiet, and watch_slave() wakes it in the cycle
+//     the slave side moves.
 //
 // Masters keep only their policy: what to issue and when.
 #pragma once
+
+#include <vector>
 
 #include "ocp/channel.hpp"
 
@@ -141,6 +146,17 @@ public:
                ch_.s_resp() == Resp::None;
     }
     [[nodiscard]] ChannelRef channel() const noexcept { return ch_; }
+
+    /// For a master's watch_inputs(): the channel's s_gen as a same-cycle
+    /// watch (sim::WatchRange::in_update). A master parked while waiting()
+    /// samples the slave side in update(), which the interconnect drives
+    /// after the master's eval; drive() reads no wire, so the late eval is
+    /// a no-op.
+    void watch_slave(std::vector<sim::WatchRange>& out) const {
+        sim::WatchRange r = ch_.s_gen_watch();
+        r.in_update = true;
+        out.push_back(r);
+    }
 
 private:
     enum class Drive : u8 { Idle, Request, RespWait };

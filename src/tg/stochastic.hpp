@@ -62,6 +62,8 @@ public:
     void eval() override { port_.drive(); }
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override {
+        // Waiting on the fabric: woken by the port's s_gen watch.
+        if (state_ == State::MemWait) return port_.waiting() ? sim::kQuietForever : 0;
         if (!port_.idle()) return 0;
         if (state_ == State::Halted) return sim::kQuietForever;
         if (state_ == State::Gap) return gap_left_ - 1;
@@ -70,6 +72,10 @@ public:
     void advance(Cycle cycles) override {
         cycle_ += cycles;
         if (state_ == State::Gap) gap_left_ -= cycles;
+    }
+    /// Only MemWait parks on an input: the port's slave side.
+    void watch_inputs(std::vector<sim::WatchRange>& out) const override {
+        port_.watch_slave(out);
     }
 
     [[nodiscard]] bool done() const noexcept { return state_ == State::Halted; }

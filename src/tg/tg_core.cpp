@@ -40,14 +40,6 @@ void TgCore::advance(Cycle cycles) {
     }
 }
 
-void TgCore::watch_inputs(std::vector<sim::WatchRange>& out) const {
-    // Only MemWait parks on an input; update() samples the slave side, which
-    // the interconnect drives after this core's eval.
-    sim::WatchRange r = port_.channel().s_gen_watch();
-    r.in_update = true;
-    out.push_back(r);
-}
-
 void TgCore::update() {
     ++cycle_;
     switch (state_) {

@@ -135,8 +135,10 @@ public:
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override;
     void advance(Cycle cycles) override;
-    /// The channel's s_gen, as a same-cycle watch: eval() reads no wire.
-    void watch_inputs(std::vector<sim::WatchRange>& out) const override;
+    /// Only MemWait parks on an input: the port's slave side.
+    void watch_inputs(std::vector<sim::WatchRange>& out) const override {
+        port_.watch_slave(out);
+    }
 
     [[nodiscard]] bool done() const noexcept { return state_ == State::Halted; }
     [[nodiscard]] Cycle halt_cycle() const noexcept { return halt_cycle_; }

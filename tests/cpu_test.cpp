@@ -349,6 +349,149 @@ TEST(CpuExec, InstructionCountMatchesStats) {
     EXPECT_EQ(rig.p->core(0).stats().instructions, 18u); // 17 nops + halt
 }
 
+// --- Parking on the fabric ---
+
+/// A slow memory: accepts a read `delay` cycles after it appears, waits
+/// `delay` more, then returns one word per beat. The wires change, and
+/// s_gen is bumped, only when a beat's word differs from the one before.
+class SlowMemory final : public sim::Clocked {
+public:
+    SlowMemory(ocp::ChannelRef ch, std::vector<u32> words, u32 delay)
+        : ch_(ch), words_(std::move(words)), delay_(delay) {}
+    void eval() override {
+        switch (phase_) {
+            case Phase::Idle:
+                if (ch_.m_cmd() == ocp::Cmd::Idle || ++count_ < delay_) return;
+                addr_ = ch_.m_addr();
+                beats_ = ch_.m_burst();
+                ch_.s_cmd_accept() = true;
+                phase_ = Phase::Accepted;
+                break;
+            case Phase::Accepted:
+                ch_.s_cmd_accept() = false;
+                count_ = 0;
+                phase_ = Phase::Wait;
+                break;
+            case Phase::Wait:
+                if (++count_ < delay_) return;
+                ch_.s_resp() = ocp::Resp::Dva;
+                ch_.s_data() = word(0);
+                beat_ = 0;
+                phase_ = Phase::Beats;
+                break;
+            case Phase::Beats:
+                if (++beat_ < beats_) {
+                    if (word(beat_) == ch_.s_data()) return; // held: no bump
+                    ch_.s_data() = word(beat_);
+                } else {
+                    ch_.clear_response();
+                    count_ = 0;
+                    phase_ = Phase::Idle;
+                }
+                break;
+        }
+        ch_.touch_s();
+    }
+    void update() override {}
+
+private:
+    enum class Phase : u8 { Idle, Accepted, Wait, Beats };
+    [[nodiscard]] u32 word(u32 beat) const { return words_.at(addr_ / 4 + beat); }
+
+    ocp::ChannelRef ch_;
+    std::vector<u32> words_;
+    u32 delay_;
+    Phase phase_ = Phase::Idle;
+    u32 count_ = 0;
+    u32 addr_ = 0;
+    u32 beats_ = 0;
+    u32 beat_ = 0;
+};
+
+/// Never parks; counts the cycles in which its kernel held a component
+/// parked while `core` had not halted. Register it last, at the observer
+/// stage, so it samples after the core parks or wakes.
+class RunningParkCounter final : public sim::Clocked {
+public:
+    RunningParkCounter(const sim::Kernel& kernel, const cpu::CpuCore& core)
+        : kernel_(kernel), core_(core) {}
+    void eval() override {
+        if (!core_.done() && kernel_.parked_count() > 0) ++cycles;
+    }
+    void update() override {}
+
+    u64 cycles = 0;
+
+private:
+    const sim::Kernel& kernel_;
+    const cpu::CpuCore& core_;
+};
+
+TEST(CpuCore, ParksWhileTheFabricHoldsItsRequestAndCountsEveryCycle) {
+    // Gated, the core parks in MemWait while the slave neither accepts nor
+    // responds, and wakes in the cycle it does; it must not park on a beat,
+    // as the next identical beat comes without a bump. Every fetch is a
+    // held burst refill; the program holds an uncached load, then a data
+    // refill whose last three beats are one held word.
+    constexpr u32 kUncached = 0x2000;
+    constexpr u32 kLine = 0x800;
+    Assembler a;
+    a.li(Reg::R1, kUncached);
+    a.ld(Reg::R2, Reg::R1, 0);
+    a.li(Reg::R3, kLine);
+    a.ld(Reg::R4, Reg::R3, 8);
+    a.add(Reg::R5, Reg::R2, Reg::R4);
+    a.halt();
+    std::vector<u32> words = a.finish();
+    words.resize(kUncached / 4 + 1);
+    words[kUncached / 4] = 0x1200;
+    for (u32 i = 0; i < 4; ++i) words[kLine / 4 + i] = i == 0 ? 7 : 0x34;
+
+    struct Out {
+        Cycle halt = 0;
+        std::vector<u32> regs;
+        std::vector<u64> stats;
+        u64 parked_cycles = 0; ///< before the halt
+    };
+    const auto run = [&words](bool gating) {
+        sim::Kernel kernel;
+        kernel.set_gating(gating);
+        ocp::Channel ch;
+        cpu::CpuConfig cfg;
+        cfg.cacheable = {{0, 0x1000}};
+        cpu::CpuCore core{ch, cfg};
+        SlowMemory slave{ch, words, 5};
+        RunningParkCounter parked{kernel, core};
+        kernel.add(core, sim::kStageMaster);
+        kernel.add(slave, sim::kStageSlave);
+        kernel.add(parked, sim::kStageObserver);
+        core.reset(0);
+        // A coarse poll: parked components are settled only at a poll.
+        EXPECT_TRUE(kernel.run_until([&] { return core.done(); }, 10'000, 64));
+        Out out;
+        out.halt = core.halt_cycle();
+        for (u8 r = 0; r < cpu::kNumRegs; ++r)
+            out.regs.push_back(core.reg(static_cast<Reg>(r)));
+        const cpu::CpuStats& st = core.stats();
+        out.stats = {st.instructions,  st.loads,           st.stores,
+                     st.stall_cycles, st.mem_wait_cycles, st.bus_errors};
+        out.parked_cycles = parked.cycles;
+        return out;
+    };
+    const Out gated = run(true);
+    const Out clocked = run(false);
+    // Only the core can park; it parks on the fabric alone (no stalls).
+    EXPECT_EQ(gated.stats[3], 0u);
+    EXPECT_GT(gated.parked_cycles, 30u);
+    EXPECT_LT(gated.parked_cycles, gated.stats[4]);
+    EXPECT_EQ(clocked.parked_cycles, 0u);
+    EXPECT_EQ(gated.regs[5], 0x1234u);
+    EXPECT_EQ(gated.halt, clocked.halt);
+    EXPECT_EQ(gated.regs, clocked.regs);
+    EXPECT_EQ(gated.stats, clocked.stats);
+    EXPECT_GT(gated.stats[4], 30u); // mem_wait_cycles
+}
+
 // --- Cache unit behaviour ---
 
 TEST(Cache, DirectMappedConflictEviction) {
