@@ -189,9 +189,11 @@ std::vector<Candidate> make_rate_sweep(const platform::PlatformConfig& base,
         c.cfg.xpipes.collect_latency = true;
         c.source = source;
         c.source.rate = rate; // the ladder point is the offered rate
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "rate=%.4f", rate);
-        c.name = buf;
+        // "rate=%.4f": to_chars with a precision prints what printf prints.
+        char buf[400] = "rate="; // %.4f of the largest double fits
+        const auto res = std::to_chars(buf + 5, buf + sizeof buf, rate,
+                                       std::chars_format::fixed, 4);
+        c.name.assign(buf, res.ptr);
         out.push_back(std::move(c));
     }
     return out;

@@ -4,6 +4,7 @@
 // rate sweep at any --jobs and the presence of latency samples.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "platform/memory_map.hpp"
@@ -397,6 +398,19 @@ TEST(RateSweepGrid, NamesAndFlags) {
     EXPECT_EQ(cands[1].name, "rate=0.2500");
     EXPECT_TRUE(cands[0].cfg.xpipes.collect_latency);
     EXPECT_DOUBLE_EQ(cands[1].source.rate, 0.25);
+
+    // Every name is printf's "rate=%.4f": the benchmark's 500-rate ladder,
+    // the top of the range and two values that round at the fourth place.
+    std::vector<double> rates;
+    for (u32 i = 0; i < 500; ++i) rates.push_back(0.005 + (0.8 - 0.005) * i / 499);
+    for (const double r : {1.0, 0.00005, 0.00015}) rates.push_back(r);
+    const auto ladder = sweep::make_rate_sweep(base, rates);
+    ASSERT_EQ(ladder.size(), rates.size());
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        char want[64];
+        std::snprintf(want, sizeof want, "rate=%.4f", rates[i]);
+        EXPECT_EQ(ladder[i].name, want) << rates[i];
+    }
 }
 
 } // namespace
