@@ -5,14 +5,19 @@
 // grid at 1/2/4/8 workers. Two things are measured:
 //
 //   * speedup: grid wall time at N workers relative to --jobs 1 — Platforms
-//     are share-nothing, so this should track min(N, hardware threads);
+//     are share-nothing, so this should track min(N, hardware threads).
+//     Each worker count is timed as the fastest of three runs, and the
+//     candidates are sized so one --jobs 1 run takes over a second (1.1-1.6 s
+//     on a shared 4-vCPU x86-64 host): a shorter run measures host noise,
+//     not the pool;
 //   * determinism: every candidate's SweepResult must be bit-identical at
 //     every worker count (sweep::bit_identical; wall times excluded). Any
 //     mismatch is a scheduling leak into simulation state and fails the
 //     harness hard.
 //
 // Emits BENCH_sweep_scaling.json (rows: one per worker count, with
-// wall_seconds, speedup_vs_jobs1, bit_mismatches, max_cycles_delta).
+// wall_seconds, speedup_vs_jobs1, bit_mismatches over the three runs,
+// max_cycles_delta).
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -25,8 +30,9 @@
 using namespace tgsim;
 
 int main() {
+    constexpr int kReps = 3; // each worker count: fastest of three
     const u32 cores = 4;
-    const u32 size = 12 * bench::scale();
+    const u32 size = 30 * bench::scale();
     const apps::Workload w = apps::make_mp_matrix({cores, size});
 
     std::printf("=== sweep scaling: %u-core mp_matrix(%u), hardware threads: %u ===\n\n",
@@ -70,30 +76,34 @@ int main() {
         sweep::SweepOptions opts;
         opts.jobs = jobs;
         opts.max_cycles = 100'000'000;
-        sim::WallTimer timer;
-        const std::vector<sweep::SweepResult> results =
-            driver.run(candidates, opts);
-        const double wall = timer.seconds();
-        if (jobs == 1) {
-            baseline = results;
-            wall_1job = wall;
-        }
-
+        double wall = 0.0;
         u64 mismatches = 0;
         u64 max_delta = 0;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].ok()) {
-                std::fprintf(stderr, "FATAL: candidate '%s' failed: %s\n",
-                             results[i].name.c_str(),
-                             results[i].error.c_str());
-                return 1;
+        std::size_t n_results = 0;
+        for (int rep = 0; rep < kReps; ++rep) {
+            sim::WallTimer timer;
+            const std::vector<sweep::SweepResult> results =
+                driver.run(candidates, opts);
+            const double rep_wall = timer.seconds();
+            if (rep == 0 || rep_wall < wall) wall = rep_wall;
+            if (baseline.empty()) baseline = results;
+            n_results = results.size();
+
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                if (!results[i].ok()) {
+                    std::fprintf(stderr, "FATAL: candidate '%s' failed: %s\n",
+                                 results[i].name.c_str(),
+                                 results[i].error.c_str());
+                    return 1;
+                }
+                if (!sweep::bit_identical(results[i], baseline[i])) ++mismatches;
+                const u64 delta = results[i].cycles > baseline[i].cycles
+                                      ? results[i].cycles - baseline[i].cycles
+                                      : baseline[i].cycles - results[i].cycles;
+                if (delta > max_delta) max_delta = delta;
             }
-            if (!sweep::bit_identical(results[i], baseline[i])) ++mismatches;
-            const u64 delta = results[i].cycles > baseline[i].cycles
-                                  ? results[i].cycles - baseline[i].cycles
-                                  : baseline[i].cycles - results[i].cycles;
-            if (delta > max_delta) max_delta = delta;
         }
+        if (jobs == 1) wall_1job = wall;
         if (mismatches != 0) all_identical = false;
 
         const double speedup = wall > 0.0 ? wall_1job / wall : 0.0;
@@ -102,7 +112,7 @@ int main() {
                     static_cast<unsigned long long>(max_delta));
         report.add_row("jobs" + std::to_string(jobs),
                        {{"jobs", static_cast<double>(jobs)},
-                        {"candidates", static_cast<double>(results.size())},
+                        {"candidates", static_cast<double>(n_results)},
                         {"wall_seconds", wall},
                         {"speedup_vs_jobs1", speedup},
                         {"bit_mismatches", static_cast<double>(mismatches)},
