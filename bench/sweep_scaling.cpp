@@ -79,7 +79,6 @@ int main() {
         double wall = 0.0;
         u64 mismatches = 0;
         u64 max_delta = 0;
-        std::size_t n_results = 0;
         for (int rep = 0; rep < kReps; ++rep) {
             sim::WallTimer timer;
             const std::vector<sweep::SweepResult> results =
@@ -87,7 +86,6 @@ int main() {
             const double rep_wall = timer.seconds();
             if (rep == 0 || rep_wall < wall) wall = rep_wall;
             if (baseline.empty()) baseline = results;
-            n_results = results.size();
 
             for (std::size_t i = 0; i < results.size(); ++i) {
                 if (!results[i].ok()) {
@@ -112,7 +110,7 @@ int main() {
                     static_cast<unsigned long long>(max_delta));
         report.add_row("jobs" + std::to_string(jobs),
                        {{"jobs", static_cast<double>(jobs)},
-                        {"candidates", static_cast<double>(n_results)},
+                        {"candidates", static_cast<double>(candidates.size())},
                         {"wall_seconds", wall},
                         {"speedup_vs_jobs1", speedup},
                         {"bit_mismatches", static_cast<double>(mismatches)},

@@ -351,63 +351,6 @@ TEST(CpuExec, InstructionCountMatchesStats) {
 
 // --- Parking on the fabric ---
 
-/// A slow memory: accepts a read `delay` cycles after it appears, waits
-/// `delay` more, then returns one word per beat. The wires change, and
-/// s_gen is bumped, only when a beat's word differs from the one before.
-class SlowMemory final : public sim::Clocked {
-public:
-    SlowMemory(ocp::ChannelRef ch, std::vector<u32> words, u32 delay)
-        : ch_(ch), words_(std::move(words)), delay_(delay) {}
-    void eval() override {
-        switch (phase_) {
-            case Phase::Idle:
-                if (ch_.m_cmd() == ocp::Cmd::Idle || ++count_ < delay_) return;
-                addr_ = ch_.m_addr();
-                beats_ = ch_.m_burst();
-                ch_.s_cmd_accept() = true;
-                phase_ = Phase::Accepted;
-                break;
-            case Phase::Accepted:
-                ch_.s_cmd_accept() = false;
-                count_ = 0;
-                phase_ = Phase::Wait;
-                break;
-            case Phase::Wait:
-                if (++count_ < delay_) return;
-                ch_.s_resp() = ocp::Resp::Dva;
-                ch_.s_data() = word(0);
-                beat_ = 0;
-                phase_ = Phase::Beats;
-                break;
-            case Phase::Beats:
-                if (++beat_ < beats_) {
-                    if (word(beat_) == ch_.s_data()) return; // held: no bump
-                    ch_.s_data() = word(beat_);
-                } else {
-                    ch_.clear_response();
-                    count_ = 0;
-                    phase_ = Phase::Idle;
-                }
-                break;
-        }
-        ch_.touch_s();
-    }
-    void update() override {}
-
-private:
-    enum class Phase : u8 { Idle, Accepted, Wait, Beats };
-    [[nodiscard]] u32 word(u32 beat) const { return words_.at(addr_ / 4 + beat); }
-
-    ocp::ChannelRef ch_;
-    std::vector<u32> words_;
-    u32 delay_;
-    Phase phase_ = Phase::Idle;
-    u32 count_ = 0;
-    u32 addr_ = 0;
-    u32 beats_ = 0;
-    u32 beat_ = 0;
-};
-
 /// Never parks; counts the cycles in which its kernel held a component
 /// parked while `core` had not halted. Register it last, at the observer
 /// stage, so it samples after the core parks or wakes.

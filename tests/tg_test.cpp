@@ -594,53 +594,6 @@ TEST(TgCore, BurstWriteStreamsInlineData) {
     for (u32 i = 0; i < 4; ++i) EXPECT_EQ(rig.mem.peek(0x1100 + 4 * i), 11 * (i + 1));
 }
 
-/// A slow read-only slave: accepts a request `delay` cycles after it
-/// appears, waits `delay` more, then holds one response value on the wires
-/// for every beat of the burst. The wires do not change between beats, so
-/// it bumps s_gen only at the first beat and when it idles them again.
-class HeldBeatSlave final : public sim::Clocked {
-public:
-    HeldBeatSlave(ocp::ChannelRef ch, u32 delay) : ch_(ch), delay_(delay) {}
-    void eval() override {
-        switch (phase_) {
-            case Phase::Idle:
-                if (ch_.m_cmd() == ocp::Cmd::Idle || ++count_ < delay_) return;
-                beats_ = ch_.m_burst();
-                ch_.s_cmd_accept() = true;
-                phase_ = Phase::Accepted;
-                break;
-            case Phase::Accepted:
-                ch_.s_cmd_accept() = false;
-                count_ = 0;
-                phase_ = Phase::Wait;
-                break;
-            case Phase::Wait:
-                if (++count_ < delay_) return;
-                ch_.s_resp() = ocp::Resp::Dva;
-                ch_.s_data() = 0x5A5A;
-                count_ = 1;
-                phase_ = Phase::Beats;
-                break;
-            case Phase::Beats:
-                if (count_++ < beats_) return; // same beat again: no change
-                ch_.clear_response();
-                count_ = 0;
-                phase_ = Phase::Idle;
-                break;
-        }
-        ch_.touch_s();
-    }
-    void update() override {}
-
-private:
-    enum class Phase : u8 { Idle, Accepted, Wait, Beats };
-    ocp::ChannelRef ch_;
-    u32 delay_;
-    Phase phase_ = Phase::Idle;
-    u32 count_ = 0;
-    u32 beats_ = 0;
-};
-
 TEST(TgCore, ParksWhileTheFabricHoldsItsRequestAndCountsEveryBeat) {
     // Gated, the core (and the trace monitor) park in MemWait while the
     // slave neither accepts nor responds, and wake in the cycle it does.
@@ -658,7 +611,8 @@ TEST(TgCore, ParksWhileTheFabricHoldsItsRequestAndCountsEveryBeat) {
         kernel.set_gating(gating);
         ocp::Channel ch;
         TgCore core{ch};
-        HeldBeatSlave slave{ch, 6};
+        // Every word reads 0x5A5A: each burst holds one response value.
+        SlowMemory slave{ch, std::vector<u32>(0x1000 / 4 + 4, 0x5A5A), 6};
         Out out;
         ocp::ChannelMonitor monitor{kernel, ch, out.trace};
         kernel.add(core, sim::kStageMaster);
