@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <memory>
 #include <string_view>
 
 #include "apps/apps.hpp"
@@ -92,6 +93,38 @@ void BM_InterconnectCycle(benchmark::State& state) {
 BENCHMARK(BM_InterconnectCycle<platform::IcKind::Amba>)->Name("BM_PlatformCycle_Amba4P");
 BENCHMARK(BM_InterconnectCycle<platform::IcKind::Crossbar>)->Name("BM_PlatformCycle_Crossbar4P");
 BENCHMARK(BM_InterconnectCycle<platform::IcKind::Xpipes>)->Name("BM_PlatformCycle_Xpipes4P");
+
+// The schedule the tools run: a gated reactive TG replay of MP matrix 8P
+// n=16 over round-robin AMBA, where eight masters contend for the bus on
+// almost every cycle. Each iteration replays to completion on a fresh
+// platform (built and torn down untimed); ns_per_busy_cycle is the whole
+// platform's wall time per bus-busy cycle.
+void BM_GatedAmbaReplay8P(benchmark::State& state) {
+    const auto w = apps::make_mp_matrix({8, 16});
+    platform::PlatformConfig cfg;
+    cfg.n_cores = 8;
+    cfg.ic = platform::IcKind::Amba;
+    const auto programs =
+        bench::translate_all(bench::run_cpu(w, cfg, true).traces, w);
+    cfg.done_check_interval = bench::kDoneCheckInterval;
+    std::unique_ptr<platform::Platform> p;
+    u64 busy = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        p = std::make_unique<platform::Platform>(cfg);
+        p->load_tg_programs(programs, w);
+        state.ResumeTiming();
+        if (!p->run(bench::kMaxCycles).completed) {
+            state.SkipWithError("replay did not complete");
+            break;
+        }
+        busy += p->interconnect().busy_cycles();
+    }
+    state.counters["ns_per_busy_cycle"] = benchmark::Counter(
+        static_cast<double>(busy) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GatedAmbaReplay8P)->Unit(benchmark::kMillisecond);
 
 // --- channel scan: AoS baseline vs structure-of-arrays ChannelStore ---
 

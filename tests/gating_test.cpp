@@ -234,6 +234,58 @@ TEST(GatingEquivalence, CpuCountsOnAmbaMatchGoldens) {
     }
 }
 
+/// Per-master AHB grants and wait cycles of one run.
+struct BusCounts {
+    std::vector<u64> grants;
+    std::vector<u64> waits;
+};
+
+/// Fixed priority livelocks the semaphore workloads (the low-index pollers
+/// starve the holder; noc_exploration reports it), so these runs stop at a
+/// fixed horizon that covers the contended start and the livelock.
+constexpr Cycle kFixedPriorityHorizon = 100'000;
+
+BusCounts bus_counts_at_horizon(platform::Platform& p) {
+    const platform::RunResult res = p.run(kFixedPriorityHorizon);
+    EXPECT_FALSE(res.completed);
+    const auto& bus = dynamic_cast<const ic::AhbBus&>(p.interconnect());
+    EXPECT_EQ(bus.stats().busy_cycles + bus.stats().idle_cycles,
+              kFixedPriorityHorizon);
+    return {bus.stats().grants, bus.stats().wait_cycles};
+}
+
+// The per-master bus counts of the same two CPU runs under fixed priority,
+// where master 0 wins every contested grant and the high indices wait longest.
+TEST(GatingEquivalence, CpuBusCountsUnderFixedPriorityMatchGoldens) {
+    struct Golden {
+        Workload w;
+        u32 cores;
+        BusCounts counts;
+    };
+    const Golden goldens[] = {
+        {apps::make_mp_matrix({8, 16}),
+         8,
+         {{10995, 10964, 776, 737, 661, 584, 432, 309},
+          {11616, 11832, 83412, 85468, 88878, 92353, 95000, 96426}}},
+        {apps::make_des({4, 2}),
+         4,
+         {{11924, 11915, 148, 143}, {12100, 12170, 94999, 95107}}},
+    };
+    for (const Golden& g : goldens) {
+        for (const bool gating : {true, false}) {
+            PlatformConfig cfg = cfg_for(g.cores, IcKind::Amba, gating);
+            cfg.arbitration = ic::Arbitration::FixedPriority;
+            platform::Platform p{cfg};
+            p.load_workload(g.w);
+            const BusCounts o = bus_counts_at_horizon(p);
+            const std::string what = g.w.name + "/" + std::to_string(g.cores) +
+                                     (gating ? "P/gated" : "P/clocked");
+            EXPECT_EQ(o.grants, g.counts.grants) << what;
+            EXPECT_EQ(o.waits, g.counts.waits) << what;
+        }
+    }
+}
+
 // --- TG replay runs ----------------------------------------------------------
 
 /// Reactive programs translated from a gated CPU run on `cfg`.
@@ -276,6 +328,37 @@ TEST(GatingEquivalence, TgReplayMatchesAcrossSchedules) {
             EXPECT_GT(gated.tg_stats[0][4], 0u) << what << ": no MemWait cycles";
             expect_identical(gated, clocked, what.c_str());
         }
+    }
+}
+
+// The per-master bus counts of one reactive replay of mp_matrix 8P n=16
+// (translated from the round-robin CPU run) under each arbitration policy.
+// The schedule comparison above runs one counting code on both sides; these
+// pin the counts. Round-robin runs to completion, fixed priority to the
+// horizon.
+TEST(GatingEquivalence, TgReplayBusCountsMatchGoldens) {
+    const Workload w = apps::make_mp_matrix({8, 16});
+    const auto programs = translate_cpu_run(w, cfg_for(8, IcKind::Amba, true));
+    ASSERT_EQ(programs.size(), 8u);
+    const BusCounts round_robin{
+        {1011, 972, 964, 967, 977, 987, 1008, 1030},
+        {14190, 14489, 14552, 14538, 14475, 14412, 14272, 14125}};
+    const BusCounts fixed_priority{
+        {10987, 10955, 777, 737, 666, 584, 444, 307},
+        {11628, 11852, 83356, 85426, 88684, 92333, 94860, 96447}};
+    for (const bool gating : {true, false}) {
+        const std::string mode = gating ? "/gated" : "/clocked";
+        PlatformConfig cfg = cfg_for(8, IcKind::Amba, gating);
+        const auto o = observe_tg_run(programs, w, cfg);
+        EXPECT_EQ(o.ahb_grants, round_robin.grants) << "round-robin" << mode;
+        EXPECT_EQ(o.ahb_waits, round_robin.waits) << "round-robin" << mode;
+
+        cfg.arbitration = ic::Arbitration::FixedPriority;
+        platform::Platform p{cfg};
+        p.load_tg_programs(programs, w);
+        const BusCounts f = bus_counts_at_horizon(p);
+        EXPECT_EQ(f.grants, fixed_priority.grants) << "fixed-priority" << mode;
+        EXPECT_EQ(f.waits, fixed_priority.waits) << "fixed-priority" << mode;
     }
 }
 

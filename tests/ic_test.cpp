@@ -265,6 +265,29 @@ TEST(AhbBus, DecodeErrorReturnsErrBeats) {
     EXPECT_EQ(m.results().size(), 3u);
 }
 
+// A grant whose address decodes to no slave still owns the bus (the bridge
+// answers Err with no slave attached): the two masters behind it must count
+// their wait cycles through it, and the error grant counts as a grant.
+TEST(AhbBus, DecodeErrorGrantCountsWaitsOfTheOthers) {
+    IcRig<ic::AhbBus> rig{ic::Arbitration::RoundRobin};
+    auto& bad = rig.add_master();
+    auto& m1 = rig.add_master();
+    auto& m2 = rig.add_master();
+    rig.add_mem(0x1000, 0x1000);
+    rig.finish_wiring();
+    bad.push({ocp::Cmd::Read, 0xDEAD0000, 1, {}, 0});
+    m1.push({ocp::Cmd::Read, 0x1000, 1, {}, 0});
+    m2.push({ocp::Cmd::BurstRead, 0x1040, 4, {}, 0});
+    ASSERT_TRUE(rig.run_to_idle());
+    const ic::AhbStats& st = rig.ic.stats();
+    EXPECT_EQ(st.decode_errors, 1u);
+    EXPECT_EQ(st.grants, (std::vector<u64>{1, 1, 1}));
+    EXPECT_EQ(st.wait_cycles, (std::vector<u64>{0, 3, 7}));
+    EXPECT_EQ(st.slave_transactions, (std::vector<u64>{2}));
+    EXPECT_EQ(bad.results().at(0).resps, (std::vector<ocp::Resp>{ocp::Resp::Err}));
+    EXPECT_EQ(m2.results().at(0).rdata.size(), 4u);
+}
+
 TEST(AhbBus, WriteBusySlaveBackpressuresBus) {
     IcRig<ic::AhbBus> rig;
     auto& m = rig.add_master();
