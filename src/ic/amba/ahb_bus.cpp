@@ -34,6 +34,21 @@ int AhbBus::arbitrate() const noexcept {
     return -1;
 }
 
+// Contention accounting: every master requesting the bus, except `holder`
+// (the owner while a transfer runs, the winner on a grant cycle), waits this
+// cycle. The count must stay branch-free. Which masters request changes
+// every few cycles on a contended bus, so a branch on `requesting && i !=
+// holder` mispredicts on most busy cycles and was the largest part of this
+// bus's cost; adding the 0/1 result to every count costs the same each cycle.
+void AhbBus::count_waits(int holder) noexcept {
+    const auto& masters = master_ports();
+    u64* waits = stats_.wait_cycles.data();
+    const auto excluded = static_cast<std::size_t>(holder);
+    for (std::size_t i = 0; i < masters.size(); ++i)
+        waits[i] += static_cast<u64>(masters[i].m_cmd() != ocp::Cmd::Idle) &
+                    static_cast<u64>(i != excluded);
+}
+
 void AhbBus::eval() {
     const auto& masters = master_ports();
     // Default-drive the wires this bus owns; the bridge re-drives the
@@ -58,12 +73,7 @@ void AhbBus::eval() {
     if (bridge_.active()) {
         ++stats_.busy_cycles;
         wires_dirty_ = true;
-        // Account contention: masters requesting while not owning the bus.
-        for (std::size_t i = 0; i < masters.size(); ++i) {
-            if (masters[i].m_cmd() != ocp::Cmd::Idle &&
-                static_cast<int>(i) != owner_)
-                stats_.wait_cycles[i] += 1;
-        }
+        count_waits(owner_);
         if (bridge_.eval_cycle()) {
             owner_ = -1;
             target_slave_ = -1;
@@ -77,11 +87,7 @@ void AhbBus::eval() {
         return;
     }
     // Losing candidates of this grant cycle start waiting now.
-    for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (masters[i].m_cmd() != ocp::Cmd::Idle &&
-            i != static_cast<std::size_t>(winner))
-            stats_.wait_cycles[i] += 1;
-    }
+    count_waits(winner);
     wires_dirty_ = true;
 
     const ocp::ChannelRef m = masters[static_cast<std::size_t>(winner)];

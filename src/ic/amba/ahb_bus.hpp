@@ -64,6 +64,8 @@ public:
 private:
     /// Returns the granted master index or -1.
     [[nodiscard]] int arbitrate() const noexcept;
+    /// Adds one wait cycle to every requesting master except `holder`.
+    void count_waits(int holder) noexcept;
 
     Arbitration policy_;
     std::vector<ocp::ChannelRef> slaves_;
