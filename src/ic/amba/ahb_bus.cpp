@@ -36,10 +36,10 @@ int AhbBus::arbitrate() const noexcept {
 
 // Contention accounting: every master requesting the bus, except `holder`
 // (the owner while a transfer runs, the winner on a grant cycle), waits this
-// cycle. The count must stay branch-free. Which masters request changes
+// cycle. The count must stay branch-free: which masters request changes
 // every few cycles on a contended bus, so a branch on `requesting && i !=
-// holder` mispredicts on most busy cycles and was the largest part of this
-// bus's cost; adding the 0/1 result to every count costs the same each cycle.
+// holder` mispredicts on most busy cycles and costs more than the rest of
+// eval(); adding the 0/1 result to every count costs the same each cycle.
 void AhbBus::count_waits(int holder) noexcept {
     const auto& masters = master_ports();
     u64* waits = stats_.wait_cycles.data();
