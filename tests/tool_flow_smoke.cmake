@@ -13,13 +13,21 @@
 #
 # PART=flags checks that every tool answers --help with exit 0 and an
 # undeclared flag with exit 1, and that tgsim_sweep's pattern mode refuses
-# a --burst-len above ocp::kMaxBurstLen, a --reads fraction above 1 and a
-# --funnel-top without --tier=funnel, and its traced mode a pattern-shape
-# flag.
+# a --burst-len above ocp::kMaxBurstLen, a --reads fraction above 1, a
+# --funnel-top without --tier=funnel and every traced-mode flag, its
+# traced mode a pattern-shape flag, and both modes --deterministic without
+# --json. tgsim_replay and tgsim_translate refuse --cores or --size
+# without --app.
 #
 # PART=shard runs a small funnel sweep whole and as three shard processes
 # (one after another), merges the shards with tgsim_merge, and requires the
 # merged report to be byte-identical to the unsharded one.
+#
+# PART=identity pins the campaign identity (the report's sweep.app) of
+# each mode's default campaign, and requires shards that differ in one
+# identity flag (--packets, --mesh, --fifo, or --rates of the same count)
+# to refuse to merge, and a traced journal to refuse to resume under
+# another --size.
 #
 # PART=resume runs a checkpointed sweep, cuts its journal the way a
 # mid-write kill leaves it (six whole lines, then a torn one), resumes from
@@ -182,6 +190,20 @@ elseif(PART STREQUAL "flags")
                  --mesh=5x4)
   # Without --pattern there is no payload to shape.
   expect_refusal("--burst-len" tgsim_sweep --burst-len=8)
+  # A pattern sweep runs no traced benchmark, so its flags would be ignored.
+  foreach(flag --app=des --cores=2 --size=8 --no-fixed-prio --cpu-truth)
+    string(REGEX REPLACE "=.*" "" name "${flag}")
+    expect_refusal("${name}: not with --pattern" tgsim_sweep ${small} ${flag})
+  endforeach()
+  expect_refusal("--deterministic: needs --json" tgsim_sweep ${small}
+                 --deterministic)
+  # Without --app there is no benchmark for --cores or --size to shape.
+  foreach(tool tgsim_replay tgsim_translate)
+    foreach(flag cores size)
+      expect_refusal("--${flag}: needs --app" ${tool} --${flag}=2
+                     ${WORK}/none.tgp)
+    endforeach()
+  endforeach()
 elseif(PART STREQUAL "shard")
   set(common --pattern=transpose --grid=4x4 --packets=200
              --rates=0.01,0.02,0.04 --mesh=5x4,6x3 --fifo=2,4
@@ -195,6 +217,39 @@ elseif(PART STREQUAL "shard")
   run_tool(0 "" tgsim_merge --json=${WORK}/merged.json ${WORK}/shard_0.json
            ${WORK}/shard_1.json ${WORK}/shard_2.json)
   expect_same("${WORK}/single.json" "${WORK}/merged.json")
+elseif(PART STREQUAL "identity")
+  # A campaign that sets no identity flag keeps its bare identity.
+  run_tool(0 "" tgsim_sweep --pattern=transpose --tier=analytic
+           --json=${WORK}/pattern.json)
+  run_tool(0 "" tgsim_sweep --cores=2 --jobs=4 --json=${WORK}/traced.json)
+  foreach(mode "pattern;pattern_transpose 4x4" "traced;mp_matrix")
+    list(GET mode 0 report)
+    list(GET mode 1 want)
+    file(READ "${WORK}/${report}.json" json)
+    string(JSON app GET "${json}" sweep app)
+    if(NOT app STREQUAL want)
+      message(FATAL_ERROR "${report}.json: sweep.app is '${app}', want '${want}'")
+    endif()
+  endforeach()
+  # A shard that differs in one identity flag is another campaign's.
+  set(one --pattern=transpose --grid=2x2 --packets=50 --mesh=2x3 --fifo=4
+          --rates=0.01,0.02)
+  run_tool(0 "" tgsim_sweep ${one} --shard=0/2 --json=${WORK}/one_s0.json)
+  foreach(other --packets=60 --mesh=3x2 --fifo=8 --rates=0.01,0.03)
+    string(REGEX REPLACE "=.*" "=" flag "${other}")
+    set(args ${one})
+    list(FILTER args EXCLUDE REGEX "^${flag}")
+    run_tool(0 "" tgsim_sweep ${args} ${other} --shard=1/2
+             --json=${WORK}/other_s1.json)
+    expect_refusal("metadata mismatch" tgsim_merge --json=${WORK}/mixed.json
+                   ${WORK}/one_s0.json ${WORK}/other_s1.json)
+  endforeach()
+  # A traced journal never resumes under another --size.
+  set(traced --app=mp_matrix --cores=2 --no-fixed-prio --mesh=auto --jobs=2
+             --checkpoint=${WORK}/traced.jsonl)
+  run_tool(0 "" tgsim_sweep ${traced} --size=8)
+  expect_refusal("field 'app' differs" tgsim_sweep ${traced} --size=12
+                 --resume)
 elseif(PART STREQUAL "resume")
   set(common --pattern=transpose --grid=4x4 --packets=200
              --rates=0.01,0.02,0.04 --mesh=5x4,6x3 --fifo=2,4 --jobs=4
@@ -337,6 +392,6 @@ elseif(PART STREQUAL "funnel")
   expect_nonempty("${WORK}/funnel_smoke.json")
 else()
   message(FATAL_ERROR
-          "PART must be chain, flags, shard, resume, topology, open, fault, "
-          "patterns or funnel, not '${PART}'")
+          "PART must be chain, flags, identity, shard, resume, topology, "
+          "open, fault, patterns or funnel, not '${PART}'")
 endif()
