@@ -19,9 +19,9 @@
 //     pending queues).
 //
 // Every surface that builds sources takes a SourceConfig: tg::compile_patterns,
-// Platform::load_stochastic, sweep::Candidate. The mode is campaign identity
-// (describe() below feeds the report app string), so shard merges and
-// journal resumes refuse to mix closed- and open-loop rows.
+// Platform::load_stochastic, sweep::Candidate. On the tgsim_sweep command
+// line the mode and both open-loop bounds are campaign identity, so shard
+// merges and journal resumes refuse to mix closed- and open-loop rows.
 #pragma once
 
 #include <optional>
@@ -69,17 +69,5 @@ struct SourceConfig {
 
     [[nodiscard]] bool open() const noexcept { return mode == SourceMode::Open; }
 };
-
-/// Campaign-identity suffix for the sweep report app string: "" for the
-/// default closed mode (pre-source-axis reports stay byte-identical), else
-/// every parameter that changes results — so tgsim_merge / --resume refuse
-/// mixing closed- and open-loop shards (docs/sweep.md).
-[[nodiscard]] inline std::string describe(const SourceConfig& s) {
-    if (s.mode == SourceMode::Closed) return "";
-    std::string d = " source=open pend=" + std::to_string(s.pending_limit);
-    if (s.max_outstanding > 0)
-        d += " maxout=" + std::to_string(s.max_outstanding);
-    return d;
-}
 
 } // namespace tgsim::tg

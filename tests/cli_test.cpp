@@ -1,9 +1,12 @@
 // Unit tests for the shared CLI helpers (tools/cli.hpp): the declared-
 // options parser and its strict shapes — "--jobs=abc", "--print=no",
-// a bare "--json" or a repeated "--jobs" must be fatal usage errors, not
-// silent defaults — and the shared getters built on it.
+// a bare "--json", a repeated "--jobs" or an option given where its
+// `needs` fails must be fatal usage errors, not silent defaults — the
+// campaign identity built from the declarations, and the shared getters
+// built on it.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -22,13 +25,19 @@ cli::OptionSet shared_set() {
         .add({"cores", K::Number, "N", "7", "cores"})
         .add({"json", K::Text, "PATH", "", "report"})
         .add({"flag", K::Flag, "", "", "a flag"})
-        .add({"tier", K::Choice, "NAME", "cycle", "tier",
+        .add({"tier", K::Choice, "NAME", "cycle", "tier", "", false,
               {"cycle", "analytic", "funnel"}})
         .add({"funnel-top", K::Number, "K", "16", "survivors"})
         .add({"shard", K::Text, "k/N", "", "shard"})
         .add({"topology", K::Text, "KIND,...", "mesh", "topologies"})
-        .add({"poll", K::Text, "SPEC", "", "pollable resource", {}, true});
-    cli::add_source_options(set);
+        .add({"poll", K::Text, "SPEC", "", "pollable resource", "", false,
+              {}, true})
+        .add({"source", K::Choice, "MODE", "closed", "loop mode", "", true,
+              {"closed", "open"}})
+        .add({"max-outstanding", K::Number, "N", "0", "in-flight cap",
+              "source=open", true})
+        .add({"pending-limit", K::Number, "N", "64", "queue bound",
+              "source=open", true});
     return set;
 }
 
@@ -196,7 +205,7 @@ cli::OptionSet tiny_set() {
     using K = cli::OptionSpec::Kind;
     cli::OptionSet set{"tool", "does things"};
     set.add({"jobs", K::Number, "N", "1", "workers"})
-        .add({"source", K::Choice, "MODE", "closed", "loop mode",
+        .add({"source", K::Choice, "MODE", "closed", "loop mode", "", false,
               {"closed", "open"}})
         .add({"json", K::Text, "PATH", "", "report"})
         .add({"print", K::Flag, "", "", "print"});
@@ -267,6 +276,89 @@ TEST(CliOptionSetDeath, PositionalArgumentNeedsDeclaredOperands) {
                 "tool: unexpected argument 'jobs=4' \\(try --help\\)");
 }
 
+/// Options with each form of requirement, and identity options of each
+/// kind, declared the way tgsim_sweep declares them.
+cli::OptionSet needs_set() {
+    using K = cli::OptionSpec::Kind;
+    cli::OptionSet set{"tool", "does things"};
+    set.add({"pattern", K::Text, "NAME", "", "payload"})
+        .add({"tier", K::Choice, "NAME", "cycle", "tier", "pattern", false,
+              {"cycle", "funnel"}})
+        .add({"top", K::Number, "K", "16", "survivors", "tier=funnel", true})
+        .add({"packets", K::Number, "N", "2000", "packets", "pattern", true})
+        .add({"app", K::Text, "NAME", "mp_matrix", "benchmark", "!pattern"})
+        .add({"truth", K::Flag, "", "", "ground truth", "!pattern", true})
+        .add({"jobs", K::Number, "N", "0", "workers"});
+    return set;
+}
+
+cli::Options parse_needs(std::vector<std::string> argv) {
+    return parse(needs_set(), std::move(argv));
+}
+
+TEST(CliNeeds, AcceptsOptionsWhoseRequirementHolds) {
+    // Order on the command line does not matter: --tier comes after --top.
+    const auto funnel =
+        parse_needs({"--top=4", "--pattern=x", "--packets=9", "--tier=funnel"});
+    EXPECT_EQ(funnel.get_u32("top"), 4u);
+    EXPECT_EQ(funnel.get_u32("packets"), 9u);
+    const auto traced = parse_needs({"--app=des", "--truth", "--jobs=2"});
+    EXPECT_TRUE(traced.has("truth"));
+    // An absent option needs nothing: its default stands.
+    EXPECT_EQ(parse_needs({}).get_u32("top"), 16u);
+}
+
+TEST(CliNeedsDeath, RefusesEachFormOfUnmetRequirement) {
+    // A flag that must be given.
+    EXPECT_EXIT((void)parse_needs({"--packets=9"}), testing::ExitedWithCode(1),
+                "--packets: needs --pattern");
+    // A flag with a given value; its default does not meet it.
+    EXPECT_EXIT((void)parse_needs({"--pattern=x", "--top=4"}),
+                testing::ExitedWithCode(1), "--top: needs --tier=funnel");
+    EXPECT_EXIT((void)parse_needs({"--pattern=x", "--tier=cycle", "--top=4"}),
+                testing::ExitedWithCode(1), "--top: needs --tier=funnel");
+    // A flag that must be absent.
+    EXPECT_EXIT((void)parse_needs({"--pattern=x", "--truth"}),
+                testing::ExitedWithCode(1), "--truth: not with --pattern");
+    EXPECT_EXIT((void)parse_needs({"--app=des", "--pattern=x"}),
+                testing::ExitedWithCode(1), "--app: not with --pattern");
+}
+
+TEST(CliNeeds, HelpTagsEachRequirement) {
+    std::FILE* f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    needs_set().print_help(f);
+    std::rewind(f);
+    std::string help;
+    for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+        help += static_cast<char>(c);
+    std::fclose(f);
+    EXPECT_NE(help.find("survivors [needs --tier=funnel] [default 16]\n"),
+              std::string::npos)
+        << help;
+    EXPECT_NE(help.find("packets [needs --pattern] [default 2000]\n"),
+              std::string::npos);
+    EXPECT_NE(help.find("ground truth [not with --pattern]\n"),
+              std::string::npos);
+    EXPECT_NE(help.find("workers [default 0]\n"), std::string::npos);
+}
+
+TEST(CliIdentity, AppendsNonDefaultIdentityOptionsInDeclarationOrder) {
+    // Nothing given, or an identity option at its default: the bare base.
+    EXPECT_EQ(parse_needs({}).identity("mp_matrix"), "mp_matrix");
+    EXPECT_EQ(parse_needs({"--pattern=x", "--packets=2000"}).identity("p"),
+              "p");
+    // Declaration order, not command-line order; --tier and --jobs are not
+    // identity options.
+    EXPECT_EQ(parse_needs({"--pattern=x", "--packets=50", "--tier=funnel",
+                           "--top=4", "--jobs=3"})
+                  .identity("p"),
+              "p top=4 packets=50");
+    // A flag renders as its bare name; --app is not an identity option.
+    EXPECT_EQ(parse_needs({"--app=des", "--truth"}).identity("des"),
+              "des truth");
+}
+
 TEST(CliSource, DefaultsToClosedAndParsesOpenKnobs) {
     const tg::SourceConfig def = cli::get_source(make_args({}));
     EXPECT_EQ(def.mode, tg::SourceMode::Closed);
@@ -281,12 +373,12 @@ TEST(CliSource, DefaultsToClosedAndParsesOpenKnobs) {
 TEST(CliSourceDeath, OpenOnlyKnobsRequireOpenMode) {
     // Silently ignoring --pending-limit on a closed run would misreport
     // what the campaign actually swept.
-    EXPECT_EXIT((void)cli::get_source(make_args({"--pending-limit=32"})),
+    EXPECT_EXIT((void)make_args({"--pending-limit=32"}),
                 testing::ExitedWithCode(1),
-                "--max-outstanding/--pending-limit need --source=open");
-    EXPECT_EXIT((void)cli::get_source(make_args({"--max-outstanding=2"})),
+                "--pending-limit: needs --source=open");
+    EXPECT_EXIT((void)make_args({"--source=closed", "--max-outstanding=2"}),
                 testing::ExitedWithCode(1),
-                "--max-outstanding/--pending-limit need --source=open");
+                "--max-outstanding: needs --source=open");
     EXPECT_EXIT((void)cli::get_source(
                     make_args({"--source=open", "--pending-limit=0"})),
                 testing::ExitedWithCode(1),

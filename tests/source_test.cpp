@@ -20,20 +20,6 @@
 namespace tgsim {
 namespace {
 
-TEST(SourceConfig, DescribeIsCampaignIdentity) {
-    tg::SourceConfig closed;
-    EXPECT_EQ(tg::describe(closed), ""); // pre-source-axis reports unchanged
-    closed.rate = 0.25;                  // rate is the sweep axis, not identity
-    EXPECT_EQ(tg::describe(closed), "");
-
-    tg::SourceConfig open;
-    open.mode = tg::SourceMode::Open;
-    EXPECT_EQ(tg::describe(open), " source=open pend=64");
-    open.pending_limit = 32;
-    open.max_outstanding = 4;
-    EXPECT_EQ(tg::describe(open), " source=open pend=32 maxout=4");
-}
-
 TEST(SourceConfig, ModeNamesRoundTrip) {
     EXPECT_EQ(tg::to_string(tg::SourceMode::Closed), "closed");
     EXPECT_EQ(tg::to_string(tg::SourceMode::Open), "open");

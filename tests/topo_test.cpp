@@ -591,7 +591,7 @@ struct TopoCampaign {
 
     sweep::SweepMeta meta(const sweep::SweepOptions& opts) const {
         sweep::SweepMeta m;
-        m.app = context.name + std::string{" topo=mesh,torus"};
+        m.app = context.name + std::string{" topology=mesh,torus"};
         m.n_cores = driver.n_cores();
         m.jobs = opts.jobs;
         m.max_cycles = opts.max_cycles;
@@ -633,8 +633,9 @@ TEST(TopoShard, MergedShardsAreByteIdenticalToUnshardedRun) {
 
 TEST(TopoShard, MixedTopologyCampaignsRefuseToMerge) {
     // The topology axis is campaign identity: a torus shard must never
-    // merge into a mesh campaign. Identity rides meta.app (the " topo="
-    // suffix tgsim_sweep appends), which meta_diff hard-checks.
+    // merge into a mesh campaign. Identity rides meta.app (the
+    // " topology=" suffix tgsim_sweep appends), which meta_diff
+    // hard-checks.
     const TopoCampaign c;
     std::vector<sweep::ParsedReport> shards;
     for (u32 k = 0; k < 2; ++k) {

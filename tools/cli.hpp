@@ -3,14 +3,17 @@
 //
 // Flag rules, the same in all seven tools:
 //   - every option is declared once, in the tool's OptionSet (name, value
-//     kind, help metavar, default, help line), and read only through the
-//     Options that OptionSet::parse returns — getters return the declared
-//     default, so a default cannot differ between help and code;
+//     kind, help metavar, default, help line, when it means something,
+//     whether it is campaign identity), and read only through the Options
+//     that OptionSet::parse returns — getters return the declared default,
+//     so a default cannot differ between help and code;
 //   - shapes are strict: a flag (--print) takes no value, a valued option
 //     needs --name=value, an option given twice is an error unless it is
 //     declared repeatable, an undeclared --name is an error, and Number
 //     and Choice values are validated before any work starts — each a
 //     usage error (exit 1) whose message names the flag;
+//   - an option given where it means nothing (its `needs` fails) is a
+//     usage error too, never silently ignored;
 //   - --help prints help generated from the declarations and exits 0.
 #pragma once
 
@@ -89,6 +92,13 @@ struct OptionSpec {
     const char* arg = "";     ///< help metavar, e.g. "N", "WxH", "PATH"
     const char* fallback = ""; ///< the default, also rendered in help
     const char* help = "";    ///< one-line description
+    /// When the option means something: "" always, "flag" when --flag is
+    /// given, "flag=value" when --flag's value (or default) is `value`,
+    /// "!flag" when --flag is absent. parse refuses the option otherwise.
+    const char* needs = "";
+    /// The option changes the rows and no SweepMeta field records it, so
+    /// it is part of the campaign identity (Options::identity).
+    bool identity = false;
     std::vector<const char*> choices = {}; ///< Choice: the closed token set
     bool repeatable = false;  ///< may be given more than once
 };
@@ -99,6 +109,13 @@ struct OptionSpec {
     std::fprintf(stderr, "--%.*s: %s\n", static_cast<int>(name.size()),
                  name.data(), what.c_str());
     std::exit(1);
+}
+
+/// An OptionSpec::needs requirement in words: "needs --flag[=value]" or
+/// "not with --flag".
+inline std::string requirement(std::string_view needs) {
+    if (needs[0] == '!') return "not with --" + std::string{needs.substr(1)};
+    return "needs --" + std::string{needs};
 }
 
 /// The validated command line of one tool, as OptionSet::parse returns it.
@@ -129,6 +146,20 @@ public:
     }
     [[nodiscard]] const std::vector<std::string>& positional() const {
         return positional_;
+    }
+    /// The campaign identity (the report's sweep.app): `base`, then
+    /// " name=value" (" name" for a flag) for each identity option given
+    /// with a value other than its declared default, in declaration order.
+    [[nodiscard]] std::string identity(std::string base) const {
+        for (std::size_t i = 0; i < specs_.size(); ++i) {
+            const OptionSpec& s = specs_[i];
+            if (!s.identity || values_[i].empty()) continue;
+            if (s.kind == OptionSpec::Kind::Flag)
+                base += std::string{" "} + s.name;
+            else if (values_[i].back() != s.fallback)
+                base += std::string{" "} + s.name + "=" + values_[i].back();
+        }
+        return base;
     }
 
 private:
@@ -187,6 +218,7 @@ public:
                 tail += ")";
             }
             if (s.repeatable) tail += " [repeatable]";
+            if (s.needs[0] != '\0') tail += " [" + requirement(s.needs) + "]";
             if (s.fallback[0] != '\0')
                 tail += std::string{" [default "} + s.fallback + "]";
             std::fprintf(out, "%-28s %s\n", head.c_str(), tail.c_str());
@@ -195,8 +227,9 @@ public:
     }
 
     /// Validates argv against the declarations and returns the values.
-    /// `--help` prints the generated help and exits 0; anything undeclared
-    /// or ill-shaped is a usage error (exit 1). Call before any work.
+    /// `--help` prints the generated help and exits 0; anything undeclared,
+    /// ill-shaped or given where its `needs` fails is a usage error (exit
+    /// 1). Call before any work.
     [[nodiscard]] Options parse(int argc, char** argv) const {
         for (int i = 1; i < argc; ++i)
             if (std::string_view{argv[i]} == "--help") {
@@ -242,6 +275,8 @@ public:
             check_value(spec, value);
             out.values_[k].push_back(value);
         }
+        for (std::size_t k = 0; k < specs_.size(); ++k)
+            if (!out.values_[k].empty()) check_needs(specs_[k], out);
         return out;
     }
 
@@ -260,6 +295,19 @@ private:
         }
         usage_error(spec.name,
                     "unknown value '" + value + "' (valid: " + valid + ")");
+    }
+
+    /// Refuses `spec`, given on the command line, when its requirement
+    /// fails on the whole command line.
+    static void check_needs(const OptionSpec& spec, const Options& args) {
+        const std::string_view need = spec.needs;
+        if (need.empty()) return;
+        const std::size_t eq = need.find('=');
+        bool met = false;
+        if (need[0] == '!') met = !args.has(need.substr(1));
+        else if (eq == std::string_view::npos) met = args.has(need);
+        else met = args.get(need.substr(0, eq)) == need.substr(eq + 1);
+        if (!met) usage_error(spec.name, requirement(need));
     }
 
     std::string tool_;
@@ -454,30 +502,9 @@ inline sweep::ShardSpec get_shard(const Options& args) {
     return *shard;
 }
 
-/// Registers the shared traffic-source flags (docs/traffic.md) on a
-/// tool's option set — declared ONCE here so every pattern-traffic tool
-/// spells the source-mode axis the same way:
-///   --source=closed|open     loop mode (default closed: one outstanding
-///                            transaction per core, the pre-open behavior)
-///   --max-outstanding=N      open loop: cap on in-flight read packets per
-///                            master NI (0 = unbounded)
-///   --pending-limit=N        open loop: per-master pending-packet queue
-///                            bound (a full queue stalls the source)
-inline void add_source_options(OptionSet& set) {
-    set.add({"source", OptionSpec::Kind::Choice, "MODE", "closed",
-             "traffic-source loop mode", {"closed", "open"}});
-    set.add({"max-outstanding", OptionSpec::Kind::Number, "N", "0",
-             "open loop: in-flight read packets per master NI cap"
-             " (0 = unbounded)"});
-    set.add({"pending-limit", OptionSpec::Kind::Number, "N", "64",
-             "open loop: per-master pending-packet queue bound"});
-}
-
-/// The parsed tg::SourceConfig for the flags above. Open-only knobs with
-/// --source=closed are a fatal usage error, not silently ignored (the
-/// closed generator is inherently one-outstanding; accepting the flag
-/// would misreport what ran). The offered rate is NOT set here — the
-/// sweep's --rates axis owns it (sweep::make_rate_sweep).
+/// The tg::SourceConfig of tgsim_sweep's --source, --max-outstanding and
+/// --pending-limit (docs/traffic.md). The offered rate is NOT set here —
+/// the sweep's --rates axis owns it (sweep::make_rate_sweep).
 [[nodiscard]] inline tg::SourceConfig get_source(const Options& args) {
     tg::SourceConfig s;
     s.mode = get_enum<tg::SourceMode>(
@@ -485,12 +512,6 @@ inline void add_source_options(OptionSet& set) {
         {{"closed", tg::SourceMode::Closed}, {"open", tg::SourceMode::Open}});
     s.max_outstanding = args.get_u32("max-outstanding");
     s.pending_limit = args.get_u32("pending-limit");
-    if (!s.open() &&
-        (args.has("max-outstanding") || args.has("pending-limit"))) {
-        std::fprintf(stderr,
-                     "--max-outstanding/--pending-limit need --source=open\n");
-        std::exit(1);
-    }
     if (s.pending_limit == 0) {
         std::fprintf(stderr, "--pending-limit: must be nonzero\n");
         std::exit(1);

@@ -30,16 +30,17 @@ cli::OptionSet options() {
     // No --source axis here: a translated trace replays a closed-loop
     // execution by construction (its gaps encode the recorded
     // dependencies), so open-loop injection is a pattern-mode concept.
-    set.add({"ic", K::Choice, "KIND", "amba", "interconnect",
+    set.add({"ic", K::Choice, "KIND", "amba", "interconnect", "", false,
              {"amba", "crossbar", "xpipes"}})
         .add({"app", K::Choice, "NAME", "",
-              "benchmark environment + result checks",
+              "benchmark environment + result checks", "", false,
               {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
         .add({"cores", K::Number, "N", "",
-              "benchmark core count (default: one per program)"})
+              "benchmark core count (default: one per program)", "app"})
         .add({"size", K::Number, "N", "",
               "benchmark problem size (default per app: cacheloop 100000, "
-              "des 16, else 24)"})
+              "des 16, else 24)",
+              "app"})
         .add({"no-skip", K::Flag, "", "",
               "fully clocked kernel (paper-faithful costs)"})
         .add({"jobs", K::Number, "N", "1", "accepted for symmetry; replay"

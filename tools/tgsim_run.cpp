@@ -21,13 +21,13 @@ cli::OptionSet options() {
                        "reference simulation: cycle-true CPU cores run a "
                        "benchmark, results are checked, traces optionally "
                        "written"};
-    set.add({"app", K::Choice, "NAME", "mp_matrix", "benchmark",
+    set.add({"app", K::Choice, "NAME", "mp_matrix", "benchmark", "", false,
              {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
         .add({"cores", K::Number, "N", "4", "core count"})
         .add({"size", K::Number, "N", "",
               "problem size (default per app: cacheloop 100000, des 16, "
               "else 24)"})
-        .add({"ic", K::Choice, "KIND", "amba", "interconnect",
+        .add({"ic", K::Choice, "KIND", "amba", "interconnect", "", false,
               {"amba", "crossbar", "xpipes"}})
         .add({"trace-dir", K::Text, "DIR", "",
               "write one coreN.trc per core into DIR"})

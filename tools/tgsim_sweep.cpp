@@ -1,86 +1,28 @@
 // tgsim-sweep — parallel design-space exploration driver (the paper's
-// headline use case, fanned across a worker pool).
+// headline use case, fanned across a worker pool). --help lists every flag
+// with its default and the flag it needs.
 //
-//   tgsim-sweep --app=mp_matrix --cores=6 --size=24
-//               [--jobs=N] [--json=PATH] [--max-cycles=N]
-//               [--mesh=auto,8x1,3x3] [--fifo=2,4,8]
-//               [--topology=mesh,torus,file:PATH]
-//               [--no-fixed-prio] [--cpu-truth]
+// Traced mode (the default) runs the reference simulation once (cycle-true
+// cores on AMBA, traced), translates the traces once, then evaluates a
+// candidate grid — AMBA under both arbitration policies, the crossbar, and
+// one ×pipes candidate per fabric (fabric_axis) — with the TG platform,
+// --jobs candidates at a time. Rows are independent of --jobs and --shard
+// (docs/sweep.md).
 //
-// Runs the reference simulation once (cycle-true cores on AMBA, traced),
-// translates the traces once, then evaluates a candidate grid — AMBA under
-// both arbitration policies, the crossbar, and one candidate per ×pipes
-// mesh shape × FIFO depth — with the TG platform, --jobs candidates at a
-// time. Per-candidate results are deterministic and independent of --jobs
-// (see docs/sweep.md). --json writes the machine-readable report;
-// --cpu-truth adds a (much slower) cycle-true ground-truth column.
+// Pattern mode (--pattern, docs/traffic.md) swaps the traced workload for a
+// synthetic pattern on the --grid core grid, and every fabric is crossed
+// with the --rates and --fault-rate axes. --mesh=Wx⌈(W·H+2)/W⌉ lays the
+// grid out row-major, so grid and mesh coordinates agree and the
+// destination functions stress the links they name. Fault-enabled and
+// table-graph candidates are always cycle-simulated, since the analytic
+// model cannot score them (docs/faults.md, docs/topology.md); the funnel
+// tier screens the full grid in every shard, so merged shards equal an
+// unsharded run (docs/analytic.md).
 //
-// Pattern mode (docs/traffic.md, docs/analytic.md) swaps the traced
-// workload for a synthetic traffic pattern and unlocks the evaluator tiers:
-//
-//   tgsim-sweep --pattern=transpose [--grid=4x4] [--rates=0.01,0.02,...]
-//               [--mesh=...] [--fifo=...] [--packets=N]
-//               [--process=poisson|uniform|bursty] [--reads=F]
-//               [--burst-frac=F] [--burst-len=N]
-//               [--hotspot=CORE] [--hotspot-frac=F]
-//               [--topology=mesh,torus,file:PATH]
-//               [--fault-rate=0,0.001,...] [--fault-seed=N]
-//               [--source=closed|open] [--max-outstanding=N]
-//               [--pending-limit=N]
-//               [--tier=cycle|analytic|funnel] [--funnel-top=K]
-//
-// --grid is the logical core grid; --mesh=Wx⌈(W·H+2)/W⌉ lays the physical
-// mesh out row-major with the grid's width, so grid coordinates equal mesh
-// coordinates and the destination functions stress the links they name.
-// The tool prints the load–latency table (offered, accepted, mean/p50/p99/
-// max latency, NI wait), the reliability and open-loop split tables when
-// rows carry those blocks, and one saturation line per fabric
-// (sweep::find_saturation over its cycle-measured rows, in rate order).
-// Without --pattern, the pattern-mode flags above are a usage error.
-//
-// The candidate grid is every --mesh × --topology × --fifo × --rates ×
-// --fault-rate point (×pipes fabrics with latency collection). --topology
-// makes the fabric topology a sweepable axis (docs/topology.md): torus
-// candidates are screened analytically like meshes, table-routed graphs
-// (file:PATH) are cycle-only and pass the funnel untouched; a table graph
-// fixes the fabric shape itself, so the --mesh axis collapses to one point
-// for it. Non-mesh topologies fold into the campaign identity, so shard
-// merges and journal resumes never mix topologies. --fault-rate makes fault
-// tolerance a sweepable axis (docs/faults.md): each nonzero entry enables
-// deterministic fault injection plus the NI recovery protocol, and those
-// rows carry the fault_* reliability columns. Fault-enabled candidates are
-// always cycle-simulated (the analytic model cannot score them), and the
-// fault axis is folded into the campaign identity so shard merges and
-// journal resumes never mix fault levels. --tier=analytic scores the grid
-// with the closed-form model in microseconds per candidate; --tier=funnel
-// screens analytically and cycle-simulates only the --funnel-top best
-// predictions (plus any fabric outside the model), which is the route to
-// very large grids. Funnel survivor rows are bit-identical to an all-cycle
-// run at any --jobs. Analytic/funnel tiers require --pattern, and
-// --funnel-top requires --tier=funnel.
-// --source=open switches every candidate to open-loop sources
-// (docs/traffic.md): offered load keeps arriving regardless of
-// completions, rows carry the source-queue / in-network latency split, and
-// the mode folds into the campaign identity so open and closed shards
-// never merge or resume into each other. The analytic tier scores open
-// candidates without the closed-loop fixed point (carried rate =
-// min(offered, predicted saturation)).
-//
-// Distributed-campaign flags, both modes (docs/sweep.md):
-//
-//   --shard=k/N        evaluate only candidates with index % N == k; the
-//                      report keeps original indices and records the shard,
-//                      so N shard reports merge back into the canonical
-//                      single-run report with tgsim_merge. The funnel tier
-//                      still screens the FULL grid in every shard, so the
-//                      merged funnel output equals an unsharded run.
-//   --checkpoint=FILE  append each completed cycle row to an fsync'd JSONL
-//                      journal; --resume continues a killed campaign from
-//                      it, re-evaluating only unjournaled candidates.
-//   --deterministic    emit the canonical report form (jobs = 0, wall
-//                      clocks zeroed) — byte-comparable across runs and to
-//                      tgsim_merge output.
-//   --progress         periodic progress line on stderr (off by default).
+// The campaign identity (the report's sweep.app, which tgsim_merge and
+// --resume check) is the mode's base — the app, or pattern_<name> <grid> —
+// plus every identity option given with a non-default value
+// (cli::Options::identity, docs/sweep.md).
 #include <algorithm>
 #include <cstdio>
 #include <unordered_map>
@@ -100,91 +42,109 @@ cli::OptionSet options() {
                        "parallel design-space exploration driver; --pattern "
                        "switches to synthetic-traffic pattern mode"};
     set.add({"app", K::Choice, "NAME", "mp_matrix", "traced benchmark",
+             "!pattern", false,
              {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
-        .add({"cores", K::Number, "N", "6", "benchmark core count"})
+        .add({"cores", K::Number, "N", "6", "benchmark core count",
+              "!pattern"})
         .add({"size", K::Number, "N", "",
               "benchmark problem size (default per app: cacheloop 100000, "
-              "des 16, else 24)"})
+              "des 16, else 24)",
+              "!pattern", true})
         .add({"pattern", K::Choice, "NAME", "",
-              "synthetic pattern payload (enables pattern mode)",
+              "synthetic pattern payload (enables pattern mode)", "", false,
               {"uniform_random", "bit_complement", "transpose", "shuffle",
                "tornado", "neighbor", "hotspot"}})
-        .add({"grid", K::Text, "WxH", "4x4",
-              "pattern mode: logical core grid"})
+        .add({"grid", K::Text, "WxH", "4x4", "logical core grid", "pattern"})
         .add({"rates", K::Text, "R,R,...", "0.01,0.02,0.04,0.08",
-              "pattern mode: offered-rate axis, strictly ascending"})
-        .add({"packets", K::Number, "N", "2000",
-              "pattern mode: transactions per core"})
-        .add({"process", K::Choice, "NAME", "poisson",
-              "pattern mode: arrival process", {"poisson", "uniform", "bursty"}})
-        .add({"reads", K::Text, "F", "0.5",
-              "pattern mode: read fraction in [0, 1]"})
+              "offered-rate axis, strictly ascending", "pattern", true})
+        .add({"packets", K::Number, "N", "2000", "transactions per core",
+              "pattern", true})
+        .add({"process", K::Choice, "NAME", "poisson", "arrival process",
+              "pattern", true, {"poisson", "uniform", "bursty"}})
+        .add({"reads", K::Text, "F", "0.5", "read fraction in [0, 1]",
+              "pattern", true})
         .add({"burst-frac", K::Text, "F", "0",
-              "pattern mode: fraction of transactions that burst"})
-        .add({"burst-len", K::Number, "N", "4",
-              "pattern mode: beats per burst, 1..64"})
-        .add({"hotspot", K::Number, "CORE", "0",
-              "pattern mode: hotspot destination core"})
+              "fraction of transactions that burst", "pattern", true})
+        .add({"burst-len", K::Number, "N", "4", "beats per burst, 1..64",
+              "pattern", true})
+        .add({"hotspot", K::Number, "CORE", "0", "hotspot destination core",
+              "pattern", true})
         .add({"hotspot-frac", K::Text, "F", "0.5",
-              "pattern mode: share of traffic aimed at the hotspot"})
+              "share of traffic aimed at the hotspot", "pattern", true})
         .add({"mesh", K::Text, "SPEC,...", "",
               "candidate mesh shapes (auto|WxH) [default auto,8x1,3x3; "
-              "auto with --pattern]"})
+              "auto with --pattern]",
+              "", true})
         .add({"fifo", K::Text, "N,...", "4",
-              "candidate FIFO depths, each in [2, 256]"})
+              "candidate FIFO depths, each in [2, 256]", "", true})
         .add({"topology", K::Text, "KIND,...", "mesh",
-              "candidate topologies: mesh|torus|file:PATH"})
+              "candidate topologies: mesh|torus|file:PATH", "", true})
         .add({"fault-rate", K::Text, "R,...", "0",
-              "fault-probability axis in [0, 1]"})
+              "fault-probability axis in [0, 1]", "pattern", true})
         .add({"fault-seed", K::Number, "N", "0",
-              "deterministic fault-stream seed"})
-        .add({"tier", K::Choice, "NAME", "cycle", "evaluator tier",
-              {"cycle", "analytic", "funnel"}})
+              "deterministic fault-stream seed", "pattern", true})
+        .add({"source", K::Choice, "MODE", "closed", "traffic-source loop mode",
+              "pattern", true, {"closed", "open"}})
+        .add({"max-outstanding", K::Number, "N", "0",
+              "in-flight read packets per master NI cap (0 = unbounded)",
+              "source=open", true})
+        .add({"pending-limit", K::Number, "N", "64",
+              "per-master pending-packet queue bound", "source=open", true})
+        .add({"tier", K::Choice, "NAME", "cycle", "evaluator tier", "pattern",
+              false, {"cycle", "analytic", "funnel"}})
         .add({"funnel-top", K::Number, "K", "16",
-              "funnel tier: cycle-simulated survivor budget"})
+              "cycle-simulated survivor budget", "tier=funnel"})
         .add({"shard", K::Text, "k/N", "",
               "evaluate only candidates with index % N == k"})
         .add({"checkpoint", K::Text, "FILE", "",
               "append completed rows to an fsync'd JSONL journal"})
-        .add({"resume", K::Flag, "", "", "continue a journaled campaign"})
+        .add({"resume", K::Flag, "", "", "continue a journaled campaign",
+              "checkpoint"})
         .add({"deterministic", K::Flag, "", "",
-              "emit the canonical report form (byte-comparable)"})
+              "emit the canonical report form (byte-comparable)", "json"})
         .add({"progress", K::Flag, "", "", "periodic progress line on stderr"})
         .add({"no-fixed-prio", K::Flag, "", "",
-              "drop the fixed-priority AMBA candidate (round-robin stays)"})
+              "drop the fixed-priority AMBA candidate (round-robin stays)",
+              "!pattern", true})
         .add({"cpu-truth", K::Flag, "", "",
-              "add the cycle-true ground-truth column (slow)"})
+              "add the cycle-true ground-truth column (slow)", "!pattern",
+              true})
         .add({"jobs", K::Number, "N", "0",
               "worker threads (0 = one per hardware thread)"})
         .add({"json", K::Text, "PATH", "", "machine-readable report"})
         .add({"max-cycles", K::Number, "N", "100000000",
               "per-candidate cycle budget"});
-    cli::add_source_options(set);
     return set;
 }
 
-/// Campaign state shared by both modes: the open checkpoint journal (if
-/// any) and the rows a previous attempt already evaluated.
+/// One campaign of either mode: its identity, the open checkpoint journal
+/// (if any) and the rows a previous attempt already evaluated.
 struct Campaign {
+    sweep::SweepMeta meta;
     sweep::JournalWriter journal;
     std::vector<sweep::SweepResult> resumed;
-    bool resuming = false;
 };
 
-/// Wires --checkpoint/--resume against `meta` (the campaign identity that
-/// the journal header records). Returns false after a stderr diagnostic on
-/// any usage or journal error — always before the expensive part of a run.
-bool setup_campaign(const cli::Options& args, const sweep::SweepMeta& meta,
-                    Campaign* camp) {
+/// Opens the campaign `opts` will run over `n_candidates` candidates on
+/// `n_cores` cores: its identity (`base` plus the identity options given)
+/// and the --checkpoint/--resume wiring, which it hands to `opts`. Returns
+/// false after a stderr diagnostic on any journal error — always before
+/// the expensive part of a run.
+bool open_campaign(const cli::Options& args, const std::string& base,
+                   u32 n_cores, std::size_t n_candidates,
+                   sweep::SweepOptions* opts, Campaign* camp) {
+    sweep::SweepMeta& meta = camp->meta;
+    meta.app = args.identity(base);
+    meta.n_cores = n_cores;
+    meta.jobs = sweep::resolve_jobs(opts->jobs, n_candidates);
+    meta.max_cycles = opts->max_cycles;
+    meta.tier = opts->tier;
+    meta.seed = opts->seed;
+    meta.n_candidates = static_cast<u32>(n_candidates);
+    if (opts->tier == sweep::Tier::Funnel) meta.funnel_top = opts->funnel_top;
+    meta.shard = opts->shard;
+    if (!args.has("checkpoint")) return true;
     const std::string path = args.get("checkpoint");
-    const bool resume = args.has("resume");
-    if (path.empty()) {
-        if (resume) {
-            std::fprintf(stderr, "--resume requires --checkpoint=FILE\n");
-            return false;
-        }
-        return true;
-    }
     // Peek at the existing file first: appending a second campaign onto a
     // foreign journal must be an explicit decision, never an accident.
     long size = 0;
@@ -195,7 +155,7 @@ bool setup_campaign(const cli::Options& args, const sweep::SweepMeta& meta,
     }
     std::string err;
     if (size > 0) {
-        if (!resume) {
+        if (!args.has("resume")) {
             std::fprintf(stderr,
                          "--checkpoint: %s already exists; pass --resume to "
                          "continue it (or remove it first)\n",
@@ -218,7 +178,7 @@ bool setup_campaign(const cli::Options& args, const sweep::SweepMeta& meta,
             return false;
         }
         camp->resumed = std::move(journal->rows);
-        camp->resuming = true;
+        opts->resume = &camp->resumed;
         std::fprintf(stderr, "resuming: %zu journaled rows in %s\n",
                      camp->resumed.size(), path.c_str());
     }
@@ -226,6 +186,28 @@ bool setup_campaign(const cli::Options& args, const sweep::SweepMeta& meta,
         std::fprintf(stderr, "--checkpoint: %s\n", err.c_str());
         return false;
     }
+    opts->journal = &camp->journal;
+    return true;
+}
+
+/// Closes the journal and writes the --json report (in canonical form with
+/// --deterministic). Returns false after a stderr diagnostic on a failed
+/// write.
+bool close_campaign(const cli::Options& args, Campaign* camp,
+                    std::vector<sweep::SweepResult>& results) {
+    if (camp->journal.is_open() && !camp->journal.close()) {
+        std::fprintf(stderr, "--checkpoint: journal write failed\n");
+        return false;
+    }
+    const std::string json = args.get("json");
+    if (json.empty()) return true;
+    if (args.has("deterministic")) sweep::canonicalize(camp->meta, results);
+    if (!sweep::write_json_report(results, camp->meta, json)) {
+        std::fprintf(stderr, "failed to write %s\n", json.c_str());
+        return false;
+    }
+    std::printf("\nwrote %s (%zu candidates)\n", json.c_str(),
+                results.size());
     return true;
 }
 
@@ -303,26 +285,6 @@ tg::PatternConfig get_pattern(const cli::Options& args) {
     pc.hotspot_core = args.get_u32("hotspot");
     pc.hotspot_fraction = get_fraction(args, "hotspot-frac");
     return pc;
-}
-
-/// Campaign-identity suffix for the shape flags whose values differ from
-/// the defaults: "" for the default shape, so its identity is unchanged,
-/// while shards of differently shaped campaigns never merge or resume
-/// into each other.
-std::string describe_shape(const cli::Options& args,
-                           const tg::PatternConfig& pc) {
-    const tg::PatternConfig def;
-    const std::pair<const char*, bool> shape[] = {
-        {"process", pc.process != def.process},
-        {"reads", pc.read_fraction != def.read_fraction},
-        {"burst-frac", pc.burst_fraction != def.burst_fraction},
-        {"burst-len", pc.burst_len != def.burst_len},
-        {"hotspot", pc.hotspot_core != def.hotspot_core},
-        {"hotspot-frac", pc.hotspot_fraction != def.hotspot_fraction}};
-    std::string d;
-    for (const auto& [flag, differs] : shape)
-        if (differs) d += std::string{" "} + flag + "=" + args.get(flag);
-    return d;
 }
 
 /// The reliability table (docs/faults.md), when any row carries the fault
@@ -409,33 +371,23 @@ int run_pattern_mode(const cli::Options& args) {
     // probability; 0 keeps the fault layer (and its grid column) off.
     const std::vector<double> fault_rates = cli::get_fault_rates(args);
     const u64 fault_seed = args.get_u64("fault-seed");
-    bool any_fault = false;
-    for (const double fr : fault_rates) any_fault |= fr > 0.0;
 
-    // Source-mode axis (docs/traffic.md): one mode for the whole campaign
-    // — it folds into the identity below, so open and closed shards can
-    // never merge or resume into each other.
+    // Source-mode axis (docs/traffic.md): one mode for the whole campaign.
     const tg::SourceConfig source = cli::get_source(args);
-    if (source.open() && any_fault) {
+    if (source.open() && std::any_of(fault_rates.begin(), fault_rates.end(),
+                                     [](double r) { return r > 0.0; })) {
         std::fprintf(stderr,
                      "--source=open does not compose with --fault-rate yet "
                      "(both modes rewrite the master NI send path)\n");
         return 1;
     }
 
-    // Topology axis (docs/topology.md): graph files load and validate here,
-    // before any simulation, and all workers share the parsed spec.
-    const std::vector<cli::TopologyChoice> topologies =
-        cli::get_topologies(args);
-    bool any_topo = false;
-    for (const cli::TopologyChoice& t : topologies)
-        any_topo |= t.kind != ic::TopologyKind::Mesh;
-
     // Fabric axes: every mesh shape × topology × FIFO depth,
-    // latency-instrumented.
+    // latency-instrumented. Graph files load and validate here, before any
+    // simulation, and all workers share the parsed spec.
     std::vector<sweep::Candidate> candidates;
     for (const ic::XpipesConfig& fabric :
-         fabric_axis(args, "auto", topologies, n_cores)) {
+         fabric_axis(args, "auto", cli::get_topologies(args), n_cores)) {
         for (const double rate : rates) {
             for (const double frate : fault_rates) {
                 sweep::Candidate c;
@@ -469,53 +421,19 @@ int run_pattern_mode(const cli::Options& args) {
 
     try {
         const sweep::SweepDriver driver{pc, context};
-        const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
-
-        // The campaign identity: what the report header, the journal
-        // header and every merge/resume compatibility check agree on.
-        sweep::SweepMeta meta;
-        meta.app = context.name + " " + args.get("grid");
-        // describe() is empty for closed sources and describe_shape for
-        // the default shape, so earlier campaign identities (and their
-        // journals) stay byte-identical.
-        meta.app += tg::describe(source) + describe_shape(args, pc);
-        if (any_fault) {
-            // The fault axis is campaign identity: shard merges and journal
-            // resumes must never mix reports with different fault levels.
-            meta.app += " fault=" + args.get("fault-rate") + "@" +
-                        std::to_string(fault_seed);
-        }
-        if (any_topo) {
-            // The topology axis is campaign identity too: a torus or
-            // table-graph campaign must never merge or resume into a mesh
-            // one (pure-mesh runs keep the pre-topology app string).
-            meta.app += " topo=" + args.get("topology");
-        }
-        meta.n_cores = n_cores;
-        meta.jobs = jobs;
-        meta.max_cycles = opts.max_cycles;
-        meta.tier = opts.tier;
-        meta.seed = opts.seed;
-        meta.n_candidates = static_cast<u32>(candidates.size());
-        if (opts.tier == sweep::Tier::Funnel) meta.funnel_top = opts.funnel_top;
-        meta.shard = opts.shard;
-
         Campaign camp;
-        if (!setup_campaign(args, meta, &camp)) return 1;
-        if (camp.journal.is_open()) opts.journal = &camp.journal;
-        if (camp.resuming) opts.resume = &camp.resumed;
+        if (!open_campaign(args, context.name + " " + args.get("grid"),
+                           n_cores, candidates.size(), &opts, &camp))
+            return 1;
         std::printf("%s on a %ux%u core grid, %zu candidates, tier %s, "
                     "%u workers\n\n",
                     args.get("pattern").c_str(), pc.width, pc.height,
                     candidates.size(),
-                    std::string{sweep::to_string(opts.tier)}.c_str(), jobs);
+                    std::string{sweep::to_string(opts.tier)}.c_str(),
+                    camp.meta.jobs);
         sim::WallTimer timer;
         std::vector<sweep::SweepResult> results = driver.run(candidates, opts);
         const double sweep_wall = timer.seconds();
-        if (camp.journal.is_open() && !camp.journal.close()) {
-            std::fprintf(stderr, "--checkpoint: journal write failed\n");
-            return 1;
-        }
 
         std::printf("%-26s %5s %12s %10s %10s %9s %8s %8s %8s %10s\n",
                     "candidate", "tier", "cycles", "offered", "accepted",
@@ -557,17 +475,7 @@ int run_pattern_mode(const cli::Options& args) {
         if (best != nullptr)
             std::printf("best: %s (%llu cycles)\n", best->name.c_str(),
                         static_cast<unsigned long long>(best->cycles));
-
-        const std::string json = args.get("json");
-        if (!json.empty()) {
-            if (args.has("deterministic")) sweep::canonicalize(meta, results);
-            if (!sweep::write_json_report(results, meta, json)) {
-                std::fprintf(stderr, "failed to write %s\n", json.c_str());
-                return 1;
-            }
-            std::printf("wrote %s (%zu candidates)\n", json.c_str(),
-                        results.size());
-        }
+        if (!close_campaign(args, &camp, results)) return 1;
         return setup_error ? 1 : 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
@@ -579,33 +487,7 @@ int run_pattern_mode(const cli::Options& args) {
 
 int main(int argc, char** argv) {
     const cli::Options args = options().parse(argc, argv);
-    // Tier flags validate eagerly in both modes (fail-fast contract).
-    const sweep::Tier tier = cli::get_tier(args);
-    (void)cli::get_funnel_top(args);
-    if (args.has("funnel-top") && tier != sweep::Tier::Funnel)
-        cli::usage_error("funnel-top", "needs --tier=funnel");
     if (args.has("pattern")) return run_pattern_mode(args);
-    // A traced sweep has no pattern payload to shape; ignoring these would
-    // report a run other than the one asked for.
-    for (const char* flag : {"grid", "rates", "packets", "process", "reads",
-                             "burst-frac", "burst-len", "hotspot",
-                             "hotspot-frac", "fault-rate", "fault-seed"})
-        if (args.has(flag)) cli::usage_error(flag, "needs --pattern=NAME");
-    if (cli::get_source(args).open()) {
-        std::fprintf(stderr,
-                     "--source=open needs a pattern payload; add "
-                     "--pattern=NAME (traced TG programs replay a closed-"
-                     "loop execution by construction)\n");
-        return 1;
-    }
-    if (tier != sweep::Tier::Cycle) {
-        std::fprintf(stderr,
-                     "--tier=%s needs a pattern payload; add --pattern=NAME "
-                     "(the analytic model is defined over a pattern's "
-                     "destination matrix, not over TG traces)\n",
-                     std::string{sweep::to_string(tier)}.c_str());
-        return 1;
-    }
     const std::string app = args.get("app");
     const u32 cores = args.get_u32("cores");
     const u32 size =
@@ -618,48 +500,25 @@ int main(int argc, char** argv) {
     sweep::GridSpec grid;
     grid.amba_fixed_priority = !args.has("no-fixed-prio");
     const u32 n_cores = static_cast<u32>(workload->cores.size());
-    const std::vector<cli::TopologyChoice> topologies =
-        cli::get_topologies(args);
-    bool any_topo = false;
-    for (const cli::TopologyChoice& t : topologies)
-        any_topo |= t.kind != ic::TopologyKind::Mesh;
-    grid.meshes = fabric_axis(args, "auto,8x1,3x3", topologies, n_cores);
+    grid.meshes = fabric_axis(args, "auto,8x1,3x3", cli::get_topologies(args),
+                              n_cores);
     const std::vector<sweep::Candidate> candidates = sweep::make_grid(grid);
-    // Numeric flags validate eagerly too — same fail-fast contract.
-    const u32 jobs_flag = args.get_u32("jobs");
-    const bool cpu_truth = args.has("cpu-truth");
     sweep::SweepOptions opts;
-    opts.jobs = jobs_flag;
+    opts.jobs = args.get_u32("jobs");
     opts.max_cycles = max_cycles;
-    opts.with_cpu_truth = cpu_truth;
+    opts.with_cpu_truth = args.has("cpu-truth");
     opts.shard = cli::get_shard(args);
     opts.progress = args.has("progress");
-    const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
 
     // Campaign identity + checkpoint/resume wiring, validated before the
     // expensive reference run so a stale journal fails in milliseconds.
-    sweep::SweepMeta meta;
-    meta.app = app;
-    if (any_topo) {
-        // Topology is campaign identity (same contract as pattern mode):
-        // pure-mesh runs keep the pre-topology app string byte-identical.
-        meta.app += " topo=" + args.get("topology");
-    }
-    meta.n_cores = static_cast<u32>(workload->cores.size());
-    meta.jobs = jobs;
-    meta.max_cycles = max_cycles;
-    meta.tier = opts.tier;
-    meta.seed = opts.seed;
-    meta.n_candidates = static_cast<u32>(candidates.size());
-    meta.shard = opts.shard;
     Campaign camp;
-    if (!setup_campaign(args, meta, &camp)) return 1;
-    if (camp.journal.is_open()) opts.journal = &camp.journal;
-    if (camp.resuming) opts.resume = &camp.resumed;
+    if (!open_campaign(args, app, n_cores, candidates.size(), &opts, &camp))
+        return 1;
 
     // --- one reference simulation, traced ---
     platform::PlatformConfig ref_cfg;
-    ref_cfg.n_cores = static_cast<u32>(workload->cores.size());
+    ref_cfg.n_cores = n_cores;
     ref_cfg.ic = platform::IcKind::Amba;
     ref_cfg.collect_traces = true;
     platform::Platform ref{ref_cfg};
@@ -687,13 +546,9 @@ int main(int argc, char** argv) {
     sim::WallTimer timer;
     std::vector<sweep::SweepResult> results = driver.run(candidates, opts);
     const double sweep_wall = timer.seconds();
-    if (camp.journal.is_open() && !camp.journal.close()) {
-        std::fprintf(stderr, "--checkpoint: journal write failed\n");
-        return 1;
-    }
 
     std::printf("evaluated %zu candidates in %.3f s wall (%u workers)\n\n",
-                results.size(), sweep_wall, jobs);
+                results.size(), sweep_wall, camp.meta.jobs);
     std::printf("%-20s %12s %9s %10s %8s%s\n", "candidate", "TG cycles",
                 "busy%", "contention", "wall s",
                 opts.with_cpu_truth ? "    CPU truth   TG err" : "");
@@ -723,16 +578,6 @@ int main(int argc, char** argv) {
                         r.err_pct);
         std::printf("\n");
     }
-
-    const std::string json = args.get("json");
-    if (!json.empty()) {
-        if (args.has("deterministic")) sweep::canonicalize(meta, results);
-        if (!sweep::write_json_report(results, meta, json)) {
-            std::fprintf(stderr, "failed to write %s\n", json.c_str());
-            return 1;
-        }
-        std::printf("\nwrote %s (%zu candidates)\n", json.c_str(),
-                    results.size());
-    }
+    if (!close_campaign(args, &camp, results)) return 1;
     return replay_bug ? 1 : 0;
 }

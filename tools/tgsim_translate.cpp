@@ -20,17 +20,17 @@ cli::OptionSet options() {
     cli::OptionSet set{"tgsim-translate",
                        "translate .trc traces into .tgp TG programs",
                        "FILE.trc..."};
-    set.add({"mode", K::Choice, "MODE", "reactive", "translation mode",
-             {"clone", "timeshift", "reactive"}})
+    set.add({"mode", K::Choice, "MODE", "reactive", "translation mode", "",
+             false, {"clone", "timeshift", "reactive"}})
         .add({"out-dir", K::Text, "DIR", ".", "where coreN.tgp files go"})
         .add({"app", K::Choice, "NAME", "",
-              "benchmark whose pollable resources to use",
+              "benchmark whose pollable resources to use", "", false,
               {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
-        .add({"cores", K::Number, "N", "4", "benchmark core count"})
-        .add({"size", K::Number, "N", "24", "benchmark problem size"})
+        .add({"cores", K::Number, "N", "4", "benchmark core count", "app"})
+        .add({"size", K::Number, "N", "24", "benchmark problem size", "app"})
         .add({"poll", K::Text, "SPEC", "",
               "pollable resource BASE:SIZE:CMP:VALUE:IDLE, CMP eq|ne|ltu|geu",
-              {}, /*repeatable=*/true})
+              "", false, {}, /*repeatable=*/true})
         .add({"loop-forever", K::Flag, "", "",
               "end with Jump(start) instead of Halt (rewinding TG)"});
     return set;
